@@ -78,6 +78,12 @@ class MetricSpace:
             raise InvalidParameterError("coords must be a nonempty n x d array")
         if not np.isfinite(coords).all():
             raise InvalidPointError("coordinates must be finite")
+        # block() squares coordinate differences of up to 2 max|coord| per
+        # axis and sums d of them; keep that sum below the float maximum.
+        limit = math.sqrt(np.finfo(float).max) / (2.0 * math.sqrt(coords.shape[1]))
+        if np.abs(coords).max() >= limit:
+            raise InvalidPointError(
+                f"coordinates must lie within +-{limit:.3g} so distances stay finite")
         B = int(word_width) if word_width is not None else coords.shape[1]
         if B < 1:
             raise InvalidParameterError("word_width must be >= 1")

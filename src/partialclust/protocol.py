@@ -150,8 +150,10 @@ class ProtocolReport:
 
     ``solution`` is point-level over the original ids (node-level for the
     uncertain protocols); ``budgets`` are the final per-site outlier budgets;
-    ``site_seconds`` are wall-clock and deliberately kept out of serialized
-    reports so byte-identical replay stays possible.
+    ``site_seconds`` are each site worker's CPU time on its own thread
+    (``time.thread_time``), so under ``jobs > 1`` they leave out time spent
+    waiting for the interpreter lock; they are deliberately kept out of
+    serialized reports so byte-identical replay stays possible.
     """
 
     solution: ClusteringSolution
@@ -434,14 +436,14 @@ def _curve_round(site_instances, k, t, rho, objective, seed, jobs, ledger, salt)
     index_set = geometric_index_set(t, rho)
 
     def worker(i):
-        start = time.perf_counter()
+        start = time.thread_time()
         inst = site_instances[i]
         sols, pts = {}, []
         for qi, q in enumerate(index_set.values):
             sol = _local_solution(inst, k, q, objective, seed=(seed, salt, i, qi))
             sols[q] = sol
             pts.append((q, sol.cost))
-        return sols, lower_hull(i, pts), time.perf_counter() - start
+        return sols, lower_hull(i, pts), time.thread_time() - start
 
     results = _run_sites(worker, len(site_instances), jobs)
     curves = [c for _, c, _ in results]
@@ -599,10 +601,10 @@ def run_kt_center(partition, k, t, rho=2.0, seed=0, jobs=1):
     ledger = CommLedger()
 
     def worker(i):
-        start = time.perf_counter()
+        start = time.thread_time()
         gorder = gonzalez_order(site_insts[i])
         marg = insertion_marginals(gorder, k, t)
-        return gorder, marg, time.perf_counter() - start
+        return gorder, marg, time.thread_time() - start
 
     results = _run_sites(worker, partition.n_sites, jobs)
     for i in range(partition.n_sites):
@@ -656,9 +658,9 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
     ledger = CommLedger()
 
     def worker(i):
-        start = time.perf_counter()
+        start = time.thread_time()
         sol = _local_solution(site_insts[i], k, t, objective, seed=(seed, 21, i))
-        return sol, time.perf_counter() - start
+        return sol, time.thread_time() - start
 
     results = _run_sites(worker, partition.n_sites, jobs)
     site_sols = [sol for sol, _ in results]

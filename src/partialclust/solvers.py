@@ -213,7 +213,56 @@ class JVResult:
     certificate: DualCertificate
 
 
-def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
+_BLOCK_ENTRIES = 1 << 15
+
+
+@dataclass(frozen=True)
+class SortedCosts:
+    """One cost matrix sorted per candidate, shared by every primal-dual
+    probe on it. Row ``u`` of each array belongs to candidate column ``u``:
+    ``order[u]`` lists the demands by ascending cost to ``u`` (stable),
+    ``costs[u]`` those costs, and ``cum_w[u]`` / ``cum_wc[u]`` the running
+    sums of weight and of weight times cost along that order."""
+
+    matrix: np.ndarray
+    order: np.ndarray
+    costs: np.ndarray
+    cum_w: np.ndarray
+    cum_wc: np.ndarray
+
+    @classmethod
+    def build(cls, instance, objective, tau=0.0):
+        C = instance.cost_matrix(objective, tau)
+        order = np.argsort(C.T, axis=1, kind="stable")
+        costs = np.take_along_axis(C.T, order, axis=1)
+        w_sorted = instance.weights[order]
+        cum_w = np.cumsum(w_sorted, axis=1)
+        w_sorted *= costs
+        return cls(C, order, costs, cum_w, np.cumsum(w_sorted, axis=1))
+
+    def initial_opening_times(self, z):
+        """Opening time of every candidate while all demands are active and
+        nothing is frozen: the least cost level theta at which the duals
+        max(theta - c, 0) summed over the demands reach ``z``."""
+        m, n = self.costs.shape
+        times = np.zeros(m)
+        if z <= 0:
+            return times
+        # Blocks of candidates keep the temporaries small next to the table.
+        # Demand weights are >= 1, so every cum_w entry is > 0.
+        step = max(1, _BLOCK_ENTRIES // n)
+        for r in range(0, m, step):
+            rows = slice(r, r + step)
+            costs = self.costs[rows]
+            cand = (z + self.cum_wc[rows]) / self.cum_w[rows]
+            ok = cand >= costs - 1e-12
+            ok[:, :-1] &= cand[:, :-1] <= costs[:, 1:] + 1e-12
+            cand[~ok] = np.inf
+            times[rows] = cand.min(axis=1)
+        return np.maximum(times, 0.0)
+
+
+def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=None):
     """Primal-dual facility location with uniform opening cost ``z``.
 
     All unconnected demands grow a shared dual; a facility opens once the
@@ -222,18 +271,25 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
     weight drops to ``stop_weight`` — those copies are the unprocessed
     outliers. A conflict-free subset of the opened facilities (greedy by
     opening time) survives pruning.
+
+    ``table`` is the :class:`SortedCosts` of this instance's
+    ``(objective, tau)`` cost matrix; probes of one facility-cost search
+    share it. Built here when omitted.
     """
     if z < 0:
         raise InvalidParameterError("facility cost must be >= 0")
     C = instance.cost_matrix(objective, tau)
+    if table is None:
+        table = SortedCosts.build(instance, objective, tau)
+    elif table.matrix is not C:
+        raise InvalidParameterError("sorted-cost table belongs to another cost matrix")
     n, m = C.shape
     w = instance.weights
     wi = [d.weight for d in instance.demands]
     total = int(sum(wi))
     stop_weight = max(int(stop_weight), 0)
 
-    order = np.argsort(C, axis=0, kind="stable")
-    Csort = np.take_along_axis(C, order, axis=0)
+    order, Csort = table.order, table.costs
 
     active = np.ones(n, dtype=bool)
     freeze = np.full(n, np.inf)
@@ -250,12 +306,12 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
         req = z - frozen_base[u]
         if req <= 0:
             return theta
-        col = order[:, u]
+        col = order[u]
         wa = np.where(active[col], w[col], 0.0)
         cw = np.cumsum(wa)
         if cw[-1] <= 0:
             return np.inf
-        costs = Csort[:, u]
+        costs = Csort[u]
         cwc = np.cumsum(wa * costs)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = (req + cwc) / cw
@@ -265,7 +321,7 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
             return np.inf
         return max(float(cand[ok].min()), theta)
 
-    heap = [(opening_estimate(u), u) for u in range(m)]
+    heap = list(zip(table.initial_opening_times(z).tolist(), range(m)))
     heapq.heapify(heap)
 
     def next_opening():
@@ -280,10 +336,6 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
                 continue
             return max(tu, theta), u
         return np.inf, None
-
-    def connect_time(j):
-        cols = np.where(opened)[0]
-        return float(np.maximum(open_time[cols], C[j, cols]).min())
 
     stopped = False
     while remaining > stop_weight and not stopped:
@@ -304,18 +356,18 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
         else:
             theta = t_freeze
         batch = np.where(active & (minopen <= theta + 1e-12 * (1.0 + theta)))[0]
-        for j in batch:
+        cols = np.where(opened)[0]
+        connect = np.maximum(open_time[cols], C[np.ix_(batch, cols)]).min(axis=1)
+        for j, tj in zip(batch, connect):
+            freeze[j] = tj
+            active[j] = False
             if remaining - wi[j] < stop_weight:
                 frozen_copies = remaining - stop_weight
                 if frozen_copies < wi[j]:
                     unprocessed[int(j)] = wi[j] - frozen_copies
-                freeze[j] = connect_time(j)
-                active[j] = False
                 remaining = stop_weight
                 stopped = True
                 break
-            freeze[j] = connect_time(j)
-            active[j] = False
             remaining -= wi[j]
             frozen_base += w[j] * np.maximum(freeze[j] - C[j], 0.0)
 
@@ -327,10 +379,13 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0):
     if open_seq:
         temp = np.array(open_seq, dtype=int)
         tol = 1e-12 * (1.0 + float(alpha.max()))
-        pos = (alpha[:, None] - C[:, temp]) > tol
-        conflict = (pos.T.astype(float) @ pos.astype(float)) > 0
+        pos = C[:, temp]
+        np.subtract(alpha[:, None], pos, out=pos)
+        # Sums of nonnegative 0/1 products: any overlap stays >= 1 in float32.
+        pos = (pos > tol).astype(np.float32)
+        conflict = (pos.T @ pos) > 0
         for i in range(len(temp)):
-            if not any(conflict[i, j] for j in kept):
+            if not conflict[i, kept].any():
                 kept.append(i)
         centers = tuple(int(instance.candidates[temp[i]]) for i in kept)
     else:
@@ -412,8 +467,10 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
         return solution_from_centers(instance, instance.candidates[:k], objective,
                                      final_budget, measure)
 
+    table = SortedCosts.build(instance, objective, tau)
+
     def probe(zv):
-        return jv_facility_location(instance, zv, objective, tau, stop_weight=t)
+        return jv_facility_location(instance, zv, objective, tau, stop_weight=t, table=table)
 
     def finish(centers, budget, note=None):
         sol = solution_from_centers(instance, centers, objective, budget, measure)

@@ -251,7 +251,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
     collapse_obj = Objective.MEANS if obj is Objective.MEANS else Objective.MEDIAN
 
     def collapse_site(i):
-        start = time.perf_counter()
+        start = time.thread_time()
         counter = EvalCounter()
         graph = build_compressed_graph(
             space, [npartition.nodes[j] for j in npartition.sites[i]],
@@ -259,7 +259,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         demands = graph.demands()
         inst = Instance(space, demands, [d.anchor for d in demands],
                         counter=counter, payload_kind="tentacle")
-        return inst, graph, time.perf_counter() - start
+        return inst, graph, time.thread_time() - start
 
     prep = _run_sites(collapse_site, npartition.n_sites, jobs)
     site_insts = [inst for inst, _, _ in prep]
@@ -268,10 +268,10 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
 
     if obj is Objective.CENTER:
         def worker(i):
-            start = time.perf_counter()
+            start = time.thread_time()
             gorder = gonzalez_order(site_insts[i])
             marg = insertion_marginals(gorder, k, t)
-            return gorder, marg, time.perf_counter() - start
+            return gorder, marg, time.thread_time() - start
 
         results = _run_sites(worker, npartition.n_sites, jobs)
         for i in range(npartition.n_sites):
@@ -291,14 +291,14 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         index_set = geometric_index_set(t, rho)
 
         def worker(i):
-            start = time.perf_counter()
+            start = time.thread_time()
             inst = site_insts[i]
             sols, pts = {}, []
             for qi, q in enumerate(index_set.values):
                 sol = _local_solution(inst, k, q, obj, seed=(seed, 31, i, qi))
                 sols[q] = sol
                 pts.append((q, sol.cost))
-            return sols, lower_hull(i, pts), time.perf_counter() - start
+            return sols, lower_hull(i, pts), time.thread_time() - start
 
         results = _run_sites(worker, npartition.n_sites, jobs)
         curves = [c for _, c, _ in results]
@@ -414,7 +414,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
     ledger = CommLedger()
 
     def site_phase(i):
-        start = time.perf_counter()
+        start = time.thread_time()
         counter = EvalCounter()
         node_ids = npartition.sites[i]
         summaries = [one_median(space, npartition.nodes[j], Objective.MEDIAN, counter)
@@ -435,7 +435,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
                 sols[(ti, q)] = sol
                 pts.append((q, sol.cost))
             curves.append(lower_hull(i, pts))
-        return inst, sols, curves, time.perf_counter() - start
+        return inst, sols, curves, time.thread_time() - start
 
     prep = _run_sites(site_phase, npartition.n_sites, jobs)
     site_insts = [p[0] for p in prep]

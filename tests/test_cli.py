@@ -220,6 +220,13 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     code, _, _ = run(["solve", "--input", str(planted_file), "--alg",
                       "kt-median", "--k", "2", "--t", "30"], capsys)
     assert code == 3
+    # coordinates so large that distances would overflow to inf
+    huge = tmp_path / "huge.jsonl"
+    write_points_jsonl(huge, np.array([[1e154, 0.0], [-1e154, 0.0], [0.0, 1e154],
+                                       [1.0, 1.0]]))
+    code, out, err = run(["solve", "--input", str(huge), "--alg", "kt-center",
+                          "--k", "1", "--t", "1"], capsys)
+    assert code == 2 and out == "" and "coordinates" in err
     # argparse rejections exit 2 via SystemExit
     with pytest.raises(SystemExit) as ei:
         main(["solve", "--input", str(planted_file), "--alg", "no-such",

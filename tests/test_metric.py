@@ -81,6 +81,16 @@ def test_matrix_space_rejects_bad_input():
         MetricSpace.from_matrix(N)
 
 
+def test_euclidean_rejects_coordinates_whose_distances_overflow():
+    with pytest.raises(InvalidPointError):
+        MetricSpace.euclidean([[1e154, 0.0], [-1e154, 0.0], [0.0, 1e154]])
+    # the bound shrinks with the dimension: 4 max|c|^2 d must stay finite
+    with pytest.raises(InvalidPointError):
+        MetricSpace.euclidean(np.full((2, 16), 2e153) * [[1.0], [-1.0]])
+    space = MetricSpace.euclidean([[4e153, 0.0], [-4e153, 0.0], [0.0, 4e153]])
+    assert np.isfinite(space.block([0, 1, 2], [0, 1, 2])).all()
+
+
 def test_point_index_bounds(square_space):
     with pytest.raises(InvalidPointError):
         square_space.distance(0, 5)

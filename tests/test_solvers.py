@@ -1,10 +1,15 @@
 """Centralized solvers: Gonzalez, threshold sweep, primal-dual, the oracle."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialclust import (
     BicriteriaConfig,
+    Demand,
     Instance,
     MetricSpace,
     Objective,
@@ -25,6 +30,7 @@ from partialclust.errors import (
     InvalidParameterError,
     OracleSizeLimitError,
 )
+from partialclust.solvers import SortedCosts
 
 from helpers import random_instance, random_points
 
@@ -175,6 +181,110 @@ def test_jv_fewer_centers_as_price_rises():
     assert opened[0] == 12
     assert all(a >= b for a, b in zip(opened, opened[1:]))
     assert opened[-1] == 1
+
+
+def _golden_instance(kind):
+    rng = np.random.default_rng({"weighted": 11, "support": 12, "means": 13}[kind])
+    if kind == "weighted":
+        base = rng.uniform(-10.0, 10.0, size=(14, 2))
+        pts = base[rng.integers(0, 14, size=30)]  # duplicates merge into weights
+        return Instance.from_points(MetricSpace.euclidean(pts))
+    if kind == "support":
+        space = MetricSpace.euclidean(rng.uniform(-6.0, 6.0, size=(20, 2)))
+        demands = []
+        for _ in range(12):
+            size = int(rng.integers(1, 4))
+            support = tuple(int(u) for u in rng.choice(20, size=size, replace=False))
+            probs = rng.uniform(0.2, 1.0, size=size)
+            probs = tuple(float(p) for p in probs / probs.sum())
+            demands.append(Demand(support, probs, float(rng.uniform(0.0, 0.5)),
+                                  int(rng.integers(1, 4))))
+        return Instance(space, demands, range(20))
+    return Instance.from_points(MetricSpace.euclidean(rng.uniform(-5.0, 5.0, size=(16, 3))))
+
+
+def _jv_pin(res):
+    cert = res.certificate
+    return (res.centers, res.temp_open,
+            hashlib.sha256(cert.alpha.tobytes()).hexdigest()[:16],
+            tuple(sorted(cert.unprocessed.items())), cert.stop_time.hex())
+
+
+# Recorded from the per-probe implementation that re-sorted the cost matrix
+# on every call; the shared sorted-cost table must reproduce it bit for bit.
+_JV_GOLDEN = [
+    (("weighted", 0.0, Objective.MEDIAN, 0.0, 0),
+     ((0, 2, 3, 4, 5, 6, 7, 8, 12, 15, 20, 24), (0, 2, 3, 4, 5, 6, 7, 8, 12, 15, 20, 24),
+      "2ea9ab9198d16380", (), "0x0.0p+0")),
+    (("weighted", 6.0, Objective.MEDIAN, 0.0, 0),
+     ((0, 15, 2, 3, 5, 7, 6, 8, 12, 4), (0, 15, 2, 3, 5, 7, 6, 8, 12, 4),
+      "4b703a4706debc7a", (), "0x1.8000000000000p+2")),
+    (("weighted", 6.0, Objective.MEDIAN, 0.0, 4),
+     ((0, 15, 2, 3, 5, 7, 6, 8), (0, 15, 2, 3, 5, 7, 6, 8),
+      "1631968cb982950c", ((3, 1), (8, 2), (11, 1)), "0x1.8000000000000p+1")),
+    (("weighted", 25.0, Objective.MEDIAN, 0.0, 7),
+     ((15, 0, 5), (15, 0, 5),
+      "d0417f24c5d93971", ((3, 1), (6, 3), (8, 2), (11, 1)), "0x1.99463325dd684p+2")),
+    (("support", 0.0, Objective.MEDIAN, 1.5, 2),
+     (tuple(range(20)), tuple(range(20)),
+      "a94c997feb8f90ba", ((1, 2),), "0x1.2806fb5be292cp+2")),
+    (("support", 3.0, Objective.MEDIAN, 1.5, 0),
+     ((8, 3, 1), (8, 3, 1, 2, 9, 13),
+      "71002a19bb2a478c", (), "0x1.589a1fc25fc10p+2")),
+    (("support", 3.0, Objective.MEDIAN, 1.5, 5),
+     ((8, 3, 1), (8, 3, 1, 2, 9, 13),
+      "0dd4150b0034feee", ((1, 2), (2, 2), (5, 1)), "0x1.aace3771b5282p+1")),
+    (("support", 12.0, Objective.MEANS, 0.0, 3),
+     ((8, 3, 9, 6, 15, 7), (8, 3, 9, 1, 6, 15, 19, 2, 7),
+      "9b1406c401259471", ((1, 2), (2, 1)), "0x1.1e12b527ee53ap+5")),
+    (("means", 0.0, Objective.MEANS, 0.0, 0),
+     (tuple(range(16)), tuple(range(16)),
+      "38723a2e5e8a17aa", (), "0x0.0p+0")),
+    (("means", 20.0, Objective.MEANS, 0.0, 2),
+     ((14, 8, 4, 0, 1), (14, 8, 9, 4, 10, 0, 6, 1),
+      "33558d2215c52501", ((2, 1), (3, 1)), "0x1.08ce6d62d3695p+4")),
+    (("means", 80.0, Objective.MEANS, 0.0, 0),
+     ((14, 15), (14, 11, 15, 10, 1),
+      "6ae4e6c023aa1609", (), "0x1.3208936335d5dp+5")),
+]
+
+
+@pytest.mark.parametrize("probe,pin", _JV_GOLDEN)
+def test_jv_golden_pins(probe, pin):
+    kind, z, objective, tau, stop_weight = probe
+    inst = _golden_instance(kind)
+    res = jv_facility_location(inst, z, objective, tau, stop_weight=stop_weight)
+    assert _jv_pin(res) == pin
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coords=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                    min_size=2, max_size=12),
+    zs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4),
+    objective=st.sampled_from([Objective.MEDIAN, Objective.MEANS]),
+    tau=st.sampled_from([0.0, 1.5]),
+    stop_frac=st.floats(0.0, 0.9),
+)
+def test_jv_shared_table_matches_own_table(coords, zs, objective, tau, stop_frac):
+    inst = Instance.from_points(MetricSpace.euclidean(np.array(coords, dtype=float)))
+    stop_weight = int(stop_frac * inst.total_weight)
+    table = SortedCosts.build(inst, objective, tau)
+    for z in zs:
+        shared = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
+        own = jv_facility_location(inst, z, objective, tau, stop_weight)
+        assert shared.centers == own.centers
+        assert shared.temp_open == own.temp_open
+        assert shared.certificate.alpha.tobytes() == own.certificate.alpha.tobytes()
+        assert shared.certificate.unprocessed == own.certificate.unprocessed
+        assert shared.certificate.stop_time == own.certificate.stop_time
+
+
+def test_jv_rejects_table_of_another_matrix():
+    inst = random_instance(7, 8)
+    table = SortedCosts.build(inst, Objective.MEANS)
+    with pytest.raises(InvalidParameterError):
+        jv_facility_location(inst, 3.0, Objective.MEDIAN, table=table)
 
 
 # ---------------------------------------------------------------------------
