@@ -11,7 +11,6 @@ line.
 from .allocation import (
     Allocation,
     CostCurve,
-    IndexSet,
     allocate,
     exceptional_adjust,
     geometric_index_set,
@@ -23,7 +22,6 @@ from .allocation import (
 from .errors import (
     ClusteringError,
     DegenerateInstanceError,
-    InconsistentInputError,
     InconsistentSolutionError,
     InfeasibleError,
     InternalInvariantError,
@@ -45,7 +43,6 @@ from .metric import (
     instance_cost,
     point_demand,
     solution_cost,
-    truncated_distance,
 )
 from .protocol import (
     CommLedger,
@@ -64,7 +61,6 @@ from .solvers import (
     GonzalezOrder,
     bicriteria_median,
     bicriteria_truncated_center,
-    combine_weighted,
     exact_oracle,
     gonzalez_order,
     insertion_marginals,
@@ -82,8 +78,6 @@ from .uncertain import (
     UncertainNode,
     build_compressed_graph,
     eval_center_g_objective,
-    expected_distance,
-    expected_truncated,
     node_universe_cost,
     one_median,
     run_center_g,
@@ -96,23 +90,20 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation", "BicriteriaConfig", "ClusteringError", "ClusteringSolution",
     "CommLedger", "CompressedGraph", "CostCurve", "DegenerateInstanceError",
-    "Demand", "EvalCounter", "GonzalezOrder", "InconsistentInputError",
-    "InconsistentSolutionError", "IndexSet", "InfeasibleError", "Instance",
-    "InternalInvariantError", "InvalidParameterError", "InvalidPointError",
-    "Message", "MetricSpace", "NodePartition", "Objective",
-    "ObjectiveEstimate", "OneMedianSummary", "OracleSizeLimitError",
-    "ParseError", "Partition", "PreconditionError", "ProtocolReport",
-    "SubquadraticReport", "TauGrid", "UncertainNode", "allocate",
-    "bicriteria_median", "bicriteria_truncated_center",
-    "build_compressed_graph", "combine_weighted", "dedupe_demands",
-    "eval_center_g_objective", "exact_oracle", "exceptional_adjust",
-    "expected_distance", "expected_truncated", "extremes",
-    "geometric_index_set", "gonzalez_order", "insertion_marginals",
-    "instance_cost", "jv_facility_location", "kt_center_outliers",
-    "lower_hull", "merge_two_solutions", "node_universe_cost", "one_median",
-    "pad_centers", "point_demand", "run_center_g", "run_kt_center",
-    "run_kt_median", "run_kt_median_clustering_only", "run_one_round",
-    "run_uncertain", "site_budget_from_pivot", "solution_cost",
-    "solution_from_centers", "sort_marginals", "subquadratic_solve",
-    "tau_grid", "truncated_distance",
+    "Demand", "EvalCounter", "GonzalezOrder", "InconsistentSolutionError",
+    "InfeasibleError", "Instance", "InternalInvariantError",
+    "InvalidParameterError", "InvalidPointError", "Message", "MetricSpace",
+    "NodePartition", "Objective", "ObjectiveEstimate", "OneMedianSummary",
+    "OracleSizeLimitError", "ParseError", "Partition", "PreconditionError",
+    "ProtocolReport", "SubquadraticReport", "TauGrid", "UncertainNode",
+    "allocate", "bicriteria_median", "bicriteria_truncated_center",
+    "build_compressed_graph", "dedupe_demands", "eval_center_g_objective",
+    "exact_oracle", "exceptional_adjust", "extremes", "geometric_index_set",
+    "gonzalez_order", "insertion_marginals", "instance_cost",
+    "jv_facility_location", "kt_center_outliers", "lower_hull",
+    "merge_two_solutions", "node_universe_cost", "one_median", "pad_centers",
+    "point_demand", "run_center_g", "run_kt_center", "run_kt_median",
+    "run_kt_median_clustering_only", "run_one_round", "run_uncertain",
+    "site_budget_from_pivot", "solution_cost", "solution_from_centers",
+    "sort_marginals", "subquadratic_solve", "tau_grid",
 ]

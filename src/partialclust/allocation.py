@@ -19,13 +19,6 @@ from .errors import InvalidParameterError
 from .metric import ClusteringSolution, Objective
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Geometric grid of outlier counts a site evaluates locally."""
-
-    values: tuple
-
-
 def geometric_index_set(t, rho):
     """{floor(rho^r) : rho^r <= t} together with 0 and t, sorted."""
     if not isinstance(t, (int, np.integer)) or t < 0:
@@ -37,7 +30,7 @@ def geometric_index_set(t, rho):
     while rho ** r <= t + 1e-9:
         vals.add(int(math.floor(rho ** r + 1e-9)))
         r += 1
-    return IndexSet(tuple(sorted(vals)))
+    return tuple(sorted(vals))
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,6 @@ class InconsistentSolutionError(ClusteringError, ValueError):
     unknown center, negative copy counts, ...)."""
 
 
-class InconsistentInputError(ClusteringError, ValueError):
-    """Mutually inconsistent inputs (e.g. node support referencing a point
-    that is not in the companion universe)."""
-
-
 class InfeasibleError(ClusteringError):
     """The budget makes the problem vacuous or unsolvable (e.g. t >= total
     weight). Carries the offending site id when raised inside a protocol."""

@@ -194,11 +194,6 @@ def read_nodes_files(paths, space):
     return nodes, groups
 
 
-def read_nodes_jsonl(path, space):
-    nodes, _ = read_nodes_files([path], space)
-    return nodes
-
-
 def write_nodes_jsonl(path, nodes):
     with open(path, "w", encoding="utf-8") as fh:
         for nd in nodes:

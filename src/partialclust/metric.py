@@ -15,7 +15,7 @@ weight (multiplicity after duplicate merging or preclustering aggregation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -129,13 +129,6 @@ class MetricSpace:
             diff = self.coords[rows][:, None, :] - self.coords[cols][None, :, :]
             return np.sqrt((diff * diff).sum(axis=2))
         return self.matrix[np.ix_(rows, cols)]
-
-
-def truncated_distance(space, u, v, tau):
-    """max(d(u, v) - tau, 0); the threshold-capped metric surrogate."""
-    if tau < 0:
-        raise InvalidParameterError("tau must be >= 0")
-    return max(space.distance(u, v) - tau, 0.0)
 
 
 def extremes(space, indices=None):
@@ -269,14 +262,6 @@ class Instance:
         cands = [d.anchor for d in demands]
         return cls(space, demands, cands, counter=counter)
 
-    @classmethod
-    def from_weighted(cls, space, weighted, extra_candidates=(), counter=None,
-                      payload_kind="point"):
-        """``weighted`` is an iterable of (point, weight) pairs."""
-        demands = [point_demand(p, w) for p, w in weighted]
-        cands = [d.anchor for d in demands] + [int(c) for c in extra_candidates]
-        return cls(space, demands, cands, counter=counter, payload_kind=payload_kind)
-
     @property
     def n(self):
         return len(self.demands)
@@ -315,7 +300,12 @@ class Instance:
         if tau > 0:
             base = np.maximum(base - tau, 0.0)
         if objective.power == 2:
-            base = base * base
+            with np.errstate(over="ignore"):
+                base = base * base
+            if not np.isfinite(base).all():
+                raise InvalidPointError(
+                    "squared distances overflow the float range; scale the "
+                    "input down")
         if all(len(d.support) == 1 for d in self.demands):
             rows = base[[pos[d.support[0]] for d in self.demands]]
         else:
@@ -328,9 +318,6 @@ class Instance:
         M = rows + collapse[:, None]
         self._cost_cache[key] = M
         return M
-
-    def assignment_cost(self, j, point, objective, tau=0.0):
-        return float(self.cost_matrix(objective, tau)[j, self.candidate_column(point)])
 
     def pair_matrix(self):
         """Demand-to-demand distances (single-support demands only).
@@ -381,10 +368,6 @@ class ClusteringSolution:
     cost: float
     copy_assignment: dict | None = None
     note: str | None = None
-
-    @property
-    def outlier_indices(self):
-        return sorted(self.outliers)
 
     @property
     def total_excluded(self):

@@ -6,11 +6,13 @@ the site's own points; everything the coordinator learns travels through
 protocol's communication cost (a point costs the metric space's word width
 B, a scalar or count costs 1).
 
-The two-round sum-objective protocols share one shape: sites summarize the
-trade-off between local outliers and local cost as a convex curve, the
-coordinator allocates the global outlier budget by pooling marginal savings
-(see :mod:`.allocation`), and sites answer with a small weighted summary the
-coordinator solves centrally.
+Every runner configures one two-round driver. Sites summarize the trade-off
+between local outliers and local cost, as the hull of a cost curve
+(:func:`_curve_round`) or as farthest-first insertion radii
+(:func:`_center_round`); the coordinator allocates the global outlier budget
+by pooling marginal savings (:func:`_allocate`, see :mod:`.allocation`); sites
+answer with a small weighted summary, which the coordinator solves, lifts
+back onto the sites' points and reports (:func:`_coordinate`).
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def _norm_objective(objective, allow_center=True):
     return obj
 
 
-def _validate_common(k, t, seed, epsilon=1.0):
+def _validate_common(k, t, seed, epsilon=1.0, rho=None):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidParameterError("k must be a positive integer")
     if not isinstance(t, (int, np.integer)) or t < 0:
@@ -187,24 +189,36 @@ def _validate_common(k, t, seed, epsilon=1.0):
         raise InvalidParameterError("seed must be a nonnegative integer")
     if epsilon <= 0:
         raise InvalidParameterError("epsilon must be > 0")
+    if rho is not None and not 1.0 < rho <= 2.0:
+        raise InvalidParameterError("rho must lie in (1, 2]")
 
 
-def _site_instances(partition):
+def _site_instances(partition, t):
+    """One instance per site, once t is known to leave some point served."""
     insts = [Instance.from_points(partition.space, pts) for pts in partition.sites]
+    total = sum(inst.total_weight for inst in insts)
+    if total <= t:
+        raise InfeasibleError(f"outlier budget t={t} >= {total} total points")
     return insts
 
 
-def _check_feasible(site_instances, t):
-    total = sum(inst.total_weight for inst in site_instances)
-    if total <= t:
-        raise InfeasibleError(f"outlier budget t={t} >= {total} total points")
-
-
 def _run_sites(worker, s, jobs):
+    """``worker(i)`` for every site, on ``jobs`` threads when jobs > 1.
+
+    Returns the results in site order and each worker's CPU seconds on its
+    own thread (``time.thread_time``).
+    """
+    def timed(i):
+        start = time.thread_time()
+        result = worker(i)
+        return result, time.thread_time() - start
+
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=int(jobs)) as ex:
-            return list(ex.map(worker, range(s)))
-    return [worker(i) for i in range(s)]
+            pairs = list(ex.map(timed, range(s)))
+    else:
+        pairs = [timed(i) for i in range(s)]
+    return [r for r, _ in pairs], [dt for _, dt in pairs]
 
 
 def _local_solution(inst, k, q, objective, seed):
@@ -425,43 +439,148 @@ def _expand_points(space, all_demands, demand_sol, objective, counter):
     return ClusteringSolution(centers, outliers, assigned, float(cost))
 
 
+def _node_solution(all_demands, demand_sol):
+    """Demand-level solution -> node-level via node-id tags."""
+    assignment = {}
+    outliers = {}
+    for g, d in enumerate(all_demands):
+        nid = int(d.tag[0])
+        if demand_sol.excluded_copies(g) > 0:
+            outliers[nid] = 1
+        else:
+            assignment[nid] = demand_sol.assignment[g]
+    return ClusteringSolution(demand_sol.centers, outliers, assignment,
+                              demand_sol.cost)
+
+
 # ---------------------------------------------------------------------------
-# Two-round (k, t)-median / means
+# The two-round driver: site summaries, allocation, coordinator tail
 
 
-def _curve_round(site_instances, k, t, rho, objective, seed, jobs, ledger, salt):
-    """Round 1 of the sum-objective protocols: every site solves its local
-    (2k, q) problems on the geometric grid, and ships the lower hull of the
-    resulting cost curve (two words per vertex)."""
-    index_set = geometric_index_set(t, rho)
+def _site_curve(i, qs, solve):
+    """Site i's round-1 summary: ``solve(qi, q)`` at every grid count q, and
+    the lower hull of the resulting (q, cost) points."""
+    sols = {q: solve(qi, q) for qi, q in enumerate(qs)}
+    return sols, lower_hull(i, [(q, sol.cost) for q, sol in sols.items()])
+
+
+def _broadcast_pivot(ledger, s, words=3):
+    for i in range(s):
+        ledger.add(1, "coord->site", i, "pivot", words)
+
+
+def _allocate(marginals, t, rho, ledger=None, curves=None):
+    """The coordinator's allocation step.
+
+    Keeps the floor(rho * t) largest pooled marginals. Given the sites'
+    ``curves``, the pivot site's budget then rounds up to its next hull
+    vertex, so every site answers with a solution it already computed; given
+    a ``ledger``, the pivot is broadcast (three words per site). Returns the
+    allocation before and after that adjustment.
+    """
+    alloc = allocate(marginals, t, rho)
+    adjusted = alloc
+    if curves is not None and alloc.pivot_site is not None:
+        adjusted = exceptional_adjust(alloc, curves[alloc.pivot_site])
+    if ledger is not None:
+        _broadcast_pivot(ledger, len(marginals))
+    return alloc, adjusted
+
+
+def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
+                 adjust=True):
+    """Round 1 of the sum-objective protocols.
+
+    Every site solves its local (2k, q) problems on the geometric grid, with
+    seeds ``(*salt, i, qi)``, and ships the lower hull of its cost curve (two
+    words per vertex); the coordinator allocates, adjusting the pivot site
+    when ``adjust`` is set. Returns (site solutions by q, curves, allocation,
+    adjusted allocation, site seconds).
+    """
+    qs = geometric_index_set(t, rho)
 
     def worker(i):
-        start = time.thread_time()
-        inst = site_instances[i]
-        sols, pts = {}, []
-        for qi, q in enumerate(index_set.values):
-            sol = _local_solution(inst, k, q, objective, seed=(seed, salt, i, qi))
-            sols[q] = sol
-            pts.append((q, sol.cost))
-        return sols, lower_hull(i, pts), time.thread_time() - start
+        return _site_curve(i, qs, lambda qi, q: _local_solution(
+            site_insts[i], k, q, objective, seed=(*salt, i, qi)))
 
-    results = _run_sites(worker, len(site_instances), jobs)
-    curves = [c for _, c, _ in results]
+    results, secs = _run_sites(worker, len(site_insts), jobs)
+    curves = [c for _, c in results]
     if ledger is not None:
         for i, c in enumerate(curves):
             ledger.add(1, "site->coord", i, "cost-curve", 2 * c.n_vertices)
-    return [s for s, _, _ in results], curves, [dt for _, _, dt in results]
+    alloc, adjusted = _allocate([c.marginals() for c in curves], t, rho, ledger,
+                                curves if adjust else None)
+    return [sols for sols, _ in results], curves, alloc, adjusted, secs
 
 
-def _allocate_and_broadcast(curves, t, rho, ledger, adjust):
-    alloc = allocate([c.marginals() for c in curves], t, rho)
-    final = alloc
-    if adjust and alloc.pivot_site is not None:
-        final = exceptional_adjust(alloc, curves[alloc.pivot_site])
-    if ledger is not None:
-        for i in range(len(curves)):
-            ledger.add(1, "coord->site", i, "pivot", 3)
-    return alloc, final
+def _center_round(site_insts, k, t, rho, jobs, ledger):
+    """Site work of the two-round center protocols.
+
+    Each site runs one farthest-first traversal and sends the t insertion
+    radii after position k, its exact marginal-gain curve (t words). No
+    adjustment follows the allocation, since every integer budget is already
+    realizable: each site answers with its first k + t_i traversal points.
+    Returns (allocation, site solutions, site seconds).
+    """
+    def worker(i):
+        gorder = gonzalez_order(site_insts[i])
+        return gorder, insertion_marginals(gorder, k, t)
+
+    results, secs = _run_sites(worker, len(site_insts), jobs)
+    for i in range(len(site_insts)):
+        ledger.add(1, "site->coord", i, "marginals", t)
+    alloc, _ = _allocate([m for _, m in results], t, rho, ledger)
+    site_sols = []
+    for inst, (gorder, _), ti in zip(site_insts, results, alloc.t_by_site):
+        prefix = [inst.demands[j].anchor for j in gorder.order[:min(k + ti, inst.n)]]
+        site_sols.append(solution_from_centers(inst, prefix, Objective.CENTER, 0))
+    return alloc, site_sols, secs
+
+
+def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
+                allocation, budgets, site_seconds, rounds=2, epsilon=1.0,
+                seed=0, site_excluded=None, score=None, **assemble):
+    """The coordinator's tail, shared by every distributed runner.
+
+    Assembles the sites' summaries (``assemble`` goes to
+    :func:`_assemble_coordinator`), solves them (threshold sweep for the
+    center objective, bicriteria with floor((1 + epsilon) t) excluded copies
+    otherwise), lifts the verdict onto the site demands and reports it
+    point-level, or node-level for node payloads. ``score(solution,
+    counter)`` returns extras measured on the final solution, with its
+    distance evaluations counted as the coordinator's.
+    """
+    coord_counter = EvalCounter()
+    coord_inst, prov = _assemble_coordinator(
+        space, site_insts, site_sols, objective, coord_counter, ledger=ledger,
+        round_no=rounds, **assemble)
+    if objective is Objective.CENTER:
+        final = kt_center_outliers(coord_inst, k, t)
+    else:
+        cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
+        final = bicriteria_median(coord_inst, k, t, cfg, objective, seed=(seed, 3))
+    demand_sol, view = _lift_solution(space, site_insts, prov, final, objective,
+                                      coord_counter, site_excluded=site_excluded)
+    extras = {"coordinator_excluded": final.total_excluded}
+    if coord_inst.payload_kind == "point":
+        solution = _expand_points(space, view.demands, demand_sol, objective,
+                                  coord_counter)
+        extras["demand_solution"] = demand_sol
+    else:
+        solution = _node_solution(view.demands, demand_sol)
+    if score is not None:
+        extras.update(score(solution, coord_counter))
+    return ProtocolReport(
+        solution=solution, ledger=ledger, rounds=rounds,
+        allocation=allocation, budgets=budgets,
+        site_evals=tuple(inst.counter.count for inst in site_insts),
+        coord_evals=coord_counter.count, site_seconds=tuple(site_seconds),
+        extras=extras,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The runners
 
 
 def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
@@ -473,43 +592,24 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
     it already computed and the total site budget stays at most 3t (for
     rho = 2). Round 2: 2k weighted centers plus the budgeted outlier points.
     The coordinator solve keeps k centers and excludes at most
-    floor((1 + epsilon) t) copies.
+    floor((1 + epsilon) t) copies. The report's ``allocation`` is the one
+    before the pivot adjustment; ``budgets`` and ``extras["adjusted"]`` are
+    after it.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon)
-    if not 1.0 < rho <= 2.0:
-        raise InvalidParameterError("rho must lie in (1, 2]")
-    site_insts = _site_instances(partition)
-    _check_feasible(site_insts, t)
+    _validate_common(k, t, seed, epsilon, rho)
+    site_insts = _site_instances(partition, t)
     ledger = CommLedger()
-    site_sols_by_q, curves, secs = _curve_round(
-        site_insts, k, t, rho, objective, seed, jobs, ledger, salt=11)
-    alloc, adjusted = _allocate_and_broadcast(curves, t, rho, ledger, adjust=True)
-    site_sols = [site_sols_by_q[i][adjusted.t_by_site[i]]
-                 for i in range(partition.n_sites)]
-    coord_counter = EvalCounter()
-    coord_inst, prov = _assemble_coordinator(
-        partition.space, site_insts, site_sols, objective, coord_counter,
-        forward_outliers=True, ledger=ledger, payload_kind="point")
-    cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
-    final = bicriteria_median(coord_inst, k, t, cfg, objective, seed=(seed, 3))
-    demand_sol, view = _lift_solution(
-        partition.space, site_insts, prov, final, objective, coord_counter)
-    solution = _expand_points(partition.space, view.demands, demand_sol,
-                              objective, coord_counter)
-    return ProtocolReport(
-        solution=solution, ledger=ledger, rounds=2,
-        allocation=alloc, budgets=adjusted.t_by_site,
-        site_evals=tuple(inst.counter.count for inst in site_insts),
-        coord_evals=coord_counter.count, site_seconds=tuple(secs),
-        extras={
-            "curves": curves,
-            "adjusted": adjusted,
-            "demand_solution": demand_sol,
-            "coordinator_excluded": final.total_excluded,
-            "site_excluded": tuple(s.total_excluded for s in site_sols),
-        },
-    )
+    sols_by_q, curves, alloc, adjusted, secs = _curve_round(
+        site_insts, k, t, rho, objective, (seed, 11), jobs, ledger)
+    site_sols = [sols[q] for sols, q in zip(sols_by_q, adjusted.t_by_site)]
+    report = _coordinate(
+        partition.space, site_insts, site_sols, objective, k, t, ledger,
+        allocation=alloc, budgets=adjusted.t_by_site, site_seconds=secs,
+        epsilon=epsilon, seed=seed, forward_outliers=True, payload_kind="point")
+    report.extras.update(curves=curves, adjusted=adjusted, site_excluded=tuple(
+        s.total_excluded for s in site_sols))
+    return report
 
 
 def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
@@ -529,117 +629,53 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     _validate_common(k, t, seed, epsilon)
     if not 0.0 < delta <= 1.0:
         raise InvalidParameterError("delta must lie in (0, 1]")
-    rho = 1.0 + delta
-    site_insts = _site_instances(partition)
-    _check_feasible(site_insts, t)
+    site_insts = _site_instances(partition, t)
     ledger = CommLedger()
-    site_sols_by_q, curves, secs = _curve_round(
-        site_insts, k, t, rho, objective, seed, jobs, ledger, salt=12)
-    alloc, _ = _allocate_and_broadcast(curves, t, rho, ledger, adjust=False)
+    sols_by_q, curves, alloc, _, secs = _curve_round(
+        site_insts, k, t, 1.0 + delta, objective, (seed, 12), jobs, ledger,
+        adjust=False)
     site_sols = []
-    for i in range(partition.n_sites):
+    for inst, sols, curve, ti in zip(site_insts, sols_by_q, curves,
+                                     alloc.t_by_site):
         # a site cannot ignore more copies than it holds
-        ti = min(alloc.t_by_site[i], site_insts[i].total_weight)
-        sols = site_sols_by_q[i]
+        ti = min(ti, inst.total_weight)
         if ti in sols:
             site_sols.append(sols[ti])
             continue
-        curve = curves[i]
         lo = curve.vertex_at_or_below(ti)
         hi = curve.vertex_at_or_above(ti)
-        site_sols.append(merge_two_solutions(
-            site_insts[i], sols[lo], sols[hi], ti, objective))
-    coord_counter = EvalCounter()
-    coord_inst, prov = _assemble_coordinator(
-        partition.space, site_insts, site_sols, objective, coord_counter,
-        forward_outliers=False, ledger=ledger, payload_kind="point",
-        count_word=True)
-    cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
-    final = bicriteria_median(coord_inst, k, t, cfg, objective, seed=(seed, 3))
-    site_excluded = [dict(s.outliers) for s in site_sols]
-    demand_sol, view = _lift_solution(
-        partition.space, site_insts, prov, final, objective, coord_counter,
-        site_excluded=site_excluded)
-    solution = _expand_points(partition.space, view.demands, demand_sol,
-                              objective, coord_counter)
-    return ProtocolReport(
-        solution=solution, ledger=ledger, rounds=2,
-        allocation=alloc, budgets=alloc.t_by_site,
-        site_evals=tuple(inst.counter.count for inst in site_insts),
-        coord_evals=coord_counter.count, site_seconds=tuple(secs),
-        extras={
-            "curves": curves,
-            "demand_solution": demand_sol,
-            "coordinator_excluded": final.total_excluded,
-            "site_excluded": tuple(s.total_excluded for s in site_sols),
-            "total_ignored": final.total_excluded
-            + sum(s.total_excluded for s in site_sols),
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Two-round (k, t)-center
+        site_sols.append(merge_two_solutions(inst, sols[lo], sols[hi], ti,
+                                             objective))
+    report = _coordinate(
+        partition.space, site_insts, site_sols, objective, k, t, ledger,
+        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
+        epsilon=epsilon, seed=seed,
+        site_excluded=[dict(s.outliers) for s in site_sols],
+        forward_outliers=False, payload_kind="point", count_word=True)
+    site_excluded = tuple(s.total_excluded for s in site_sols)
+    report.extras.update(
+        curves=curves, site_excluded=site_excluded,
+        total_ignored=report.extras["coordinator_excluded"] + sum(site_excluded))
+    return report
 
 
 def run_kt_center(partition, k, t, rho=2.0, seed=0, jobs=1):
     """Two-round (k, t)-center.
 
-    Round 1: each site runs one farthest-first traversal and sends the t
-    insertion radii after position k (its exact marginal-gain curve, t
-    words). The same pivot allocation as the median protocol splits the
-    budget; no adjustment is needed because every integer budget is already
-    realizable. Round 2: the first k + t_i traversal points with attached
-    counts. The coordinator's threshold sweep keeps k centers and excludes
-    exactly t copies.
+    Round 1: each site sends its farthest-first insertion radii and the same
+    pivot allocation as the median protocol splits the budget (see
+    :func:`_center_round`). Round 2: the first k + t_i traversal points with
+    attached counts. The coordinator's threshold sweep keeps k centers and
+    excludes exactly t copies.
     """
-    _validate_common(k, t, seed)
-    if not 1.0 < rho <= 2.0:
-        raise InvalidParameterError("rho must lie in (1, 2]")
-    site_insts = _site_instances(partition)
-    _check_feasible(site_insts, t)
+    _validate_common(k, t, seed, rho=rho)
+    site_insts = _site_instances(partition, t)
     ledger = CommLedger()
-
-    def worker(i):
-        start = time.thread_time()
-        gorder = gonzalez_order(site_insts[i])
-        marg = insertion_marginals(gorder, k, t)
-        return gorder, marg, time.thread_time() - start
-
-    results = _run_sites(worker, partition.n_sites, jobs)
-    for i in range(partition.n_sites):
-        ledger.add(1, "site->coord", i, "marginals", t)
-    alloc = allocate([m for _, m, _ in results], t, rho)
-    for i in range(partition.n_sites):
-        ledger.add(1, "coord->site", i, "pivot", 3)
-    site_sols = []
-    for i, (gorder, _, _) in enumerate(results):
-        inst = site_insts[i]
-        take = min(k + alloc.t_by_site[i], inst.n)
-        prefix = [inst.demands[j].anchor for j in gorder.order[:take]]
-        site_sols.append(solution_from_centers(inst, prefix, Objective.CENTER, 0))
-    coord_counter = EvalCounter()
-    coord_inst, prov = _assemble_coordinator(
-        partition.space, site_insts, site_sols, Objective.CENTER, coord_counter,
-        forward_outliers=False, ledger=ledger, payload_kind="point")
-    final = kt_center_outliers(coord_inst, k, t)
-    demand_sol, view = _lift_solution(
-        partition.space, site_insts, prov, final, Objective.CENTER, coord_counter)
-    solution = _expand_points(partition.space, view.demands, demand_sol,
-                              Objective.CENTER, coord_counter)
-    return ProtocolReport(
-        solution=solution, ledger=ledger, rounds=2,
-        allocation=alloc, budgets=alloc.t_by_site,
-        site_evals=tuple(inst.counter.count for inst in site_insts),
-        coord_evals=coord_counter.count,
-        site_seconds=tuple(dt for _, _, dt in results),
-        extras={"demand_solution": demand_sol,
-                "coordinator_excluded": final.total_excluded},
-    )
-
-
-# ---------------------------------------------------------------------------
-# One-round baseline
+    alloc, site_sols, secs = _center_round(site_insts, k, t, rho, jobs, ledger)
+    return _coordinate(
+        partition.space, site_insts, site_sols, Objective.CENTER, k, t, ledger,
+        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
+        forward_outliers=False, payload_kind="point")
 
 
 def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
@@ -653,39 +689,15 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
     """
     objective = _norm_objective(objective)
     _validate_common(k, t, seed, epsilon)
-    site_insts = _site_instances(partition)
-    _check_feasible(site_insts, t)
-    ledger = CommLedger()
-
-    def worker(i):
-        start = time.thread_time()
-        sol = _local_solution(site_insts[i], k, t, objective, seed=(seed, 21, i))
-        return sol, time.thread_time() - start
-
-    results = _run_sites(worker, partition.n_sites, jobs)
-    site_sols = [sol for sol, _ in results]
-    coord_counter = EvalCounter()
-    coord_inst, prov = _assemble_coordinator(
-        partition.space, site_insts, site_sols, objective, coord_counter,
-        forward_outliers=True, ledger=ledger, payload_kind="point", round_no=1)
-    if objective is Objective.CENTER:
-        final = kt_center_outliers(coord_inst, k, t)
-    else:
-        cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
-        final = bicriteria_median(coord_inst, k, t, cfg, objective, seed=(seed, 3))
-    demand_sol, view = _lift_solution(
-        partition.space, site_insts, prov, final, objective, coord_counter)
-    solution = _expand_points(partition.space, view.demands, demand_sol,
-                              objective, coord_counter)
-    return ProtocolReport(
-        solution=solution, ledger=ledger, rounds=1,
-        allocation=None, budgets=tuple(s.total_excluded for s in site_sols),
-        site_evals=tuple(inst.counter.count for inst in site_insts),
-        coord_evals=coord_counter.count,
-        site_seconds=tuple(dt for _, dt in results),
-        extras={"demand_solution": demand_sol,
-                "coordinator_excluded": final.total_excluded},
-    )
+    site_insts = _site_instances(partition, t)
+    site_sols, secs = _run_sites(
+        lambda i: _local_solution(site_insts[i], k, t, objective, seed=(seed, 21, i)),
+        partition.n_sites, jobs)
+    return _coordinate(
+        partition.space, site_insts, site_sols, objective, k, t, CommLedger(),
+        rounds=1, allocation=None,
+        budgets=tuple(s.total_excluded for s in site_sols), site_seconds=secs,
+        epsilon=epsilon, seed=seed, forward_outliers=True, payload_kind="point")
 
 
 # ---------------------------------------------------------------------------
@@ -738,20 +750,9 @@ def _subquadratic_level(inst, k, t, depth, objective, seed, levels):
     levels.append((n, s))
     parts = np.array_split(np.arange(n), s)
     subinsts = [inst.subset([int(j) for j in p]) for p in parts]
-    index_set = geometric_index_set(t, 2.0)
-    curves, sols_by_site = [], []
-    for i, si in enumerate(subinsts):
-        sols, pts = {}, []
-        for qi, q in enumerate(index_set.values):
-            sol = _local_solution(si, k, q, objective, seed=(seed, 13, depth, i, qi))
-            sols[q] = sol
-            pts.append((q, sol.cost))
-        curves.append(lower_hull(i, pts))
-        sols_by_site.append(sols)
-    alloc = allocate([c.marginals() for c in curves], t, 2.0)
-    if alloc.pivot_site is not None:
-        alloc = exceptional_adjust(alloc, curves[alloc.pivot_site])
-    site_sols = [sols_by_site[i][alloc.t_by_site[i]] for i in range(s)]
+    sols_by_q, _, _, alloc, _ = _curve_round(
+        subinsts, k, t, 2.0, objective, (seed, 13, depth), 1, None)
+    site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     coord, prov = _assemble_coordinator(
         inst.space, subinsts, site_sols, objective, inst.counter,
         forward_outliers=True, ledger=None, payload_kind="point")

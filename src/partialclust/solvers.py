@@ -27,9 +27,10 @@ import numpy as np
 from .errors import (
     InfeasibleError,
     InvalidParameterError,
+    InvalidPointError,
     OracleSizeLimitError,
 )
-from .metric import ClusteringSolution, Instance, Objective, point_demand
+from .metric import ClusteringSolution, Objective
 
 
 def _greedy_exclude(costs, weights, budget):
@@ -466,6 +467,11 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     if cmax == 0.0:
         return solution_from_centers(instance, instance.candidates[:k], objective,
                                      final_budget, measure)
+    # the search adds facility costs up to W * cmax to cost sums up to W * cmax
+    if not math.isfinite(2.0 * instance.total_weight * cmax):
+        raise InvalidPointError(
+            f"costs overflow: {instance.total_weight} copies at cost up to "
+            f"{cmax:.3g} sum past the float range; scale the input down")
 
     table = SortedCosts.build(instance, objective, tau)
 
@@ -605,20 +611,3 @@ def exact_oracle(instance, k, t, objective, tau=0.0):
         if best is None or key < best:
             best = key
     return solution_from_centers(instance, best[1], objective, t, tau)
-
-
-def combine_weighted(space, weighted_centers, outlier_points, k, t,
-                     objective=Objective.MEDIAN, relax="outliers", epsilon=1.0,
-                     seed=0, counter=None):
-    """Coordinator-side combine: preclustering centers with their attached
-    weights plus forwarded outlier points, solved as one weighted instance.
-    Center objective goes through the threshold sweep; median/means through
-    the bicriteria solver with the given relaxation."""
-    demands = [point_demand(p, wt) for p, wt in weighted_centers]
-    demands += [point_demand(p) for p in outlier_points]
-    cands = [d.anchor for d in demands]
-    inst = Instance(space, demands, cands, counter=counter)
-    if objective is Objective.CENTER:
-        return kt_center_outliers(inst, k, t)
-    cfg = BicriteriaConfig(epsilon=epsilon, relax=relax)
-    return bicriteria_median(inst, k, t, cfg, objective, seed)

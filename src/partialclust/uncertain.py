@@ -14,12 +14,11 @@ thresholds and forwards whole node distributions at the chosen one.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import allocate, exceptional_adjust, geometric_index_set, lower_hull
+from .allocation import geometric_index_set
 from .errors import (
     InfeasibleError,
     InternalInvariantError,
@@ -27,7 +26,6 @@ from .errors import (
     OracleSizeLimitError,
 )
 from .metric import (
-    ClusteringSolution,
     Demand,
     EvalCounter,
     Instance,
@@ -36,20 +34,18 @@ from .metric import (
 )
 from .protocol import (
     CommLedger,
-    ProtocolReport,
-    _assemble_coordinator,
-    _lift_solution,
-    _local_solution,
+    _allocate,
+    _broadcast_pivot,
+    _center_round,
+    _coordinate,
+    _curve_round,
     _run_sites,
+    _site_curve,
     _validate_common,
 )
 from .solvers import (
     BicriteriaConfig,
-    bicriteria_median,
     bicriteria_truncated_center,
-    gonzalez_order,
-    insertion_marginals,
-    kt_center_outliers,
     pad_centers,
     solution_from_centers,
 )
@@ -72,24 +68,6 @@ class UncertainNode:
             raise InvalidParameterError("support probabilities must be positive")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise InvalidParameterError("support probabilities must sum to 1")
-
-
-def expected_distance(space, node, u, counter=None):
-    """E_{a ~ node} d(a, u)."""
-    D = space.block(list(node.support), [u])
-    if counter is not None:
-        counter.add(D.size)
-    return float(np.asarray(node.probs) @ D[:, 0])
-
-
-def expected_truncated(space, node, u, tau, counter=None):
-    """E_{a ~ node} max(d(a, u) - tau, 0)."""
-    if tau < 0:
-        raise InvalidParameterError("tau must be >= 0")
-    D = np.maximum(space.block(list(node.support), [u]) - tau, 0.0)
-    if counter is not None:
-        counter.add(D.size)
-    return float(np.asarray(node.probs) @ D[:, 0])
 
 
 @dataclass(frozen=True)
@@ -194,7 +172,8 @@ class NodePartition:
 
 
 def node_universe_cost(space, node, center, objective, tau=0.0, counter=None):
-    """Expected cost of serving one node from ``center`` on the universe."""
+    """Expected cost of serving one node from ``center`` on the universe:
+    E_{a ~ node} max(d(a, center) - tau, 0) ^ p, with p = 2 for means."""
     D = space.block(list(node.support), [center])
     if counter is not None:
         counter.add(D.size)
@@ -203,20 +182,6 @@ def node_universe_cost(space, node, center, objective, tau=0.0, counter=None):
     if objective.power == 2:
         D = D * D
     return float(np.asarray(node.probs) @ D[:, 0])
-
-
-def _node_solution(all_demands, demand_sol):
-    """Demand-level solution -> node-level via node-id tags."""
-    assignment = {}
-    outliers = {}
-    for g, d in enumerate(all_demands):
-        nid = int(d.tag[0])
-        if demand_sol.excluded_copies(g) > 0:
-            outliers[nid] = 1
-        else:
-            assignment[nid] = demand_sol.assignment[g]
-    return ClusteringSolution(demand_sol.centers, outliers, assignment,
-                              demand_sol.cost)
 
 
 _UNCERTAIN_OBJECTIVES = {
@@ -242,119 +207,53 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         raise InvalidParameterError(
             f"objective must be one of {sorted(_UNCERTAIN_OBJECTIVES)}")
     obj = _UNCERTAIN_OBJECTIVES[objective]
-    _validate_common(k, t, seed, epsilon)
-    if not 1.0 < rho <= 2.0:
-        raise InvalidParameterError("rho must lie in (1, 2]")
+    _validate_common(k, t, seed, epsilon, rho)
     space = npartition.space
     if len(npartition.nodes) <= t:
         raise InfeasibleError(f"outlier budget t={t} >= {len(npartition.nodes)} nodes")
     collapse_obj = Objective.MEANS if obj is Objective.MEANS else Objective.MEDIAN
 
     def collapse_site(i):
-        start = time.thread_time()
         counter = EvalCounter()
         graph = build_compressed_graph(
             space, [npartition.nodes[j] for j in npartition.sites[i]],
             collapse_obj, counter)
         demands = graph.demands()
-        inst = Instance(space, demands, [d.anchor for d in demands],
+        return Instance(space, demands, [d.anchor for d in demands],
                         counter=counter, payload_kind="tentacle")
-        return inst, graph, time.thread_time() - start
 
-    prep = _run_sites(collapse_site, npartition.n_sites, jobs)
-    site_insts = [inst for inst, _, _ in prep]
-    secs0 = [dt for _, _, dt in prep]
+    site_insts, secs0 = _run_sites(collapse_site, npartition.n_sites, jobs)
     ledger = CommLedger()
-
     if obj is Objective.CENTER:
-        def worker(i):
-            start = time.thread_time()
-            gorder = gonzalez_order(site_insts[i])
-            marg = insertion_marginals(gorder, k, t)
-            return gorder, marg, time.thread_time() - start
-
-        results = _run_sites(worker, npartition.n_sites, jobs)
-        for i in range(npartition.n_sites):
-            ledger.add(1, "site->coord", i, "marginals", t)
-        alloc = allocate([m for _, m, _ in results], t, rho)
-        for i in range(npartition.n_sites):
-            ledger.add(1, "coord->site", i, "pivot", 3)
-        site_sols = []
-        for i, (gorder, _, _) in enumerate(results):
-            inst = site_insts[i]
-            take = min(k + alloc.t_by_site[i], inst.n)
-            prefix = [inst.demands[j].anchor for j in gorder.order[:take]]
-            site_sols.append(solution_from_centers(inst, prefix, obj, 0))
-        secs1 = [dt for _, _, dt in results]
-        forward = False
+        alloc, site_sols, secs1 = _center_round(site_insts, k, t, rho, jobs, ledger)
     else:
-        index_set = geometric_index_set(t, rho)
+        sols_by_q, _, _, alloc, secs1 = _curve_round(
+            site_insts, k, t, rho, obj, (seed, 31), jobs, ledger)
+        site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
 
-        def worker(i):
-            start = time.thread_time()
-            inst = site_insts[i]
-            sols, pts = {}, []
-            for qi, q in enumerate(index_set.values):
-                sol = _local_solution(inst, k, q, obj, seed=(seed, 31, i, qi))
-                sols[q] = sol
-                pts.append((q, sol.cost))
-            return sols, lower_hull(i, pts), time.thread_time() - start
+    def universe_check(node_sol, counter):
+        graph_cost = node_sol.cost
+        total = 0.0
+        worst = 0.0
+        for nid in sorted(node_sol.assignment):
+            c = node_universe_cost(space, npartition.nodes[nid],
+                                   node_sol.assignment[nid], obj, counter=counter)
+            total += c
+            worst = max(worst, c)
+        universe = worst if obj is Objective.CENTER else total
+        factor = 4.0 if obj is Objective.MEANS else 2.0
+        if universe > factor * graph_cost + 1e-9 * (1.0 + graph_cost):
+            raise InternalInvariantError(
+                f"universe cost {universe} exceeds {factor}x graph cost {graph_cost}")
+        return {"graph_cost": graph_cost, "universe_cost": universe,
+                "mapping_factor": factor}
 
-        results = _run_sites(worker, npartition.n_sites, jobs)
-        curves = [c for _, c, _ in results]
-        for i, c in enumerate(curves):
-            ledger.add(1, "site->coord", i, "cost-curve", 2 * c.n_vertices)
-        alloc = allocate([c.marginals() for c in curves], t, rho)
-        if alloc.pivot_site is not None:
-            alloc = exceptional_adjust(alloc, curves[alloc.pivot_site])
-        for i in range(npartition.n_sites):
-            ledger.add(1, "coord->site", i, "pivot", 3)
-        site_sols = [results[i][0][alloc.t_by_site[i]]
-                     for i in range(npartition.n_sites)]
-        secs1 = [dt for _, _, dt in results]
-        forward = True
-
-    coord_counter = EvalCounter()
-    coord_inst, prov = _assemble_coordinator(
-        space, site_insts, site_sols, obj, coord_counter,
-        forward_outliers=forward, ledger=ledger, payload_kind="tentacle")
-    if obj is Objective.CENTER:
-        final = kt_center_outliers(coord_inst, k, t)
-    else:
-        cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
-        final = bicriteria_median(coord_inst, k, t, cfg, obj, seed=(seed, 3))
-    demand_sol, view = _lift_solution(space, site_insts, prov, final, obj,
-                                      coord_counter)
-    node_sol = _node_solution(view.demands, demand_sol)
-
-    graph_cost = demand_sol.cost
-    total = 0.0
-    worst = 0.0
-    for nid in sorted(node_sol.assignment):
-        c = node_universe_cost(space, npartition.nodes[nid],
-                               node_sol.assignment[nid], obj,
-                               counter=coord_counter)
-        total += c
-        worst = max(worst, c)
-    universe = worst if obj is Objective.CENTER else total
-    factor = 4.0 if obj is Objective.MEANS else 2.0
-    if universe > factor * graph_cost + 1e-9 * (1.0 + graph_cost):
-        raise InternalInvariantError(
-            f"universe cost {universe} exceeds {factor}x graph cost {graph_cost}")
-
-    return ProtocolReport(
-        solution=node_sol, ledger=ledger, rounds=2,
+    return _coordinate(
+        space, site_insts, site_sols, obj, k, t, ledger,
         allocation=alloc, budgets=alloc.t_by_site,
-        site_evals=tuple(inst.counter.count for inst in site_insts),
-        coord_evals=coord_counter.count,
-        site_seconds=tuple(a + b for a, b in zip(secs0, secs1)),
-        extras={
-            "graph_cost": graph_cost,
-            "universe_cost": universe,
-            "mapping_factor": factor,
-            "coordinator_excluded": final.total_excluded,
-        },
-    )
+        site_seconds=[a + b for a, b in zip(secs0, secs1)],
+        epsilon=epsilon, seed=seed, score=universe_check,
+        forward_outliers=obj is not Objective.CENTER, payload_kind="tentacle")
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +313,6 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
     ledger = CommLedger()
 
     def site_phase(i):
-        start = time.thread_time()
         counter = EvalCounter()
         node_ids = npartition.sites[i]
         summaries = [one_median(space, npartition.nodes[j], Objective.MEDIAN, counter)
@@ -426,33 +324,29 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
         ]
         inst = Instance(space, demands, [s.point for s in summaries],
                         counter=counter, payload_kind="node")
-        index_set = geometric_index_set(t, 2.0)
-        sols, curves = {}, []
-        for ti, tau in enumerate(grid.taus):
-            pts = []
-            for qi, q in enumerate(index_set.values):
-                sol = _truncated_local(inst, k, q, tau, seed=(seed, 41, i, ti, qi))
-                sols[(ti, q)] = sol
-                pts.append((q, sol.cost))
-            curves.append(lower_hull(i, pts))
-        return inst, sols, curves, time.thread_time() - start
+        qs = geometric_index_set(t, 2.0)
+        # (solutions by q, curve) per threshold
+        return inst, [
+            _site_curve(i, qs, lambda qi, q: _truncated_local(
+                inst, k, q, tau, seed=(seed, 41, i, ti, qi)))
+            for ti, tau in enumerate(grid.taus)
+        ]
 
-    prep = _run_sites(site_phase, npartition.n_sites, jobs)
-    site_insts = [p[0] for p in prep]
-    for i, p in enumerate(prep):
-        words = sum(2 * c.n_vertices for c in p[2])
+    prep, secs = _run_sites(site_phase, npartition.n_sites, jobs)
+    site_insts = [inst for inst, _ in prep]
+    for i, (_, per_tau) in enumerate(prep):
+        words = sum(2 * c.n_vertices for _, c in per_tau)
         ledger.add(1, "site->coord", i, "cost-curve", words)
 
     tau_hat_idx = None
     chosen_alloc = None
     tau_sums = []
     for ti, tau in enumerate(grid.taus):
-        curves = [prep[i][2][ti] for i in range(npartition.n_sites)]
-        alloc = allocate([c.marginals() for c in curves], t, 2.0)
-        if alloc.pivot_site is not None:
-            alloc = exceptional_adjust(alloc, curves[alloc.pivot_site])
-        s_cost = sum(curves[i].value(min(alloc.t_by_site[i], curves[i].t))
-                     for i in range(npartition.n_sites))
+        curves = [per_tau[ti][1] for _, per_tau in prep]
+        _, alloc = _allocate([c.marginals() for c in curves], t, 2.0,
+                             curves=curves)
+        s_cost = sum(c.value(min(ti_c, c.t))
+                     for c, ti_c in zip(curves, alloc.t_by_site))
         tau_sums.append(s_cost)
         if tau_hat_idx is None and s_cost <= 12.0 * tau * (1.0 + 1e-12) + 1e-12:
             tau_hat_idx = ti
@@ -464,47 +358,32 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
     # the selection rule itself, re-checked on the chosen level
     if tau_sums[tau_hat_idx] > 12.0 * tau_hat * (1.0 + 1e-12) + 1e-12:
         raise InternalInvariantError("chosen threshold violates its own rule")
-    for i in range(npartition.n_sites):
-        ledger.add(1, "coord->site", i, "pivot", 4)
+    _broadcast_pivot(ledger, npartition.n_sites, words=4)
+    site_sols = [per_tau[tau_hat_idx][0][q]
+                 for (_, per_tau), q in zip(prep, chosen_alloc.t_by_site)]
 
-    site_sols = [prep[i][1][(tau_hat_idx, chosen_alloc.t_by_site[i])]
-                 for i in range(npartition.n_sites)]
-    coord_counter = EvalCounter()
-    coord_inst, prov = _assemble_coordinator(
-        space, site_insts, site_sols, Objective.MEDIAN, coord_counter,
-        forward_outliers=True, ledger=ledger, payload_kind="node",
-        tau=6.0 * tau_hat, centers_only_candidates=True)
-    final = kt_center_outliers(coord_inst, k, relaxed_t)
-    demand_sol, view = _lift_solution(space, site_insts, prov, final,
-                                      Objective.CENTER, coord_counter)
-    node_sol = _node_solution(view.demands, demand_sol)
+    def truncated_costs(node_sol, counter):
+        rho2 = 0.0
+        rho6 = 0.0
+        for nid in sorted(node_sol.assignment):
+            ctr = node_sol.assignment[nid]
+            nd = npartition.nodes[nid]
+            rho2 = max(rho2, node_universe_cost(space, nd, ctr, Objective.MEDIAN,
+                                                tau=2.0 * tau_hat, counter=counter))
+            rho6 = max(rho6, node_universe_cost(space, nd, ctr, Objective.MEDIAN,
+                                                tau=6.0 * tau_hat, counter=counter))
+        return {"tau_hat": tau_hat, "tau_hat_index": tau_hat_idx,
+                "tau_grid": grid.taus, "tau_sums": tuple(tau_sums),
+                "rho2_cost": rho2, "rho6_cost": rho6}
 
-    rho2 = 0.0
-    rho6 = 0.0
-    for nid in sorted(node_sol.assignment):
-        ctr = node_sol.assignment[nid]
-        nd = npartition.nodes[nid]
-        rho2 = max(rho2, node_universe_cost(space, nd, ctr, Objective.MEDIAN,
-                                            tau=2.0 * tau_hat, counter=coord_counter))
-        rho6 = max(rho6, node_universe_cost(space, nd, ctr, Objective.MEDIAN,
-                                            tau=6.0 * tau_hat, counter=coord_counter))
-
-    return ProtocolReport(
-        solution=node_sol, ledger=ledger, rounds=2,
+    # sites attach their demands in the order of expected distances truncated
+    # at 6 tau-hat; the sweep opens only forwarded centers and excludes the
+    # relaxed budget
+    return _coordinate(
+        space, site_insts, site_sols, Objective.CENTER, k, relaxed_t, ledger,
         allocation=chosen_alloc, budgets=chosen_alloc.t_by_site,
-        site_evals=tuple(inst.counter.count for inst in site_insts),
-        coord_evals=coord_counter.count,
-        site_seconds=tuple(p[3] for p in prep),
-        extras={
-            "tau_hat": tau_hat,
-            "tau_hat_index": tau_hat_idx,
-            "tau_grid": grid.taus,
-            "tau_sums": tuple(tau_sums),
-            "rho2_cost": rho2,
-            "rho6_cost": rho6,
-            "coordinator_excluded": final.total_excluded,
-        },
-    )
+        site_seconds=secs, score=truncated_costs, forward_outliers=True,
+        payload_kind="node", tau=6.0 * tau_hat, centers_only_candidates=True)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from partialclust import (
     MetricSpace,
     Objective,
     UncertainNode,
-    expected_truncated,
+    node_universe_cost,
 )
 
 
@@ -116,7 +116,8 @@ def exact_uncertain_optimum(space, nodes, k, t, objective, tau=0.0, candidates=N
         for centers in combinations(candidates, r):
             per_node = []
             for node in nodes:
-                vals = [expected_truncated(space, node, c, tau) for c in centers]
+                vals = [node_universe_cost(space, node, c, Objective.MEDIAN, tau=tau)
+                        for c in centers]
                 if obj is Objective.MEANS:
                     vals = [
                         sum(p * max(space.distance(u, c) - tau, 0.0) ** 2

@@ -25,10 +25,10 @@ from partialclust import (
     build_compressed_graph,
     eval_center_g_objective,
     exact_oracle,
-    expected_distance,
     gonzalez_order,
     lower_hull,
     merge_two_solutions,
+    node_universe_cost,
     run_center_g,
     run_kt_center,
     run_kt_median,
@@ -355,7 +355,8 @@ def test_criterion_08_center_g(capsys):
         centers = tuple(int(c) for c in pick.choice(10, size=2, replace=False))
         assignment = {
             nd.node_id: min(centers,
-                            key=lambda c: expected_distance(space, nd, c))
+                            key=lambda c: node_universe_cost(space, nd, c,
+                                                             Objective.MEDIAN))
             for nd in nodes[:-1]
         }
         sol = ClusteringSolution(centers=centers,

@@ -37,20 +37,20 @@ from helpers import (
 
 def test_geometric_index_set_rho2():
     # the grid starts at r = 1, so q = 1 only appears via the endpoints
-    assert geometric_index_set(10, 2.0).values == (0, 2, 4, 8, 10)
-    assert geometric_index_set(0, 2.0).values == (0,)
-    assert geometric_index_set(1, 2.0).values == (0, 1)
-    assert geometric_index_set(8, 2.0).values == (0, 2, 4, 8)
+    assert geometric_index_set(10, 2.0) == (0, 2, 4, 8, 10)
+    assert geometric_index_set(0, 2.0) == (0,)
+    assert geometric_index_set(1, 2.0) == (0, 1)
+    assert geometric_index_set(8, 2.0) == (0, 2, 4, 8)
 
 
 def test_geometric_index_set_fractional_rho():
-    got = geometric_index_set(6, 1.5).values
+    got = geometric_index_set(6, 1.5)
     # 1.5, 2.25, 3.375, 5.0625 floor to 1, 2, 3, 5
     assert got == (0, 1, 2, 3, 5, 6)
 
 
 def test_geometric_index_set_size_is_logarithmic():
-    vals = geometric_index_set(1000, 2.0).values
+    vals = geometric_index_set(1000, 2.0)
     assert len(vals) <= 12
     assert vals[0] == 0 and vals[-1] == 1000
 

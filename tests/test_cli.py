@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from partialclust.cli import gen_planted, gen_uncertain_planted, main
-from partialclust.io import write_matrix, write_points_jsonl
+from partialclust.cli import _NODE_ALGS, gen_planted, gen_uncertain_planted, main
+from partialclust.io import write_matrix, write_nodes_jsonl, write_points_jsonl
 
 from helpers import random_points
 
@@ -227,6 +229,24 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     code, out, err = run(["solve", "--input", str(huge), "--alg", "kt-center",
                           "--k", "1", "--t", "1"], capsys)
     assert code == 2 and out == "" and "coordinates" in err
+    # costs that overflow under the squared objective: coordinates inside
+    # that limit, and a matrix whose squared entries pass the float range
+    near = tmp_path / "near.jsonl"
+    pts = gen_planted(30, 2, 3, seed=1)
+    write_points_jsonl(near, pts / np.abs(pts).max() * 4e153)
+    mat = tmp_path / "big.txt"
+    M = np.full((12, 12), 1e155)
+    np.fill_diagonal(M, 0.0)
+    write_matrix(mat, M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(["solve", "--input", str(near), "--alg", "kt-means",
+                              "--k", "2", "--t", "3"], capsys)
+        assert code == 2 and out == "" and "overflow" in err
+        code, out, err = run(["solve", "--matrix", str(mat), "--alg", "one-round",
+                              "--objective", "means", "--k", "2", "--t", "1"],
+                             capsys)
+        assert code == 2 and out == "" and "overflow" in err
     # argparse rejections exit 2 via SystemExit
     with pytest.raises(SystemExit) as ei:
         main(["solve", "--input", str(planted_file), "--alg", "no-such",
@@ -242,3 +262,78 @@ def test_gen_validation(tmp_path, capsys):
                         "--k", "2", "--t", "1",
                         "--out", str(tmp_path / "y.jsonl")], capsys)
     assert code == 2 and "nodes-out" in err
+
+
+# ---------------------------------------------------------------------------
+# Golden reports: sha256 of the report and the transcript on the inputs of
+# acceptance criterion 10, so a refactor that moves any byte of any report
+# fails here.
+
+_POINT_ARGS = ["--k", "2", "--t", "4", "--sites", "3", "--seed", "5"]
+_NODE_ARGS = ["--k", "2", "--t", "2", "--seed", "5"]
+_GOLDEN = [
+    # (alg and flags, report sha256, transcript sha256 or None)
+    (["--alg", "kt-median"],
+     "f2b2d2f33d2c1a2c8dc910f55996d9af9c0d919b6c0a8af3e32659724786e1f7",
+     "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
+    (["--alg", "kt-means"],
+     "8fec2566fb49a6170fdd87eda7ecfd5f537b3d77de9390c856c1be1251ffa3cf",
+     "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
+    (["--alg", "kt-means", "--format", "csv"],
+     "22fb875aa41364562da66da1d12c4f9878b0a4edfc8f2a609c7947347ee7c3e4",
+     "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
+    (["--alg", "kt-center"],
+     "b89210ece1be08243b83c2c53fc69e34ded1ec4732bcbff5b0a046f498add785",
+     "d2f6b2bfcb19181433dd9785bc29a15902c0eb97b9ffe4df279fb898331b334f"),
+    (["--alg", "kt-median-co"],
+     "d42869693cd6f32ca116a40a4302b78f91a84318b571e33292551c9980e13eb7",
+     "d08563c65a2535f98dbbf58640e7f90bd02af63d2a8ea62a2d54c7428e4f8679"),
+    (["--alg", "one-round", "--jobs", "2"],
+     "1dcf09829289ff692b736f6b3f321c5ce33bdbe1e26f479210651a1f67f2ea14",
+     "e18192d977b7af46b742b66f209acbfafc3a54a44508074c1c0fc94ba4f8b5ad"),
+    (["--alg", "subquadratic"],
+     "70474b1fa5510253ead84e99a9debe2fb9b8f3371f004059ca389a27aec19ee8",
+     None),
+    (["--alg", "uncertain-median"],
+     "42efbfd542db477d6d9fe86fe6ab9ad25404cccee3bd59e5bc4ddae42dc037ee",
+     "971f1530cc61586624a0a8e25af1c0553ab1bd71d8d084e83248a7cc1e447e99"),
+    (["--alg", "uncertain-means"],
+     "41e76bf8d7e7a15b8ca96d1593b62c2ac1c46d1fa65ead8967360b33103b659a",
+     "f614e8ba2eafb15d2be4be7b6abfecc5b9d5e1234d6cd5ca049ed0741b0644c2"),
+    (["--alg", "uncertain-center-pp"],
+     "8c5756dce67155dc6abcb82ddbbecff12f6fcdef89a77de972c5812c5c6d58a3",
+     "87e13b2100d1c8a7fdd03e9323414d7d0c4fe03d0c5b2cf9698f4b388020dbd8"),
+    (["--alg", "center-g"],
+     "deba808202c451f810a55904ff7a26bcd4c2d7ee7309f955a248b5ff7f22bd43",
+     "d0867427879ab02a91459fa8801df056fed737272109bcf478a62af81cbb1f1f"),
+]
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    pts_f = root / "pts.jsonl"
+    write_points_jsonl(pts_f, gen_planted(48, 2, 4, seed=6))
+    universe, nodes = gen_uncertain_planted(14, 2, 2, seed=3)
+    upts_f, nodes_f = root / "upts.jsonl", root / "nodes.jsonl"
+    write_points_jsonl(upts_f, universe)
+    write_nodes_jsonl(nodes_f, nodes)
+    return root, (["--input", str(pts_f)] + _POINT_ARGS,
+                  ["--input", str(upts_f), "--nodes", str(nodes_f)] + _NODE_ARGS)
+
+
+@pytest.mark.parametrize("flags, report_sha, transcript_sha", _GOLDEN,
+                         ids=[" ".join(g[0][1:]) for g in _GOLDEN])
+def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
+                              capsys):
+    root, (point_args, node_args) = golden_inputs
+    data = node_args if flags[1] in _NODE_ALGS else point_args
+    argv = ["solve"] + flags + data
+    tr = root / "transcript.jsonl"
+    if transcript_sha is not None:
+        argv += ["--transcript", str(tr)]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    if transcript_sha is not None:
+        assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha

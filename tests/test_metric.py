@@ -13,7 +13,6 @@ from partialclust import (
     instance_cost,
     point_demand,
     solution_cost,
-    truncated_distance,
 )
 from partialclust.errors import (
     DegenerateInstanceError,
@@ -96,13 +95,6 @@ def test_point_index_bounds(square_space):
         square_space.distance(0, 5)
     with pytest.raises(InvalidPointError):
         square_space.distance(-1, 0)
-
-
-def test_truncated_distance(square_space):
-    d = square_space.distance(0, 4)
-    assert truncated_distance(square_space, 0, 4, 10.0) == pytest.approx(d - 10.0)
-    assert truncated_distance(square_space, 0, 4, d + 5.0) == 0.0
-    assert truncated_distance(square_space, 0, 4, 0.0) == pytest.approx(d)
 
 
 def test_extremes(square_space):

@@ -197,7 +197,7 @@ def test_clustering_only_exercises_merge():
         space = MetricSpace.euclidean(random_points(800 + trial, 80))
         part = Partition.round_robin(space, 3)
         rep = run_kt_median_clustering_only(part, 2, 12, delta=0.25, seed=trial)
-        grid = set(geometric_index_set(12, 1.25).values)
+        grid = set(geometric_index_set(12, 1.25))
         merged += sum(1 for ti in rep.budgets if ti not in grid)
         assert rep.solution.total_excluded == rep.extras["total_ignored"]
     assert merged > 0

@@ -15,7 +15,6 @@ from partialclust import (
     Objective,
     bicriteria_median,
     bicriteria_truncated_center,
-    combine_weighted,
     exact_oracle,
     gonzalez_order,
     insertion_marginals,
@@ -32,7 +31,7 @@ from partialclust.errors import (
 )
 from partialclust.solvers import SortedCosts
 
-from helpers import random_instance, random_points
+from helpers import random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +384,3 @@ def test_oracle_never_beaten_by_heuristics():
         heur = bicriteria_median(inst, 2, 2, cfg, seed=seed)
         assert opt.cost <= heur.cost + 1e-9
 
-
-# ---------------------------------------------------------------------------
-# weighted combine
-
-
-def test_combine_weighted_runs_all_objectives():
-    pts = random_points(10, 12)
-    space = MetricSpace.euclidean(pts)
-    weighted = [(0, 4), (5, 3), (9, 2)]
-    forwarded = [2, 7]
-    for obj in (Objective.MEDIAN, Objective.MEANS, Objective.CENTER):
-        sol = combine_weighted(space, weighted, forwarded, k=2, t=2, objective=obj)
-        assert 1 <= len(sol.centers) <= 2
-        assert sol.total_excluded <= 4 if obj.is_sum else sol.total_excluded == 2

@@ -11,8 +11,6 @@ from partialclust import (
     UncertainNode,
     build_compressed_graph,
     eval_center_g_objective,
-    expected_distance,
-    expected_truncated,
     node_universe_cost,
     one_median,
     run_center_g,
@@ -57,10 +55,11 @@ def test_node_validation():
 
 def test_expected_distances(line4):
     node = UncertainNode(0, (0, 2), (0.5, 0.5))
-    assert expected_distance(line4, node, 0) == pytest.approx(1.0)
-    assert expected_distance(line4, node, 3) == pytest.approx(0.5 * 3 + 0.5 * 1)
-    assert expected_truncated(line4, node, 0, tau=1.5) == pytest.approx(0.25)
-    assert expected_truncated(line4, node, 0, tau=5.0) == 0.0
+    med = Objective.MEDIAN
+    assert node_universe_cost(line4, node, 0, med) == pytest.approx(1.0)
+    assert node_universe_cost(line4, node, 3, med) == pytest.approx(0.5 * 3 + 0.5 * 1)
+    assert node_universe_cost(line4, node, 0, med, tau=1.5) == pytest.approx(0.25)
+    assert node_universe_cost(line4, node, 0, med, tau=5.0) == 0.0
 
 
 def test_one_median_breaks_ties_low(line4):
