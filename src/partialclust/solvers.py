@@ -5,7 +5,8 @@ Four families live here:
 * :func:`gonzalez_order` — farthest-first traversal with insertion radii, the
   engine behind the center-objective protocols;
 * :func:`kt_center_outliers` — threshold sweep with greedy disk covering
-  (3-approximate k-center with outliers, weighted via copy counting);
+  (3-approximate k-center with outliers, weighted via copy counting), run
+  incrementally over one sort of the cost matrix with exact integer gains;
 * :func:`bicriteria_median` — facility-location primal-dual with uniform
   opening cost, a binary search over that cost bracketing the center count,
   and randomized convex-combination rounding; relaxes either the outlier
@@ -156,26 +157,56 @@ def insertion_marginals(gorder, k, t):
 def kt_center_outliers(instance, k, t):
     """3-approximate (k, t)-center on weighted demands.
 
-    Sweeps candidate radii in ascending order; for each, greedily opens the
-    disk covering the most uncovered weight and removes the 3x-expanded
-    disk, k times. The first radius leaving at most t uncovered weight wins;
-    the returned solution excludes exactly t copies (largest costs first).
+    Sweeps the distinct costs r in ascending order; for each, greedily opens
+    the disk (cost <= r) covering the most uncovered weight and removes its
+    3x-expanded disk (cost <= 3r), k times, ties to the lowest candidate.
+    The first radius leaving at most t uncovered weight wins; the returned
+    solution excludes exactly t copies (largest costs first).
+
+    The sweep is incremental. The cost matrix is sorted once, and two
+    pointers into that order add the entries newly within r and 3r to a 0/1
+    disk matrix, a candidate-major expanded-disk mask and each candidate's
+    disk weight, so a radius costs only its k picks. A pick subtracts the
+    weight of the rows it newly covers from the gains rather than
+    recomputing them all. Demand weights are positive integers, so every
+    gain is an integer-valued float far below 2**53 and any summation order
+    gives the same value: the picks, and the solution, are exactly those of
+    rebuilding both disks and every gain at each radius.
     """
     _check_kt(instance, k, t)
     M = instance.cost_matrix(Objective.CENTER)
     w = instance.weights
-    radii = np.unique(M)
-    for r in radii:
-        within = M <= r + 1e-12
-        expanded = M <= 3.0 * r + 1e-12
+    n, m = M.shape
+    order = np.argsort(M, axis=None, kind="stable")
+    vals = M.ravel()[order]
+    radii = vals[np.r_[True, vals[1:] != vals[:-1]]]
+    inner = np.searchsorted(vals, radii + 1e-12, side="right")
+    outer = np.searchsorted(vals, 3.0 * radii + 1e-12, side="right")
+    within = np.zeros((n, m))
+    expanded = np.zeros((m, n), dtype=bool)
+    gain0 = np.zeros(m)
+    done_in = done_out = 0
+    for p_in, p_out in zip(inner, outer):
+        rows, cols = np.divmod(order[done_in:p_in], m)
+        within[rows, cols] = 1.0
+        gain0 += np.bincount(cols, weights=w[rows], minlength=m)
+        rows, cols = np.divmod(order[done_out:p_out], m)
+        expanded[cols, rows] = True
+        done_in, done_out = p_in, p_out
+        gain = gain0.copy()
         uncovered = w.copy()
-        centers = []
-        for _ in range(min(k, len(instance.candidates))):
-            gain = uncovered @ within
-            u = int(np.argmax(gain))
-            centers.append(int(instance.candidates[u]))
-            uncovered[expanded[:, u]] = 0.0
+        picks = []
+        for _ in range(min(k, m)):
+            # Array methods, not the np.* wrappers: this runs k times at each
+            # of thousands of radii on small arrays. Rows covered earlier
+            # hold 0 in uncovered, so they subtract nothing.
+            u = int(gain.argmax())
+            picks.append(u)
+            hit = expanded[u].nonzero()[0]
+            gain -= uncovered[hit] @ within[hit]
+            uncovered[hit] = 0.0
         if uncovered.sum() <= t + 1e-9:
+            centers = instance.candidates[picks].tolist()
             return solution_from_centers(instance, centers, Objective.CENTER, t)
     raise InfeasibleError("threshold sweep found no feasible radius")  # pragma: no cover
 

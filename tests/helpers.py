@@ -16,6 +16,7 @@ from partialclust import (
     Objective,
     UncertainNode,
     node_universe_cost,
+    solution_from_centers,
 )
 
 
@@ -175,3 +176,25 @@ def random_uncertain_nodes(seed, n_nodes, universe_size, dim=2, scale=6.0,
         nodes.append(UncertainNode(j, tuple(int(u) for u in support),
                                    tuple(float(p) for p in probs)))
     return space, nodes
+
+
+def naive_kt_center_outliers(instance, k, t):
+    """The threshold sweep written plainly: both disks and every gain are
+    rebuilt from the cost matrix at each radius. ``kt_center_outliers`` must
+    return exactly this solution."""
+    M = instance.cost_matrix(Objective.CENTER)
+    w = instance.weights
+    radii = np.unique(M)
+    for r in radii:
+        within = M <= r + 1e-12
+        expanded = M <= 3.0 * r + 1e-12
+        uncovered = w.copy()
+        centers = []
+        for _ in range(min(k, len(instance.candidates))):
+            gain = uncovered @ within
+            u = int(np.argmax(gain))
+            centers.append(int(instance.candidates[u]))
+            uncovered[expanded[:, u]] = 0.0
+        if uncovered.sum() <= t + 1e-9:
+            return solution_from_centers(instance, centers, Objective.CENTER, t)
+    raise AssertionError("threshold sweep found no feasible radius")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialclust import (
     CommLedger,
@@ -11,6 +13,7 @@ from partialclust import (
     Partition,
     exact_oracle,
     geometric_index_set,
+    instance_cost,
     run_kt_center,
     run_kt_median,
     run_kt_median_clustering_only,
@@ -266,6 +269,61 @@ def test_one_round_single_site_is_local_solve():
     assert rep.solution.total_excluded <= 4
     assert solution_cost(space, rep.solution, Objective.MEDIAN) == pytest.approx(
         rep.solution.cost)
+
+
+# ---------------------------------------------------------------------------
+# center protocols on small inputs
+
+
+@st.composite
+def _center_runs(draw):
+    """Up to 14 integer-grid points (duplicates allowed) over 1-3 sites,
+    split round-robin or contiguously, with k in 1..3 and t in 0..n-1."""
+    coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=1, max_size=14))
+    space = MetricSpace.euclidean(np.array(coords, dtype=float))
+    split = draw(st.sampled_from([Partition.round_robin, Partition.contiguous]))
+    part = split(space, draw(st.integers(1, min(3, space.n))))
+    return part, draw(st.integers(1, 3)), draw(st.integers(0, space.n - 1))
+
+
+@pytest.mark.parametrize("protocol", ["kt-center", "one-round"])
+@settings(max_examples=150, deadline=None)
+@given(case=_center_runs())
+def test_center_protocol_properties(protocol, case):
+    part, k, t = case
+    space, s, B = part.space, part.n_sites, part.space.word_width
+
+    def run(jobs):
+        if protocol == "kt-center":
+            return run_kt_center(part, k, t, seed=4, jobs=jobs)
+        return run_one_round(part, k, t, objective=Objective.CENTER, seed=4, jobs=jobs)
+
+    rep = run(1)
+    sol = rep.solution
+    assert sol.total_excluded == t
+    points = Instance.from_points(space, merge_duplicates=False)
+    assert instance_cost(points, sol, Objective.CENTER) == sol.cost
+    opt = exact_oracle(Instance.from_points(space), k, t, Objective.CENTER)
+    assert sol.cost >= opt.cost
+    other = run(2)
+    assert other.solution == sol
+    assert other.allocation == rep.allocation
+    assert other.budgets == rep.budgets
+    assert other.ledger.to_records() == rep.ledger.to_records()
+    assert (other.site_evals, other.coord_evals) == (rep.site_evals, rep.coord_evals)
+    assert other.extras == rep.extras
+    if protocol == "kt-center":
+        assert rep.ledger.words(round_no=1) == s * t + 3 * s
+        return
+    # A site sends at most 2k centers and t outliers; exactly that many once
+    # it holds 2k + t distinct points, since no center then loses its copy.
+    closed = s * (2 * k * (B + 1) + t * B)
+    full = all(len({tuple(space.coords[p]) for p in pts}) >= 2 * k + t
+               for pts in part.sites)
+    assert rep.ledger.total_words <= closed
+    if full:
+        assert rep.ledger.total_words == closed
 
 
 # ---------------------------------------------------------------------------

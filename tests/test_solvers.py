@@ -24,6 +24,7 @@ from partialclust import (
     pad_centers,
     solution_from_centers,
 )
+from partialclust.cli import gen_planted
 from partialclust.errors import (
     InfeasibleError,
     InvalidParameterError,
@@ -31,7 +32,7 @@ from partialclust.errors import (
 )
 from partialclust.solvers import SortedCosts
 
-from helpers import random_instance
+from helpers import naive_kt_center_outliers, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,95 @@ def test_kt_center_rejects_exhausted_budget(line_space):
         kt_center_outliers(inst, 1, 4)
     with pytest.raises(InvalidParameterError):
         kt_center_outliers(inst, 0, 1)
+
+
+def _kt_golden_instance(kind):
+    if kind == "weighted":
+        rng = np.random.default_rng(41)
+        base = gen_planted(400, 5, 40, seed=41)
+        # 560 draws from 400 points merge into 301 weighted demands
+        return Instance.from_points(
+            MetricSpace.euclidean(base[rng.integers(0, 400, size=560)]))
+    # integer L1 distances: 10,766 distinct values among 67,600 entries
+    base = np.rint(gen_planted(260, 5, 30, seed=42) * 100.0)
+    return Instance.from_points(MetricSpace.from_matrix(
+        np.abs(base[:, None, :] - base[None, :, :]).sum(axis=2)))
+
+
+# Recorded from the sweep that rebuilt both disks and every gain at each
+# radius. The first instance is feasible at the 7,343rd of 45,151 radii, the
+# second at the 3,867th of 10,766: both run the long sweep the coordinator
+# of a center protocol runs.
+_KT_GOLDEN = [
+    (("weighted", 5, 40),
+     ((1, 2, 9, 12, 42),
+      ((20, 2), (31, 1), (32, 1), (45, 2), (58, 2), (59, 2), (69, 1), (71, 1),
+       (74, 2), (81, 3), (90, 2), (93, 2), (115, 2), (139, 2), (160, 1), (175, 1),
+       (176, 2), (187, 1), (192, 2), (201, 1), (231, 2), (244, 1), (247, 1),
+       (248, 1), (266, 1), (281, 1)),
+      "0x1.014f453fe0198p+5")),
+    (("matrix", 5, 20),
+     ((0, 232, 235, 236, 241),
+      tuple((j, 1) for j in (230, 233, 237, 239, *range(243, 246), *range(247, 260))),
+      "0x1.259e000000000p+15")),
+]
+
+
+@pytest.mark.parametrize("case,pin", _KT_GOLDEN)
+def test_kt_center_golden_pins(case, pin):
+    kind, k, t = case
+    sol = kt_center_outliers(_kt_golden_instance(kind), k, t)
+    assert (sol.centers, tuple(sorted(sol.outliers.items())), sol.cost.hex()) == pin
+
+
+@st.composite
+def _kt_center_cases(draw):
+    """(instance, k, t) in the shapes a coordinator sweeps: integer-grid
+    points (tied costs) whose duplicates merge into weights, matrix-mode
+    spaces with costs 1e-12 apart, and multi-support demands with collapse
+    offsets; k up to past the candidate count, t anywhere in 0..W-1."""
+    shape = draw(st.sampled_from(["grid", "matrix", "support"]))
+    coords = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           min_size=1, max_size=14))
+    pts = np.array(coords, dtype=float)
+    n = len(coords)
+    if shape == "grid":
+        inst = Instance.from_points(MetricSpace.euclidean(pts))
+    elif shape == "matrix":
+        D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
+        # Some costs sit exactly at another cost r plus the 1e-12 tolerance
+        # of the disks, so they count as within r.
+        flags = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        nudge = np.triu(np.array(flags, dtype=float).reshape(n, n), 1)
+        D = D + 1e-12 * (nudge + nudge.T)
+        inst = Instance.from_points(MetricSpace.from_matrix(D))
+    else:
+        demands = []
+        for _ in range(draw(st.integers(1, 10))):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                    unique=True))
+            raw = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                max_size=len(support)))
+            demands.append(Demand(tuple(support), tuple(r / sum(raw) for r in raw),
+                                  draw(st.sampled_from([0.0, 0.5, 1.25])),
+                                  draw(st.integers(1, 4))))
+        cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        inst = Instance(MetricSpace.euclidean(pts), demands, cands)
+    k = draw(st.integers(1, len(inst.candidates) + 2))
+    t = draw(st.integers(0, inst.total_weight - 1))
+    return inst, k, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_kt_center_cases())
+def test_kt_center_matches_naive_sweep(case):
+    inst, k, t = case
+    fast = kt_center_outliers(inst, k, t)
+    slow = naive_kt_center_outliers(inst, k, t)
+    assert fast.centers == slow.centers
+    assert fast.outliers == slow.outliers
+    assert fast.assignment == slow.assignment
+    assert fast.cost == slow.cost
 
 
 # ---------------------------------------------------------------------------
