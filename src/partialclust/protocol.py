@@ -48,6 +48,7 @@ from .metric import (
 )
 from .solvers import (
     BicriteriaConfig,
+    SortedCosts,
     bicriteria_median,
     gonzalez_order,
     insertion_marginals,
@@ -221,10 +222,11 @@ def _run_sites(worker, s, jobs):
     return [r for r, _ in pairs], [dt for _, dt in pairs]
 
 
-def _local_solution(inst, k, q, objective, seed):
+def _local_solution(inst, k, q, objective, seed, table=None):
     """sol(A_i, 2k, q): local bicriteria with doubled centers, exactly
     min(q, |A_i|) excluded copies. Center objective uses the farthest-first
-    prefix instead of the primal-dual machinery."""
+    prefix instead of the primal-dual machinery. ``table`` is the site's
+    shared :class:`SortedCosts`, if any."""
     cap = inst.total_weight
     qq = min(int(q), cap)
     target = 2 * k
@@ -236,7 +238,7 @@ def _local_solution(inst, k, q, objective, seed):
         prefix = [inst.demands[j].anchor for j in gorder.order[: min(target, inst.n)]]
         return solution_from_centers(inst, prefix, objective, qq)
     cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
-    sol = bicriteria_median(inst, k, qq, cfg, objective, seed=seed)
+    sol = bicriteria_median(inst, k, qq, cfg, objective, seed=seed, table=table)
     return pad_centers(inst, sol, target, objective, qq)
 
 
@@ -500,8 +502,12 @@ def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
     qs = geometric_index_set(t, rho)
 
     def worker(i):
+        # One sorted-cost table serves the site's whole q grid. It lives only
+        # while this worker runs, so finished sites hold none.
+        inst = site_insts[i]
+        table = SortedCosts.build(inst, objective)
         return _site_curve(i, qs, lambda qi, q: _local_solution(
-            site_insts[i], k, q, objective, seed=(*salt, i, qi)))
+            inst, k, q, objective, seed=(*salt, i, qi), table=table))
 
     results, secs = _run_sites(worker, len(site_insts), jobs)
     curves = [c for _, c in results]

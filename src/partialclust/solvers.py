@@ -18,7 +18,6 @@ Four families live here:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -246,6 +245,7 @@ class JVResult:
 
 
 _BLOCK_ENTRIES = 1 << 15
+_ESTIMATE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -265,12 +265,29 @@ class SortedCosts:
     @classmethod
     def build(cls, instance, objective, tau=0.0):
         C = instance.cost_matrix(objective, tau)
+        cmax = float(C.max())
+        # The facility-cost search adds facility costs up to W * cmax to cost
+        # sums up to W * cmax.
+        if not math.isfinite(2.0 * instance.total_weight * cmax):
+            raise InvalidPointError(
+                f"costs overflow: {instance.total_weight} copies at cost up to "
+                f"{cmax:.3g} sum past the float range; scale the input down")
         order = np.argsort(C.T, axis=1, kind="stable")
         costs = np.take_along_axis(C.T, order, axis=1)
         w_sorted = instance.weights[order]
         cum_w = np.cumsum(w_sorted, axis=1)
         w_sorted *= costs
         return cls(C, order, costs, cum_w, np.cumsum(w_sorted, axis=1))
+
+    @classmethod
+    def ensure(cls, table, instance, objective, tau=0.0):
+        """``table`` checked to sort this instance's ``(objective, tau)``
+        cost matrix, or a new table when it is None."""
+        if table is None:
+            return cls.build(instance, objective, tau)
+        if table.matrix is not instance.cost_matrix(objective, tau):
+            raise InvalidParameterError("sorted-cost table belongs to another cost matrix")
+        return table
 
     def initial_opening_times(self, z):
         """Opening time of every candidate while all demands are active and
@@ -304,17 +321,26 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     outliers. A conflict-free subset of the opened facilities (greedy by
     opening time) survives pruning.
 
+    ``key`` holds one stored opening time per candidate (inf once it
+    opens). Each is a lower bound, since freezing demands only delays an
+    opening. The next opening is found lazily: the smallest key, lowest
+    index on ties, is re-estimated under the current duals, and if the
+    estimate is later it is stored and the search goes on. The duals do not
+    move during one search, so after the first stale candidate the smallest
+    unestimated keys are estimated in batches of up to 32 and looked up as
+    the search reaches them; only the candidates the search examines have
+    their estimate stored. Each batch row does the float operations of a
+    one-candidate estimate, so every pick, and the result, is bit for bit
+    that of a lazy binary heap of (time, index) pairs.
+
     ``table`` is the :class:`SortedCosts` of this instance's
     ``(objective, tau)`` cost matrix; probes of one facility-cost search
     share it. Built here when omitted.
     """
     if z < 0:
         raise InvalidParameterError("facility cost must be >= 0")
-    C = instance.cost_matrix(objective, tau)
-    if table is None:
-        table = SortedCosts.build(instance, objective, tau)
-    elif table.matrix is not C:
-        raise InvalidParameterError("sorted-cost table belongs to another cost matrix")
+    table = SortedCosts.ensure(table, instance, objective, tau)
+    C = table.matrix
     n, m = C.shape
     w = instance.weights
     wi = [d.weight for d in instance.demands]
@@ -326,7 +352,6 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     active = np.ones(n, dtype=bool)
     freeze = np.full(n, np.inf)
     frozen_base = np.zeros(m)
-    opened = np.zeros(m, dtype=bool)
     open_time = np.full(m, np.inf)
     open_seq = []
     minopen = np.full(n, np.inf)
@@ -334,62 +359,73 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     unprocessed = {}
     theta = 0.0
 
-    def opening_estimate(u):
-        req = z - frozen_base[u]
-        if req <= 0:
-            return theta
-        col = order[u]
-        wa = np.where(active[col], w[col], 0.0)
-        cw = np.cumsum(wa)
-        if cw[-1] <= 0:
-            return np.inf
-        costs = Csort[u]
-        cwc = np.cumsum(wa * costs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cand = (req + cwc) / cw
-        upper = np.append(costs[1:], np.inf)
-        ok = (cw > 0) & (cand >= costs - 1e-12) & (cand <= upper + 1e-12)
-        if not ok.any():
-            return np.inf
-        return max(float(cand[ok].min()), theta)
+    def estimates(us):
+        """Opening times of candidates ``us`` under the current duals, one
+        row per candidate (``initial_opening_times`` with frozen demands)."""
+        req = z - frozen_base[us]
+        cols = order[us]
+        wa = w[cols] * active[cols]
+        cw = wa.cumsum(axis=1)
+        costs = Csort[us]
+        wa *= costs
+        cand = wa.cumsum(axis=1)
+        cand += req[:, None]
+        live = cw > 0
+        np.divide(cand, cw, out=cand, where=live)
+        ok = cand >= costs - 1e-12
+        ok &= live
+        ok[:, :-1] &= cand[:, :-1] <= costs[:, 1:] + 1e-12
+        est = np.maximum(np.where(ok, cand, np.inf).min(axis=1), theta)
+        est[req <= 0] = theta
+        return est
 
-    heap = list(zip(table.initial_opening_times(z).tolist(), range(m)))
-    heapq.heapify(heap)
+    key = table.initial_opening_times(z)
+    batch_size = min(_ESTIMATE_BATCH, m)
 
     def next_opening():
-        while heap:
-            tu, u = heap[0]
-            if opened[u]:
-                heapq.heappop(heap)
-                continue
-            t2 = opening_estimate(u)
+        memo = {}   # estimates made in this search, by candidate
+        while True:
+            u = int(key.argmin())
+            tu = float(key[u])
+            if math.isinf(tu):
+                return np.inf, None
+            if u not in memo:
+                # Most searches need one estimate, so the first goes alone.
+                if memo:
+                    pending = key.copy()
+                    pending[list(memo)] = np.inf
+                    pending[u] = -np.inf
+                    us = np.argpartition(pending, batch_size - 1)[:batch_size]
+                    us = us[pending[us] < np.inf]
+                else:
+                    us = np.array([u])
+                memo.update(zip(us.tolist(), estimates(us).tolist()))
+            t2 = memo[u]
             if t2 > tu + 1e-12 * (1.0 + abs(tu)):
-                heapq.heapreplace(heap, (t2, u))
+                key[u] = t2
                 continue
             return max(tu, theta), u
-        return np.inf, None
 
     stopped = False
     while remaining > stop_weight and not stopped:
         act_idx = np.where(active)[0]
         if act_idx.size == 0:
             break
-        t_freeze = float(minopen[act_idx].min()) if opened.any() else np.inf
+        t_freeze = float(minopen[act_idx].min()) if open_seq else np.inf
         t_open, u_next = next_opening()
         if math.isinf(t_open) and math.isinf(t_freeze):
             break  # pragma: no cover - no facility can ever open
         if t_open <= t_freeze:
             theta = t_open
-            heapq.heappop(heap)
-            opened[u_next] = True
+            key[u_next] = np.inf
             open_time[u_next] = theta
             open_seq.append(u_next)
             np.minimum(minopen, C[:, u_next], out=minopen)
         else:
             theta = t_freeze
         batch = np.where(active & (minopen <= theta + 1e-12 * (1.0 + theta)))[0]
-        cols = np.where(opened)[0]
-        connect = np.maximum(open_time[cols], C[np.ix_(batch, cols)]).min(axis=1)
+        cols = np.array(open_seq, dtype=int)
+        connect = np.maximum(open_time[cols], C[batch[:, None], cols]).min(axis=1)
         for j, tj in zip(batch, connect):
             freeze[j] = tj
             active[j] = False
@@ -466,7 +502,7 @@ def _rank_key(sol):
 
 
 def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed=0,
-                      tau=0.0, report_tau=None):
+                      tau=0.0, report_tau=None, table=None):
     """Bicriteria (k, t)-median/means via primal-dual + rounding.
 
     Binary-searches the uniform facility cost until either some run opens
@@ -481,7 +517,9 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
 
     ``tau`` truncates the metric the duals grow against; ``report_tau``
     (defaulting to ``tau``) is the truncation the returned solution is
-    assigned and measured under.
+    assigned and measured under. ``table`` is the :class:`SortedCosts` of the
+    ``(objective, tau)`` cost matrix, for callers that solve one instance at
+    several budgets; built here when omitted.
     """
     cfg = cfg or BicriteriaConfig()
     _check_kt(instance, k, t)
@@ -498,13 +536,7 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     if cmax == 0.0:
         return solution_from_centers(instance, instance.candidates[:k], objective,
                                      final_budget, measure)
-    # the search adds facility costs up to W * cmax to cost sums up to W * cmax
-    if not math.isfinite(2.0 * instance.total_weight * cmax):
-        raise InvalidPointError(
-            f"costs overflow: {instance.total_weight} copies at cost up to "
-            f"{cmax:.3g} sum past the float range; scale the input down")
-
-    table = SortedCosts.build(instance, objective, tau)
+    table = SortedCosts.ensure(table, instance, objective, tau)
 
     def probe(zv):
         return jv_facility_location(instance, zv, objective, tau, stop_weight=t, table=table)

@@ -5,6 +5,8 @@ wherever float rounding could blur an inequality, exhaustive enumeration
 wherever the library uses a heuristic. Keep instances desk-scale.
 """
 
+import heapq
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,6 +20,8 @@ from partialclust import (
     node_universe_cost,
     solution_from_centers,
 )
+from partialclust.errors import InvalidParameterError
+from partialclust.solvers import DualCertificate, JVResult, SortedCosts
 
 
 def random_points(seed, n, dim=2, scale=10.0):
@@ -198,3 +202,125 @@ def naive_kt_center_outliers(instance, k, t):
         if uncovered.sum() <= t + 1e-9:
             return solution_from_centers(instance, centers, Objective.CENTER, t)
     raise AssertionError("threshold sweep found no feasible radius")
+
+
+def lazy_heap_jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=None):
+    """The primal-dual probe with its opening times in a lazy binary heap,
+    re-estimated one candidate at a time. ``jv_facility_location`` must
+    return exactly this result."""
+    if z < 0:
+        raise InvalidParameterError("facility cost must be >= 0")
+    C = instance.cost_matrix(objective, tau)
+    if table is None:
+        table = SortedCosts.build(instance, objective, tau)
+    elif table.matrix is not C:
+        raise InvalidParameterError("sorted-cost table belongs to another cost matrix")
+    n, m = C.shape
+    w = instance.weights
+    wi = [d.weight for d in instance.demands]
+    total = int(sum(wi))
+    stop_weight = max(int(stop_weight), 0)
+
+    order, Csort = table.order, table.costs
+
+    active = np.ones(n, dtype=bool)
+    freeze = np.full(n, np.inf)
+    frozen_base = np.zeros(m)
+    opened = np.zeros(m, dtype=bool)
+    open_time = np.full(m, np.inf)
+    open_seq = []
+    minopen = np.full(n, np.inf)
+    remaining = total
+    unprocessed = {}
+    theta = 0.0
+
+    def opening_estimate(u):
+        req = z - frozen_base[u]
+        if req <= 0:
+            return theta
+        col = order[u]
+        wa = np.where(active[col], w[col], 0.0)
+        cw = np.cumsum(wa)
+        if cw[-1] <= 0:
+            return np.inf
+        costs = Csort[u]
+        cwc = np.cumsum(wa * costs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = (req + cwc) / cw
+        upper = np.append(costs[1:], np.inf)
+        ok = (cw > 0) & (cand >= costs - 1e-12) & (cand <= upper + 1e-12)
+        if not ok.any():
+            return np.inf
+        return max(float(cand[ok].min()), theta)
+
+    heap = list(zip(table.initial_opening_times(z).tolist(), range(m)))
+    heapq.heapify(heap)
+
+    def next_opening():
+        while heap:
+            tu, u = heap[0]
+            if opened[u]:
+                heapq.heappop(heap)
+                continue
+            t2 = opening_estimate(u)
+            if t2 > tu + 1e-12 * (1.0 + abs(tu)):
+                heapq.heapreplace(heap, (t2, u))
+                continue
+            return max(tu, theta), u
+        return np.inf, None
+
+    stopped = False
+    while remaining > stop_weight and not stopped:
+        act_idx = np.where(active)[0]
+        if act_idx.size == 0:
+            break
+        t_freeze = float(minopen[act_idx].min()) if opened.any() else np.inf
+        t_open, u_next = next_opening()
+        if math.isinf(t_open) and math.isinf(t_freeze):
+            break  # pragma: no cover - no facility can ever open
+        if t_open <= t_freeze:
+            theta = t_open
+            heapq.heappop(heap)
+            opened[u_next] = True
+            open_time[u_next] = theta
+            open_seq.append(u_next)
+            np.minimum(minopen, C[:, u_next], out=minopen)
+        else:
+            theta = t_freeze
+        batch = np.where(active & (minopen <= theta + 1e-12 * (1.0 + theta)))[0]
+        cols = np.where(opened)[0]
+        connect = np.maximum(open_time[cols], C[np.ix_(batch, cols)]).min(axis=1)
+        for j, tj in zip(batch, connect):
+            freeze[j] = tj
+            active[j] = False
+            if remaining - wi[j] < stop_weight:
+                frozen_copies = remaining - stop_weight
+                if frozen_copies < wi[j]:
+                    unprocessed[int(j)] = wi[j] - frozen_copies
+                remaining = stop_weight
+                stopped = True
+                break
+            remaining -= wi[j]
+            frozen_base += w[j] * np.maximum(freeze[j] - C[j], 0.0)
+
+    for j in np.where(active)[0]:
+        unprocessed[int(j)] = wi[j]
+    alpha = np.where(np.isinf(freeze), theta, freeze)
+
+    kept = []
+    if open_seq:
+        temp = np.array(open_seq, dtype=int)
+        tol = 1e-12 * (1.0 + float(alpha.max()))
+        pos = C[:, temp]
+        np.subtract(alpha[:, None], pos, out=pos)
+        # Sums of nonnegative 0/1 products: any overlap stays >= 1 in float32.
+        pos = (pos > tol).astype(np.float32)
+        conflict = (pos.T @ pos) > 0
+        for i in range(len(temp)):
+            if not conflict[i, kept].any():
+                kept.append(i)
+        centers = tuple(int(instance.candidates[temp[i]]) for i in kept)
+    else:
+        centers = ()
+    cert = DualCertificate(alpha, unprocessed, float(theta))
+    return JVResult(centers, tuple(int(instance.candidates[u]) for u in open_seq), cert)

@@ -32,7 +32,7 @@ from partialclust.errors import (
 )
 from partialclust.solvers import SortedCosts
 
-from helpers import naive_kt_center_outliers, random_instance
+from helpers import lazy_heap_jv_facility_location, naive_kt_center_outliers, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,29 @@ def test_jv_golden_pins(probe, pin):
     assert _jv_pin(res) == pin
 
 
+# Recorded from the heap-based probe. Each runs on one 375-point site of a
+# round-robin split of a planted median-large input, at a facility cost
+# between the bracket ends; one opening step re-estimates 370 (first) and
+# 255 (second) stale candidates in a row.
+_JV_BURST_GOLDEN = [
+    ((0, Objective.MEDIAN, "0x1.6fe4578ccaaaap+10", 0),
+     ((176, 167, 235, 288, 114), (176, 167, 235, 288, 114),
+      "7d0853e735d69459", (), "0x1.3b19fd8ae8bedp+9")),
+    ((1, Objective.MEANS, "0x1.1179d93afdd78p+9", 2),
+     ((290, 171, 179, 227, 343), (290, 171, 179, 227, 343),
+      "48f614de4774d870", ((373, 1), (374, 1)), "0x1.683f11c77fa36p+3")),
+]
+
+
+@pytest.mark.parametrize("probe,pin", _JV_BURST_GOLDEN)
+def test_jv_burst_golden_pins(probe, pin):
+    seed, objective, z, stop_weight = probe
+    site = gen_planted(1500, 5, 10, seed=seed)[0::4]
+    inst = Instance.from_points(MetricSpace.euclidean(site))
+    res = jv_facility_location(inst, float.fromhex(z), objective, stop_weight=stop_weight)
+    assert _jv_pin(res) == pin
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     coords=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
@@ -367,6 +390,61 @@ def test_jv_shared_table_matches_own_table(coords, zs, objective, tau, stop_frac
         assert shared.certificate.alpha.tobytes() == own.certificate.alpha.tobytes()
         assert shared.certificate.unprocessed == own.certificate.unprocessed
         assert shared.certificate.stop_time == own.certificate.stop_time
+
+
+@st.composite
+def _jv_cases(draw):
+    """(instance, z, objective, tau, stop_weight) for one probe: integer-grid
+    points whose duplicates merge into weights (tied opening times), or
+    weighted multi-support demands with collapse offsets under tau > 0; up to
+    48 candidates, so one search can run past a batch of estimates; z at
+    either end of the facility-cost bracket or anywhere between."""
+    size = draw(st.integers(1, 48))
+    coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=size, max_size=size))
+    pts = np.array(coords, dtype=float)
+    objective = draw(st.sampled_from([Objective.MEDIAN, Objective.MEANS]))
+    if draw(st.booleans()):
+        inst = Instance.from_points(MetricSpace.euclidean(pts))
+        tau = 0.0
+    else:
+        n = len(coords)
+        demands = []
+        for _ in range(draw(st.integers(1, 12))):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                    unique=True))
+            raw = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                max_size=len(support)))
+            demands.append(Demand(tuple(support), tuple(r / sum(raw) for r in raw),
+                                  draw(st.sampled_from([0.0, 0.5, 1.25])),
+                                  draw(st.integers(1, 4))))
+        cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        inst = Instance(MetricSpace.euclidean(pts), demands, cands)
+        tau = draw(st.sampled_from([0.5, 1.5]))
+    z_hi = inst.total_weight * float(inst.cost_matrix(objective, tau).max()) + 1.0
+    # At z = 1 (or 2) every grid candidate with unit-distance neighbours
+    # opens at the same time up to rounding; a nudge near the 1e-12
+    # staleness tolerance then decides which stored times count as fresh.
+    z = draw(st.one_of(st.sampled_from([0.0, z_hi]),
+                       st.integers(1, 16).map(lambda e: z_hi * 2.0 ** -e),
+                       st.builds(lambda a, b: a + b, st.sampled_from([1.0, 2.0]),
+                                 st.sampled_from([1e-14, 1e-13, 5e-13, 2e-12])),
+                       st.floats(0.0, z_hi)))
+    stop_weight = draw(st.integers(0, inst.total_weight - 1))
+    return inst, z, objective, tau, stop_weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_jv_cases())
+def test_jv_matches_lazy_heap_probe(case):
+    inst, z, objective, tau, stop_weight = case
+    fast = jv_facility_location(inst, z, objective, tau, stop_weight)
+    slow = lazy_heap_jv_facility_location(inst, z, objective, tau, stop_weight)
+    assert fast.centers == slow.centers
+    assert fast.temp_open == slow.temp_open
+    assert fast.certificate.alpha.tobytes() == slow.certificate.alpha.tobytes()
+    assert fast.certificate.unprocessed == slow.certificate.unprocessed
+    assert fast.certificate.stop_time == slow.certificate.stop_time
 
 
 def test_jv_rejects_table_of_another_matrix():
