@@ -249,6 +249,7 @@ class Instance:
         self.counter = counter if counter is not None else EvalCounter()
         self.payload_kind = payload_kind
         self._cost_cache = {}
+        self._center_columns = {}
         self._pair_cache = None
         self._cand_pos = {int(c): j for j, c in enumerate(self.candidates)}
 
@@ -306,7 +307,7 @@ class Instance:
                 raise InvalidPointError(
                     "squared distances overflow the float range; scale the "
                     "input down")
-        if all(len(d.support) == 1 for d in self.demands):
+        if self._single_support():
             rows = base[[pos[d.support[0]] for d in self.demands]]
         else:
             W = np.zeros((self.n, len(pts)))
@@ -314,26 +315,86 @@ class Instance:
                 for p, pr in zip(d.support, d.probs):
                     W[j, pos[p]] += pr
             rows = W @ base
-        collapse = np.array([d.collapse for d in self.demands])
-        M = rows + collapse[:, None]
+        M = rows + self._collapse()[:, None]
         self._cost_cache[key] = M
         return M
+
+    def cost_columns(self, objective, points, tau=0.0):
+        """Columns of ``cost_matrix(objective, tau)`` for the candidate
+        ``points``, in the order given.
+
+        Sliced from the cached matrix when there is one. The untruncated
+        center surface over single-support demands is otherwise built a
+        column at a time: each new column costs one evaluation per demand
+        and is kept, so a caller that reads L centers pays n * L, not n * m.
+        Other surfaces build the whole matrix, which their solvers read
+        anyway. Every column is bit for bit the matching matrix column.
+        """
+        cols = [self.candidate_column(p) for p in points]
+        M = self._cost_cache.get((objective.power, float(tau)))
+        if M is None and not (objective is Objective.CENTER and tau == 0
+                              and self._single_support()):
+            M = self.cost_matrix(objective, tau)
+        if M is not None:
+            return M[:, cols]
+        missing = [u for u in cols if u not in self._center_columns]
+        if missing:
+            D = self.space.block(self._anchors(), self.candidates[missing])
+            self.counter.add(D.size)
+            D += self._collapse()[:, None]
+            self._center_columns.update(zip(missing, D.T))
+        return np.stack([self._center_columns[u] for u in cols], axis=1)
+
+    def pair_row(self, j):
+        """Row ``j`` of :meth:`pair_matrix`, bit for bit, computed alone:
+        n evaluations.
+
+        In euclidean mode its distances are also bit for bit the cost column
+        of ``j``'s anchor, so when that anchor is a candidate they are kept
+        as its center cost column (see :meth:`cost_columns`) and no distance
+        is evaluated twice. Returns a new array.
+        """
+        if not self._single_support():
+            raise InvalidParameterError("pair rows need single-support demands")
+        anchors = self._anchors()
+        row = self.space.block([anchors[j]], anchors)[0]
+        self.counter.add(row.size)
+        ell = self._collapse()
+        u = self._cand_pos.get(anchors[j])
+        if self.space.mode == "euclidean" and u is not None:
+            self._center_columns.setdefault(u, row + ell)
+        row += ell[j] + ell
+        row[j] = 0.0
+        return row
+
+    def _single_support(self):
+        return all(len(d.support) == 1 for d in self.demands)
+
+    def _anchors(self):
+        return [d.anchor for d in self.demands]
+
+    def _collapse(self):
+        return np.array([d.collapse for d in self.demands])
 
     def pair_matrix(self):
         """Demand-to-demand distances (single-support demands only).
 
         d(i, j) = collapse_i + d(anchor_i, anchor_j) + collapse_j, 0 on the
         diagonal: the compressed-graph distance between two collapsed nodes,
-        plain metric distance for ordinary points.
+        plain metric distance for ordinary points. The program no longer
+        reads it: the farthest-first traversal computes only the rows it
+        needs (:meth:`pair_row`). It stays as the full-matrix reference of
+        the tests, and goes once the benchmark tracer stops targeting it by
+        name.
         """
         if self._pair_cache is not None:
             return self._pair_cache
-        if not all(len(d.support) == 1 for d in self.demands):
+        if not self._single_support():
             raise InvalidParameterError("pair_matrix needs single-support demands")
-        anchors = [d.anchor for d in self.demands]
+        anchors = self._anchors()
         D = self.space.block(anchors, anchors).copy()
         self.counter.add(D.size)
-        ell = np.array([d.collapse for d in self.demands])
+        ell = self._collapse()
         D += ell[:, None] + ell[None, :]
         np.fill_diagonal(D, 0.0)
         self._pair_cache = D

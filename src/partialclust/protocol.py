@@ -224,9 +224,12 @@ def _run_sites(worker, s, jobs):
 
 def _local_solution(inst, k, q, objective, seed, table=None):
     """sol(A_i, 2k, q): local bicriteria with doubled centers, exactly
-    min(q, |A_i|) excluded copies. Center objective uses the farthest-first
-    prefix instead of the primal-dual machinery. ``table`` is the site's
-    shared :class:`SortedCosts`, if any."""
+    min(q, |A_i|) excluded copies. Center objective uses the first
+    min(2k, n_i) points of a farthest-first traversal instead of the
+    primal-dual machinery, and reads only those centers' cost columns: in
+    euclidean mode min(2k, n_i) * n_i distance evaluations, or n_i when one
+    center takes every copy out. ``table`` is the site's shared
+    :class:`SortedCosts`, if any."""
     cap = inst.total_weight
     qq = min(int(q), cap)
     target = 2 * k
@@ -234,8 +237,8 @@ def _local_solution(inst, k, q, objective, seed, table=None):
         lone = [int(inst.candidates[0])]
         return solution_from_centers(inst, lone, objective, qq)
     if objective is Objective.CENTER:
-        gorder = gonzalez_order(inst)
-        prefix = [inst.demands[j].anchor for j in gorder.order[: min(target, inst.n)]]
+        gorder = gonzalez_order(inst, target)
+        prefix = [inst.demands[j].anchor for j in gorder.order]
         return solution_from_centers(inst, prefix, objective, qq)
     cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
     sol = bicriteria_median(inst, k, qq, cfg, objective, seed=seed, table=table)
@@ -266,7 +269,8 @@ class _ForwardProv:
 
 def _center_attachments(inst, sol, objective, tau=0.0):
     att = {c: [] for c in sol.centers}
-    M = inst.cost_matrix(objective, tau)
+    M = inst.cost_columns(objective, sol.centers, tau)
+    col = {c: i for i, c in enumerate(sol.centers)}
     for j in range(inst.n):
         live = inst.demands[j].weight - sol.excluded_copies(j)
         if live <= 0:
@@ -276,7 +280,7 @@ def _center_attachments(inst, sol, objective, tau=0.0):
         else:
             parts = ((sol.assignment[j], live),)
         for ctr, copies in parts:
-            att[ctr].append((j, int(copies), float(M[j, inst.candidate_column(ctr)])))
+            att[ctr].append((j, int(copies), float(M[j, col[ctr]])))
     return att
 
 
@@ -522,14 +526,17 @@ def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
 def _center_round(site_insts, k, t, rho, jobs, ledger):
     """Site work of the two-round center protocols.
 
-    Each site runs one farthest-first traversal and sends the t insertion
-    radii after position k, its exact marginal-gain curve (t words). No
-    adjustment follows the allocation, since every integer budget is already
-    realizable: each site answers with its first k + t_i traversal points.
-    Returns (allocation, site solutions, site seconds).
+    Each site runs a farthest-first traversal up to position k + t and
+    sends the t insertion radii after position k, its exact marginal-gain
+    curve (t words). No adjustment follows the allocation, since every
+    integer budget is already realizable: each site answers with its first
+    k + t_i traversal points, whose cost columns in euclidean mode are the
+    traversal's own rows, so a site of n_i demands evaluates at most
+    (k + t) * n_i distances (matrix mode reads the columns apart). Returns
+    (allocation, site solutions, site seconds).
     """
     def worker(i):
-        gorder = gonzalez_order(site_insts[i])
+        gorder = gonzalez_order(site_insts[i], k + t)
         return gorder, insertion_marginals(gorder, k, t)
 
     results, secs = _run_sites(worker, len(site_insts), jobs)

@@ -3,7 +3,8 @@
 Four families live here:
 
 * :func:`gonzalez_order` — farthest-first traversal with insertion radii, the
-  engine behind the center-objective protocols;
+  engine behind the center-objective protocols, computed one distance row
+  per chosen point and stopped at the prefix the caller reads;
 * :func:`kt_center_outliers` — threshold sweep with greedy disk covering
   (3-approximate k-center with outliers, weighted via copy counting), run
   incrementally over one sort of the cost matrix with exact integer gains;
@@ -59,9 +60,7 @@ def solution_from_centers(instance, centers, objective, budget, tau=0.0):
     centers = tuple(sorted({int(c) for c in centers}))
     if not centers:
         raise InvalidParameterError("need at least one center")
-    M = instance.cost_matrix(objective, tau)
-    cols = [instance.candidate_column(c) for c in centers]
-    sub = M[:, cols]
+    sub = instance.cost_columns(objective, centers, tau)
     best = np.argmin(sub, axis=1)
     costs = sub[np.arange(instance.n), best]
     w = instance.weights
@@ -115,22 +114,26 @@ class GonzalezOrder:
     radii: tuple
 
 
-def gonzalez_order(instance):
-    """Farthest-first traversal seeded at the lowest demand index.
+def gonzalez_order(instance, length=None):
+    """Farthest-first traversal seeded at the lowest demand index, stopped
+    after ``length`` points (all of them by default).
 
     Each step adds the demand farthest from the chosen prefix; ties break
-    toward the lower index. Weights do not affect the traversal.
+    toward the lower index. Weights do not affect the traversal. Distances
+    are those of :meth:`~partialclust.metric.Instance.pair_matrix`, but only
+    the rows of the points chosen before the last are computed: a prefix of
+    L points costs (L - 1) * n evaluations, not n^2.
     """
-    D = instance.pair_matrix()
     n = instance.n
+    length = n if length is None else min(int(length), n)
     order = [0]
     radii = []
-    mind = D[0].copy()
-    for _ in range(n - 1):
+    mind = np.full(n, np.inf)
+    while len(order) < length:
+        np.minimum(mind, instance.pair_row(order[-1]), out=mind)
         nxt = int(np.argmax(mind))
         radii.append(float(mind[nxt]))
         order.append(nxt)
-        np.minimum(mind, D[nxt], out=mind)
     return GonzalezOrder(tuple(order), tuple(radii))
 
 
@@ -139,7 +142,8 @@ def insertion_marginals(gorder, k, t):
 
     l(q) is the insertion radius of the (k+q)-th point in the traversal: the
     cost drop available by treating one more prefix point as an outlier
-    holder. Zero once the traversal is exhausted (k + q > n)."""
+    holder. Zero once the traversal is exhausted (k + q > n), so ``gorder``
+    must reach position k + t or hold every demand."""
     n = len(gorder.order)
     out = np.zeros(t, dtype=float)
     for q in range(1, t + 1):

@@ -21,7 +21,7 @@ from partialclust import (
     solution_from_centers,
 )
 from partialclust.errors import InvalidParameterError
-from partialclust.solvers import DualCertificate, JVResult, SortedCosts
+from partialclust.solvers import DualCertificate, GonzalezOrder, JVResult, SortedCosts
 
 
 def random_points(seed, n, dim=2, scale=10.0):
@@ -180,6 +180,23 @@ def random_uncertain_nodes(seed, n_nodes, universe_size, dim=2, scale=6.0,
         nodes.append(UncertainNode(j, tuple(int(u) for u in support),
                                    tuple(float(p) for p in probs)))
     return space, nodes
+
+
+def full_gonzalez_order(instance):
+    """The farthest-first traversal run to the end over the full pair
+    matrix. ``gonzalez_order(instance, L)`` must return exactly the first L
+    points of this order and the first L - 1 of its radii."""
+    D = instance.pair_matrix()
+    n = instance.n
+    order = [0]
+    radii = []
+    mind = D[0].copy()
+    for _ in range(n - 1):
+        nxt = int(np.argmax(mind))
+        radii.append(float(mind[nxt]))
+        order.append(nxt)
+        np.minimum(mind, D[nxt], out=mind)
+    return GonzalezOrder(tuple(order), tuple(radii))
 
 
 def naive_kt_center_outliers(instance, k, t):

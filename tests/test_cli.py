@@ -283,7 +283,7 @@ _GOLDEN = [
      "22fb875aa41364562da66da1d12c4f9878b0a4edfc8f2a609c7947347ee7c3e4",
      "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
     (["--alg", "kt-center"],
-     "b89210ece1be08243b83c2c53fc69e34ded1ec4732bcbff5b0a046f498add785",
+     "2fc9de50005225f4cb4e6fd23e0a32dab9c484167e9fa5108ab02fa50ed5350d",
      "d2f6b2bfcb19181433dd9785bc29a15902c0eb97b9ffe4df279fb898331b334f"),
     (["--alg", "kt-median-co"],
      "d42869693cd6f32ca116a40a4302b78f91a84318b571e33292551c9980e13eb7",
@@ -301,7 +301,7 @@ _GOLDEN = [
      "41e76bf8d7e7a15b8ca96d1593b62c2ac1c46d1fa65ead8967360b33103b659a",
      "f614e8ba2eafb15d2be4be7b6abfecc5b9d5e1234d6cd5ca049ed0741b0644c2"),
     (["--alg", "uncertain-center-pp"],
-     "8c5756dce67155dc6abcb82ddbbecff12f6fcdef89a77de972c5812c5c6d58a3",
+     "06ae099428a13130d6d18175a9b6e392a5aeb620a48b4ea407aeb878182a7c89",
      "87e13b2100d1c8a7fdd03e9323414d7d0c4fe03d0c5b2cf9698f4b388020dbd8"),
     (["--alg", "center-g"],
      "deba808202c451f810a55904ff7a26bcd4c2d7ee7309f955a248b5ff7f22bd43",
@@ -337,3 +337,32 @@ def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     if transcript_sha is not None:
         assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha
+
+
+# Pins of the center-protocol reports with their "evals" block removed, so a
+# change to how many distances the center sites evaluate may move the counts
+# but no other byte of these reports.
+_GOLDEN_NO_EVALS = [
+    (["--alg", "kt-center"],
+     "7a96c3d01f5c4cbe09b4a400e7d7980672972f12f896f928106d5a0892cf4cba"),
+    (["--alg", "uncertain-center-pp"],
+     "3d199c7aab91277fe22f2288381db6e053d089d522a6ad560739bcb923c9bf7c"),
+    (["--alg", "one-round", "--objective", "center"],
+     "53831dd72e2ef1366f67b913453d813ffbbe31a5c30aef7a9152acc6f9dc8abe"),
+    (["--alg", "one-round", "--objective", "center", "--jobs", "2"],
+     "53831dd72e2ef1366f67b913453d813ffbbe31a5c30aef7a9152acc6f9dc8abe"),
+]
+
+
+@pytest.mark.parametrize("flags, stripped_sha", _GOLDEN_NO_EVALS,
+                         ids=[" ".join(g[0][1:]) for g in _GOLDEN_NO_EVALS])
+def test_solve_golden_reports_without_evals(golden_inputs, flags, stripped_sha,
+                                            capsys):
+    _, (point_args, node_args) = golden_inputs
+    data = node_args if flags[1] in _NODE_ALGS else point_args
+    code, out, err = run(["solve"] + flags + data, capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    del report["evals"]
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == stripped_sha

@@ -1,5 +1,8 @@
 """Coordinator protocols: word accounting, budgets, end-to-end quality."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +327,101 @@ def test_center_protocol_properties(protocol, case):
     assert rep.ledger.total_words <= closed
     if full:
         assert rep.ledger.total_words == closed
+
+
+# ---------------------------------------------------------------------------
+# center sites at the extremes: exact distance evaluations
+
+
+def _extreme_space(case):
+    if case == "one-point sites":
+        return MetricSpace.euclidean(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])), 3
+    if case == "sites within 2k":
+        return MetricSpace.euclidean(random_points(7, 10)), 3
+    if case == "k over distinct points":
+        spots = np.array([[0.0, 0.0], [5.0, 1.0], [2.0, 7.0]])
+        return MetricSpace.euclidean(spots[[0, 1, 2, 0, 1, 0, 2, 0, 1]]), 2
+    if case == "matrix mode":
+        x = random_points(8, 9, dim=1)[:, 0]
+        return MetricSpace.from_matrix(np.abs(x[:, None] - x[None, :])), 2
+    return MetricSpace.euclidean(random_points(9, 8)), 2
+
+
+# (case, k, t, sha256 of the kt-center report and of the one-round center
+# report without their evaluation counts, or the error both raise)
+_EXTREMES = [
+    ("one-point sites", 1, 1,
+     "5e1eb11c9f7429c8e7ddcebb924a341f9ec7b104ff14ee2e26437a1c85575de5",
+     "bee39d5fef6bd7fe33ea8cf1533da5a0725a20df98e4483d94428767731f5cca"),
+    ("sites within 2k", 2, 2,
+     "702faf88a17bf39456b8ce07abcff0a411944577603d05a1e5d217c9adc67b46",
+     "71b88a322f068d0a7ada3671e4c7ce6110249d3e3bb99afe2ebf50a2a67875f4"),
+    ("k over distinct points", 4, 1,
+     "b29e74c9a43f8352915d32d773e221ace8d74a4c1c2347a06e661f8e5d326a9a",
+     "5be84a2b6a2e253c8c09c91fffe4a922d10df2dc45a6fc6c6e7f963709467784"),
+    ("matrix mode", 1, 2,
+     "dd5632d7c19ec95379c6fa1dcd70d8ecf5eaad2a7089e4e4b87268c82e923e37",
+     "1e6924041cc1b93d60e88bdee8f70550861f180cfc1eed8273e18fc76bf08631"),
+    ("t = n - 1", 1, 7,
+     "425bfd732f3b8d0c330b39ea7dc4e3051409cb2eeacef6ff03390937feeea42b",
+     "2729a3f9ddffbca51020f795f4d80e07a0c4f8df637c0dc36cc0388fe9f34f1d"),
+    ("t = n", 1, 8, InfeasibleError, InfeasibleError),
+]
+
+
+def _kt_center_site_evals(n, k, t, ti, mode):
+    """A kt-center site of n distinct points: the traversal computes a row
+    for each of its first L - 1 points, and the answer's P centers need
+    a column each. In euclidean mode a row is also its point's column."""
+    L, P = min(k + t, n), min(k + ti, n)
+    return n * (max(L - 1, P) if mode == "euclidean" else L - 1 + P)
+
+
+def _one_round_site_evals(n, copies, k, t, mode):
+    """A one-round center site: the first L = min(2k, n) traversal points
+    are its centers; one column when a lone center takes every copy out."""
+    if t >= copies:
+        return n
+    L = min(2 * k, n)
+    return n * (L if mode == "euclidean" else 2 * L - 1)
+
+
+def _sha_without_evals(rep):
+    sol = rep.solution
+    body = [
+        [int(c) for c in sol.centers],
+        sorted((int(j), int(c)) for j, c in sol.outliers.items()),
+        sorted((int(j), int(c)) for j, c in sol.assignment.items()),
+        float(sol.cost).hex(),
+        [int(b) for b in rep.budgets],
+        rep.ledger.to_records(),
+    ]
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case, k, t, kt_sha, one_sha", _EXTREMES,
+                         ids=[c[0] for c in _EXTREMES])
+def test_center_sites_at_the_extremes(case, k, t, kt_sha, one_sha):
+    """Center sites evaluate exactly the rows and columns their prefix
+    needs, never an n_i x n_i block, and report what they always did."""
+    space, s = _extreme_space(case)
+    part = Partition.round_robin(space, s)
+    if not isinstance(kt_sha, str):
+        with pytest.raises(kt_sha):
+            run_kt_center(part, k, t, seed=2)
+        with pytest.raises(one_sha):
+            run_one_round(part, k, t, objective=Objective.CENTER, seed=2)
+        return
+    sizes = [Instance.from_points(space, pts).n for pts in part.sites]
+    rep = run_kt_center(part, k, t, seed=2)
+    assert _sha_without_evals(rep) == kt_sha
+    assert rep.site_evals == tuple(_kt_center_site_evals(n, k, t, ti, space.mode)
+                                   for n, ti in zip(sizes, rep.budgets))
+    rep = run_one_round(part, k, t, objective=Objective.CENTER, seed=2)
+    assert _sha_without_evals(rep) == one_sha
+    assert rep.site_evals == tuple(
+        _one_round_site_evals(n, len(pts), k, t, space.mode)
+        for n, pts in zip(sizes, part.sites))
 
 
 # ---------------------------------------------------------------------------

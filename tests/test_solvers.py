@@ -32,7 +32,13 @@ from partialclust.errors import (
 )
 from partialclust.solvers import SortedCosts
 
-from helpers import lazy_heap_jv_facility_location, naive_kt_center_outliers, random_instance
+from helpers import (
+    full_gonzalez_order,
+    lazy_heap_jv_facility_location,
+    naive_kt_center_outliers,
+    random_instance,
+    random_points,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +98,73 @@ def test_insertion_marginals(line_space):
     assert insertion_marginals(g, 2, 3) == pytest.approx([2.0, 1.0, 0.0])
     # exhausted traversal yields zero marginals
     assert insertion_marginals(g, 4, 2) == pytest.approx([0.0, 0.0])
+
+
+@st.composite
+def _gonzalez_cases(draw):
+    """A builder of one instance (called twice, so the prefix and the
+    reference each get a fresh one), a prefix length L in 1..n+2 and an
+    outlier budget. Shapes: integer-grid points whose duplicates merge into
+    weights; real points in 2, 3, 8 or 17 dimensions; tentacle demands with
+    collapse offsets, some sharing an anchor; matrix-mode spaces whose
+    entries sit up to 5e-13 off symmetric, so a row is not its column."""
+    shape = draw(st.sampled_from(["grid", "real", "tentacle", "matrix"]))
+    size = draw(st.integers(1, 14))
+    if shape == "real":
+        dim = draw(st.sampled_from([2, 3, 8, 17]))
+        pts = random_points(draw(st.integers(0, 2**16)), size, dim=dim)
+    else:
+        coords = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                               min_size=size, max_size=size))
+        pts = np.array(coords, dtype=float)
+    if shape == "matrix":
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        flags = draw(st.lists(st.booleans(), min_size=size * size,
+                              max_size=size * size))
+        D = D + 5e-13 * np.triu(np.array(flags, dtype=float).reshape(size, size), 1)
+
+        def build():
+            return Instance.from_points(MetricSpace.from_matrix(D))
+    elif shape == "tentacle":
+        anchors = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=10))
+        demands = [Demand((a,), (1.0,), draw(st.sampled_from([0.0, 0.1, 0.5, 1.25])),
+                          draw(st.integers(1, 3))) for a in anchors]
+
+        def build():
+            return Instance(MetricSpace.euclidean(pts), demands, anchors,
+                            payload_kind="tentacle")
+    else:
+        def build():
+            return Instance.from_points(MetricSpace.euclidean(pts))
+    n = build().n
+    return build, draw(st.integers(1, n + 2)), draw(st.integers(0, 3 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_gonzalez_cases())
+def test_gonzalez_prefix_matches_full_traversal(case):
+    build, L, budget = case
+    inst, ref = build(), build()
+    full = full_gonzalez_order(ref)
+    got = gonzalez_order(inst, L)
+    L = min(L, inst.n)
+    assert got.order == full.order[:L]
+    assert got.radii == full.radii[:L - 1]
+    assert inst.counter.count == (L - 1) * inst.n
+
+    # Column costs of the prefix centers are the full matrix's, bit for bit,
+    # and the solution built from them is the full-matrix one.
+    prefix = [inst.demands[j].anchor for j in got.order]
+    centers = sorted(set(prefix))
+    cols = [ref.candidate_column(c) for c in centers]
+    M = ref.cost_matrix(Objective.CENTER)
+    assert inst.cost_columns(Objective.CENTER, centers).tobytes() == M[:, cols].tobytes()
+    sol = solution_from_centers(inst, prefix, Objective.CENTER, budget)
+    want = solution_from_centers(ref, prefix, Objective.CENTER, budget)
+    assert sol.centers == want.centers
+    assert sol.outliers == want.outliers
+    assert sol.assignment == want.assignment
+    assert sol.cost == want.cost
 
 
 def test_gonzalez_prefix_two_approx_spot():

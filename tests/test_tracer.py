@@ -67,6 +67,15 @@ def test_tracer_spans_match_reports(tmp_path, capsys):
     assert m["solvers.jv.probes"] > 0
     assert m["solvers.kt_center_outliers.calls"] > 0
 
+    # The center sites' per-row and per-column blocks are all counted.
+    for alg in (["--alg", "kt-center"], ["--alg", "one-round", "--objective", "center"]):
+        report, m = _traced_solve(
+            tracer, ["solve", "--input", str(pts), "--k", "2", "--t", "3",
+                     "--sites", "2"] + alg, capsys)
+        assert m["metric.block.entries"] == report["evals"]["total"]
+        assert m["solvers.gonzalez_order.calls"] > 0
+        assert m["metric.pair_matrix.calls"] == 0
+
     after = _aliases(tracer)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
