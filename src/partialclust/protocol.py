@@ -532,22 +532,27 @@ def _center_round(site_insts, k, t, rho, jobs, ledger):
     integer budget is already realizable: each site answers with its first
     k + t_i traversal points, whose cost columns in euclidean mode are the
     traversal's own rows, so a site of n_i demands evaluates at most
-    (k + t) * n_i distances (matrix mode reads the columns apart). Returns
-    (allocation, site solutions, site seconds).
+    (k + t) * n_i distances (matrix mode reads the columns apart). Both
+    steps run as site work. Returns (allocation, site solutions, site
+    seconds).
     """
-    def worker(i):
+    def traverse(i):
         gorder = gonzalez_order(site_insts[i], k + t)
         return gorder, insertion_marginals(gorder, k, t)
 
-    results, secs = _run_sites(worker, len(site_insts), jobs)
+    results, secs = _run_sites(traverse, len(site_insts), jobs)
     for i in range(len(site_insts)):
         ledger.add(1, "site->coord", i, "marginals", t)
     alloc, _ = _allocate([m for _, m in results], t, rho, ledger)
-    site_sols = []
-    for inst, (gorder, _), ti in zip(site_insts, results, alloc.t_by_site):
-        prefix = [inst.demands[j].anchor for j in gorder.order[:min(k + ti, inst.n)]]
-        site_sols.append(solution_from_centers(inst, prefix, Objective.CENTER, 0))
-    return alloc, site_sols, secs
+
+    def answer(i):
+        inst, (gorder, _) = site_insts[i], results[i]
+        size = min(k + alloc.t_by_site[i], inst.n)
+        prefix = [inst.demands[j].anchor for j in gorder.order[:size]]
+        return solution_from_centers(inst, prefix, Objective.CENTER, 0)
+
+    site_sols, answer_secs = _run_sites(answer, len(site_insts), jobs)
+    return alloc, site_sols, [a + b for a, b in zip(secs, answer_secs)]
 
 
 def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,

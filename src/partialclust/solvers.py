@@ -337,6 +337,20 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     one-candidate estimate, so every pick, and the result, is bit for bit
     that of a lazy binary heap of (time, index) pairs.
 
+    At ``z = 0`` the run has a closed form, which :func:`_zero_cost_probe`
+    computes without the event loop, bit for bit. Every stored opening time
+    is 0 and every re-estimate is 0 too, since the required excess
+    ``z - frozen`` is never positive. So the candidates open at time 0 in
+    column order, and each one freezes, in index order, the active demands
+    it serves at cost <= 1e-12 (their first such column). If the unconnected
+    weight reaches ``stop_weight`` meanwhile, growth stops at 0 with every
+    dual <= 1e-12: no pair of candidates conflicts, and all opened ones are
+    kept. Otherwise all candidates are open, and the other demands freeze
+    at their cheapest cost in ascending order, batched within the loop's
+    1e-12 relative tolerance and in index order within a batch, up to the
+    stop. Their duals are their cheapest costs, and the duals of those left
+    active at the stop are at most theirs, so again no pair conflicts.
+
     ``table`` is the :class:`SortedCosts` of this instance's
     ``(objective, tau)`` cost matrix; probes of one facility-cost search
     share it. Built here when omitted.
@@ -345,11 +359,13 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
         raise InvalidParameterError("facility cost must be >= 0")
     table = SortedCosts.ensure(table, instance, objective, tau)
     C = table.matrix
+    stop_weight = max(int(stop_weight), 0)
+    if z == 0:
+        return _zero_cost_probe(instance, C, stop_weight)
     n, m = C.shape
     w = instance.weights
     wi = [d.weight for d in instance.demands]
     total = int(sum(wi))
-    stop_weight = max(int(stop_weight), 0)
 
     order, Csort = table.order, table.costs
 
@@ -443,27 +459,108 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
             remaining -= wi[j]
             frozen_base += w[j] * np.maximum(freeze[j] - C[j], 0.0)
 
-    for j in np.where(active)[0]:
-        unprocessed[int(j)] = wi[j]
-    alpha = np.where(np.isinf(freeze), theta, freeze)
+    return _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta)
 
-    kept = []
-    if open_seq:
-        temp = np.array(open_seq, dtype=int)
-        tol = 1e-12 * (1.0 + float(alpha.max()))
+
+def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
+    """A probe's result once growth stops at ``theta``: the demands still
+    active keep their whole weight unprocessed and the dual ``theta``, and
+    a conflict-free subset of the opened candidates, greedy in opening
+    order, survives pruning. Two candidates conflict when some demand's
+    dual exceeds its cost to both by more than 1e-12 relative; with no dual
+    above any cost by that much, all are kept without the conflict matrix.
+    Costs are >= 0, so that holds when every dual is within the tolerance."""
+    for j in np.where(active)[0]:
+        unprocessed[int(j)] = instance.demands[j].weight
+    alpha = np.where(np.isinf(freeze), theta, freeze)
+    temp = np.array(open_seq, dtype=int)
+    kept = range(len(temp))
+    amax = float(alpha.max())
+    tol = 1e-12 * (1.0 + amax)
+    if len(temp) and amax > tol:
         pos = C[:, temp]
         np.subtract(alpha[:, None], pos, out=pos)
-        # Sums of nonnegative 0/1 products: any overlap stays >= 1 in float32.
-        pos = (pos > tol).astype(np.float32)
-        conflict = (pos.T @ pos) > 0
-        for i in range(len(temp)):
-            if not conflict[i, kept].any():
-                kept.append(i)
-        centers = tuple(int(instance.candidates[temp[i]]) for i in kept)
-    else:
-        centers = ()
+        pos = pos > tol
+        if pos.any():
+            # Sums of nonnegative 0/1 products: any overlap stays >= 1 in float32.
+            pos = pos.astype(np.float32)
+            conflict = (pos.T @ pos) > 0
+            kept = []
+            for i in range(len(temp)):
+                if not conflict[i, kept].any():
+                    kept.append(i)
+    cands = instance.candidates
     cert = DualCertificate(alpha, unprocessed, float(theta))
-    return JVResult(centers, tuple(int(instance.candidates[u]) for u in open_seq), cert)
+    return JVResult(tuple(int(cands[temp[i]]) for i in kept),
+                    tuple(int(cands[u]) for u in temp), cert)
+
+
+def _zero_cost_probe(instance, C, stop_weight):
+    """``jv_facility_location`` at ``z = 0``: the event loop's result in
+    closed form (see there). Candidates open in column order; demand j
+    freezes when its first column with cost <= 1e-12 opens, or, once all
+    are open, in the batch of its cheapest cost."""
+    n, m = C.shape
+    wi = np.array([d.weight for d in instance.demands])
+    freeze = np.full(n, np.inf)
+    active = np.ones(n, dtype=bool)
+    unprocessed = {}
+    total = int(wi.sum())
+    if total <= stop_weight:
+        return _jv_result(instance, C, [], freeze, active, unprocessed, 0.0)
+
+    def freeze_until_stop(events, times, batches, remaining):
+        """Freezes demands ``events`` in order at ``times``, in the loop's
+        ``batches``, until the unconnected weight drops from ``remaining``
+        to the stop. Returns the position of the demand the stop came at,
+        or None."""
+        left = remaining - np.cumsum(wi[events])
+        hit = np.flatnonzero(left <= stop_weight)
+        e = int(hit[0]) if hit.size else None
+        done = len(events) if e is None else e + 1
+        if e is not None and left[e] < stop_weight:
+            # Only part of this demand's weight freezes before the stop.
+            unprocessed[int(events[e])] = stop_weight - int(left[e])
+        elif e is not None and done < len(events) and batches[done] == batches[e]:
+            # The stop falls exactly after it; the loop still freezes the
+            # next demand of the batch, with none of its weight.
+            unprocessed[int(events[done])] = int(wi[events[done]])
+            done += 1
+        freeze[events[:done]] = times[:done]
+        active[events[:done]] = False
+        return e
+
+    zero = C <= 1e-12
+    first = np.where(zero.any(axis=1), zero.argmax(axis=1), m)
+    events = np.argsort(first, kind="stable")
+    events = events[first[events] < m]
+    batches = first[events]
+    # The loop connects at the later of the opening time 0 and the cost.
+    times = np.maximum(0.0, C[events, batches])
+    e = freeze_until_stop(events, times, batches, total)
+    if e is not None:
+        opened = int(batches[e]) + 1
+        return _jv_result(instance, C, range(opened), freeze, active, unprocessed, 0.0)
+
+    # Every candidate is open: the rest freeze at their cheapest cost.
+    rest = np.flatnonzero(first == m)
+    low = C[rest].min(axis=1)
+    by_cost = np.argsort(low, kind="stable")
+    rest, low = rest[by_cost], low[by_cost]
+    batches = np.empty(len(rest), dtype=int)
+    thetas = []
+    i = 0
+    while i < len(rest):
+        theta = float(low[i])
+        end = int(np.searchsorted(low, theta + 1e-12 * (1.0 + theta), side="right"))
+        batches[i:end] = len(thetas)
+        thetas.append(theta)
+        i = end
+    in_batch = np.lexsort((rest, batches))
+    e = freeze_until_stop(rest[in_batch], low[in_batch], batches[in_batch],
+                          int(wi[rest].sum()))
+    theta = thetas[batches[in_batch[e]]]
+    return _jv_result(instance, C, range(m), freeze, active, unprocessed, theta)
 
 
 # ---------------------------------------------------------------------------

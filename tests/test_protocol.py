@@ -424,6 +424,66 @@ def test_center_sites_at_the_extremes(case, k, t, kt_sha, one_sha):
         for n, pts in zip(sizes, part.sites))
 
 
+def _sum_extreme_space(case):
+    if case == "matrix zeros":
+        # Distinct points at distance 0: rows differ, so none merge.
+        x = np.rint(random_points(8, 9, dim=1)[:, 0])
+        D = np.abs(x[:, None] - x[None, :])
+        for a, b in [(0, 3), (1, 4), (2, 7), (5, 6)]:
+            D[a, b] = D[b, a] = 0.0
+        return MetricSpace.from_matrix(D), 2
+    return _extreme_space(case)
+
+
+_SUM_RUNNERS = {
+    "kt-median": lambda part, k, t: run_kt_median(part, k, t, seed=2),
+    "kt-median-co": lambda part, k, t: run_kt_median_clustering_only(part, k, t, seed=2),
+    "one-round": lambda part, k, t: run_one_round(part, k, t, seed=2),
+}
+
+# (case, k, t, the error each of kt-median, kt-median-co and one-round
+# median raises, or None when it answers)
+_SUM_EXTREMES = [
+    ("one-point sites", 1, 1, (None, None, None)),
+    ("k over distinct points", 4, 1, (None, None, None)),
+    # The clustering-only coordinator holds only the 2 copies the sites
+    # keep, which cannot absorb t = 7 more.
+    ("t = n - 1", 1, 7, (None, InfeasibleError, None)),
+    ("matrix zeros", 2, 2, (None, None, None)),
+    ("t = n", 1, 8, (InfeasibleError,) * 3),
+]
+
+
+@pytest.mark.parametrize("case, k, t, errors", _SUM_EXTREMES,
+                         ids=[c[0] for c in _SUM_EXTREMES])
+def test_sum_protocols_at_the_extremes(case, k, t, errors):
+    """Each sum-objective runner either raises its typed error or ignores
+    no more than its bound, reports the cost its solution has, and is never
+    cheaper than the optimum with as many copies ignored. Every
+    facility-cost search starts with a z = 0 probe, and on these inputs
+    many stop there."""
+    space, s = _sum_extreme_space(case)
+    part = Partition.round_robin(space, s)
+    points = Instance.from_points(space, merge_duplicates=False)
+    for (name, run), error in zip(_SUM_RUNNERS.items(), errors):
+        if error is not None:
+            with pytest.raises(error):
+                run(part, k, t)
+            continue
+        rep = run(part, k, t)
+        sol = rep.solution
+        if name == "kt-median-co":
+            assert sol.total_excluded == rep.extras["total_ignored"]
+            assert sol.total_excluded <= (2 + 1.0 + 0.25) * t + 1e-9
+        else:
+            assert sol.total_excluded <= 2 * t
+        assert len(sol.centers) <= k
+        assert instance_cost(points, sol, Objective.MEDIAN) == pytest.approx(sol.cost)
+        opt = exact_oracle(Instance.from_points(space), k, sol.total_excluded,
+                           Objective.MEDIAN)
+        assert sol.cost >= opt.cost - 1e-9 * (1.0 + opt.cost)
+
+
 # ---------------------------------------------------------------------------
 # sequential subquadratic solver
 

@@ -24,13 +24,15 @@ from partialclust import (
     pad_centers,
     solution_from_centers,
 )
-from partialclust.cli import gen_planted
+from partialclust.cli import gen_planted, gen_uncertain_planted
 from partialclust.errors import (
     InfeasibleError,
     InvalidParameterError,
     OracleSizeLimitError,
 )
+from partialclust.metric import extremes
 from partialclust.solvers import SortedCosts
+from partialclust.uncertain import one_median, tau_grid
 
 from helpers import (
     full_gonzalez_order,
@@ -430,15 +432,58 @@ _JV_BURST_GOLDEN = [
     ((1, Objective.MEANS, "0x1.1179d93afdd78p+9", 2),
      ((290, 171, 179, 227, 343), (290, 171, 179, 227, 343),
       "48f614de4774d870", ((373, 1), (374, 1)), "0x1.683f11c77fa36p+3")),
+] + [
+    # Recorded from the event loop at z = 0. Every site demand freezes at 0
+    # on its own candidate, so the probe stops before the last candidates
+    # open and alpha is all zeros.
+    ((seed, objective, "0x0.0p+0", stop_weight),
+     (tuple(range(375 - stop_weight)), tuple(range(375 - stop_weight)),
+      "c81ca5eda5947c78", tuple((j, 1) for j in range(375 - stop_weight, 375)),
+      "0x0.0p+0"))
+    for seed in (0, 1) for objective in (Objective.MEDIAN, Objective.MEANS)
+    for stop_weight in (0, 10)
+] + [
+    # Recorded from the event loop at z = 0 on a center-g site: 53 of its 60
+    # nodes cost 0 at some candidate and freeze as the candidates open, which
+    # leaves 7 copies for a stop at 4. So all 51 candidates open, and 3 more
+    # nodes freeze at their cheapest cost, the last at theta = 0.103.
+    ((("center-g", 0, 10), Objective.MEDIAN, "0x0.0p+0", 4),
+     ((2, 6, 7, 11, 14, 16, 18, 20, 22, 25, 30, 34, 35, 44, 49, 55, 57, 60, 61, 68,
+       69, 70, 71, 72, 74, 76, 77, 79, 81, 85, 88, 90, 95, 96, 101, 105, 106, 110,
+       111, 120, 126, 131, 147, 155, 160, 173, 176, 177, 186, 234, 236),
+      (2, 6, 7, 11, 14, 16, 18, 20, 22, 25, 30, 34, 35, 44, 49, 55, 57, 60, 61, 68,
+       69, 70, 71, 72, 74, 76, 77, 79, 81, 85, 88, 90, 95, 96, 101, 105, 106, 110,
+       111, 120, 126, 131, 147, 155, 160, 173, 176, 177, 186, 234, 236),
+      "f85dd2296b1ec1a8", ((43, 1), (52, 1), (58, 1), (59, 1)), "0x1.a5efe4e4739a7p-4")),
 ]
+
+
+def _burst_instance(source):
+    """(instance, tau) of a burst pin. An int is the seed of a planted
+    median-large input, split round-robin over 4 sites, whose first site is
+    taken. ("center-g", seed, level) is the first of two round-robin sites
+    of the centerg-threads input of that seed: its uncertain nodes as
+    multi-support demands, their 1-medians as candidates, and the duals'
+    truncation 2 tau at that level of the tau grid, as the center-g sites
+    probe it."""
+    if isinstance(source, int):
+        site = gen_planted(1500, 5, 10, seed=source)[0::4]
+        return Instance.from_points(MetricSpace.euclidean(site)), 0.0
+    _, seed, level = source
+    universe, nodes = gen_uncertain_planted(120, 3, 4, seed=seed)
+    space = MetricSpace.euclidean(universe)
+    site = nodes[0::2]
+    demands = [Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,)) for nd in site]
+    cands = [one_median(space, nd, Objective.MEDIAN).point for nd in site]
+    return Instance(space, demands, cands), 2.0 * tau_grid(*extremes(space)[:2]).taus[level]
 
 
 @pytest.mark.parametrize("probe,pin", _JV_BURST_GOLDEN)
 def test_jv_burst_golden_pins(probe, pin):
-    seed, objective, z, stop_weight = probe
-    site = gen_planted(1500, 5, 10, seed=seed)[0::4]
-    inst = Instance.from_points(MetricSpace.euclidean(site))
-    res = jv_facility_location(inst, float.fromhex(z), objective, stop_weight=stop_weight)
+    source, objective, z, stop_weight = probe
+    inst, tau = _burst_instance(source)
+    res = jv_facility_location(inst, float.fromhex(z), objective, tau,
+                               stop_weight=stop_weight)
     assert _jv_pin(res) == pin
 
 
@@ -465,21 +510,64 @@ def test_jv_shared_table_matches_own_table(coords, zs, objective, tau, stop_frac
         assert shared.certificate.stop_time == own.certificate.stop_time
 
 
+def _zero_cost_stops(inst, objective, tau):
+    """Stop weights a z = 0 probe reaches exactly: the unconnected weight
+    left after each freeze while candidates still open, and after each
+    freeze with more of its batch to come. At z = 0 the candidates open at
+    time 0 in column order, each freezing the active demands it serves at
+    cost <= 1e-12; once all are open, the rest freeze in ascending order of
+    their cheapest cost, within 1e-12 relative of the batch's first. A
+    batch freezes in index order."""
+    C = inst.cost_matrix(objective, tau)
+    n, m = C.shape
+    zero = C <= 1e-12
+    batch = np.where(zero.any(axis=1), zero.argmax(axis=1), m)
+    low = C.min(axis=1)
+    late = np.flatnonzero(batch == m)
+    late = late[np.argsort(low[late], kind="stable")]
+    first, label = None, m
+    for j in late:
+        if first is None or low[j] > low[first] + 1e-12 * (1.0 + low[first]):
+            first, label = j, label + 1
+        batch[j] = label
+    order = np.lexsort((np.arange(n), batch))
+    left = [int(r) for r in inst.total_weight - np.cumsum(inst.weights[order])]
+    early = [r for r, a in zip(left, batch[order]) if a < m]
+    mid = [r for r, a, b in zip(left, batch[order], batch[order][1:]) if a == b]
+    return early, mid
+
+
 @st.composite
-def _jv_cases(draw):
-    """(instance, z, objective, tau, stop_weight) for one probe: integer-grid
-    points whose duplicates merge into weights (tied opening times), or
-    weighted multi-support demands with collapse offsets under tau > 0; up to
-    48 candidates, so one search can run past a batch of estimates; z at
-    either end of the facility-cost bracket or anywhere between."""
+def _jv_cases(draw, zero=False):
+    """(instance, z, objective, tau, stop_weight) for one probe, in three
+    shapes: integer-grid points whose duplicates merge into weights (tied
+    opening times); matrix-mode spaces of the same points in which some
+    pairs of distinct points sit at distance 0 or 1e-13 (coordinates cannot
+    give this, since coinciding points merge); weighted multi-support
+    demands with collapse offsets under tau > 0, some at cost 0 on a
+    candidate and some 1e-13 apart, inside the freeze batches' tolerance.
+    Up to 48 candidates, so one search can run past a batch of estimates;
+    z at either end of the facility-cost bracket or anywhere between. With
+    ``zero`` z is 0, and the stop weight is often one the probe reaches
+    exactly (:func:`_zero_cost_stops`)."""
+    shape = draw(st.sampled_from(["grid", "matrix", "support"]))
     size = draw(st.integers(1, 48))
     coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
                            min_size=size, max_size=size))
     pts = np.array(coords, dtype=float)
     objective = draw(st.sampled_from([Objective.MEDIAN, Objective.MEANS]))
-    if draw(st.booleans()):
+    tau = 0.0
+    if shape == "grid":
         inst = Instance.from_points(MetricSpace.euclidean(pts))
-        tau = 0.0
+    elif shape == "matrix":
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        for a, b, v in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                               st.integers(0, size - 1),
+                                               st.sampled_from([0.0, 1e-13])),
+                                     max_size=12)):
+            if a != b:
+                D[a, b] = D[b, a] = v
+        inst = Instance.from_points(MetricSpace.from_matrix(D))
     else:
         n = len(coords)
         demands = []
@@ -489,12 +577,17 @@ def _jv_cases(draw):
             raw = draw(st.lists(st.integers(1, 4), min_size=len(support),
                                 max_size=len(support)))
             demands.append(Demand(tuple(support), tuple(r / sum(raw) for r in raw),
-                                  draw(st.sampled_from([0.0, 0.5, 1.25])),
+                                  draw(st.sampled_from([0.0, 0.5, 0.5 + 1e-13, 1.25])),
                                   draw(st.integers(1, 4))))
         cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         inst = Instance(MetricSpace.euclidean(pts), demands, cands)
         tau = draw(st.sampled_from([0.5, 1.5]))
-    z_hi = inst.total_weight * float(inst.cost_matrix(objective, tau).max()) + 1.0
+    W = inst.total_weight
+    if zero:
+        stops = [st.integers(0, W)]
+        stops += [st.sampled_from(ws) for ws in _zero_cost_stops(inst, objective, tau) if ws]
+        return inst, 0.0, objective, tau, draw(st.one_of(stops))
+    z_hi = W * float(inst.cost_matrix(objective, tau).max()) + 1.0
     # At z = 1 (or 2) every grid candidate with unit-distance neighbours
     # opens at the same time up to rounding; a nudge near the 1e-12
     # staleness tolerance then decides which stored times count as fresh.
@@ -503,14 +596,10 @@ def _jv_cases(draw):
                        st.builds(lambda a, b: a + b, st.sampled_from([1.0, 2.0]),
                                  st.sampled_from([1e-14, 1e-13, 5e-13, 2e-12])),
                        st.floats(0.0, z_hi)))
-    stop_weight = draw(st.integers(0, inst.total_weight - 1))
-    return inst, z, objective, tau, stop_weight
+    return inst, z, objective, tau, draw(st.integers(0, W - 1))
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_jv_cases())
-def test_jv_matches_lazy_heap_probe(case):
-    inst, z, objective, tau, stop_weight = case
+def _assert_matches_lazy_heap(inst, z, objective, tau, stop_weight):
     fast = jv_facility_location(inst, z, objective, tau, stop_weight)
     slow = lazy_heap_jv_facility_location(inst, z, objective, tau, stop_weight)
     assert fast.centers == slow.centers
@@ -518,6 +607,18 @@ def test_jv_matches_lazy_heap_probe(case):
     assert fast.certificate.alpha.tobytes() == slow.certificate.alpha.tobytes()
     assert fast.certificate.unprocessed == slow.certificate.unprocessed
     assert fast.certificate.stop_time == slow.certificate.stop_time
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_jv_cases())
+def test_jv_matches_lazy_heap_probe(case):
+    _assert_matches_lazy_heap(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_jv_cases(zero=True))
+def test_jv_zero_matches_lazy_heap_probe(case):
+    _assert_matches_lazy_heap(*case)
 
 
 def test_jv_rejects_table_of_another_matrix():
