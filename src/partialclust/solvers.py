@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -258,13 +258,20 @@ class SortedCosts:
     probe on it. Row ``u`` of each array belongs to candidate column ``u``:
     ``order[u]`` lists the demands by ascending cost to ``u`` (stable),
     ``costs[u]`` those costs, and ``cum_w[u]`` / ``cum_wc[u]`` the running
-    sums of weight and of weight times cost along that order."""
+    sums of weight and of weight times cost along that order.
+
+    ``runs`` caches the probes' runs by facility cost (see
+    :func:`jv_facility_location`): a probe at a cost already run reads its
+    result off that run when the run went far enough, and otherwise runs
+    again and replaces it. A table is filled by the thread that probes it
+    and must not be shared between threads."""
 
     matrix: np.ndarray
     order: np.ndarray
     costs: np.ndarray
     cum_w: np.ndarray
     cum_wc: np.ndarray
+    runs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, instance, objective, tau=0.0):
@@ -315,6 +322,25 @@ class SortedCosts:
         return np.maximum(times, 0.0)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """The events of one primal-dual run, in order. The run takes steps;
+    each sets the level ``thetas[step]``, may open one candidate, and then
+    freezes a batch of demands. ``frozen`` lists the demands in the order
+    they froze, with their freeze ``times`` and ``steps``; ``opened`` lists
+    the candidate columns in the order they opened, with their ``opened_at``
+    steps. ``floor`` is the least stop weight the run answers: the
+    unconnected weight it stopped at, or 0 when growth could go no further."""
+
+    frozen: np.ndarray
+    times: np.ndarray
+    steps: np.ndarray
+    thetas: np.ndarray
+    opened: np.ndarray
+    opened_at: np.ndarray
+    floor: int
+
+
 def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=None):
     """Primal-dual facility location with uniform opening cost ``z``.
 
@@ -324,6 +350,40 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     weight drops to ``stop_weight`` — those copies are the unprocessed
     outliers. A conflict-free subset of the opened facilities (greedy by
     opening time) survives pruning.
+
+    The probe is a run and a cut. The run (:func:`_event_run`, or
+    :func:`_zero_cost_run` at ``z = 0``) records every opening and every
+    freeze, a whole freeze batch at a time, until the unconnected weight is
+    at most ``stop_weight`` after a batch. ``stop_weight`` enters only that
+    test, so the run with a smaller stop weight has the same events up to
+    there. :func:`_cut` then stops the run where the loop would have
+    stopped and builds the result. So one run at ``z`` answers every stop
+    weight down to the weight it ran to, and the table keeps it in
+    ``table.runs``: a probe at a facility cost already run (every q of a
+    site's bisection starts from the same costs) reuses that run if it
+    went far enough, or runs again and replaces it.
+
+    ``table`` is the :class:`SortedCosts` of this instance's
+    ``(objective, tau)`` cost matrix; probes of one facility-cost search,
+    and of a site's whole q grid, share it. Built here when omitted.
+    """
+    if z < 0:
+        raise InvalidParameterError("facility cost must be >= 0")
+    table = SortedCosts.ensure(table, instance, objective, tau)
+    stop_weight = max(int(stop_weight), 0)
+    run = table.runs.get(z)
+    if run is None or stop_weight < run.floor:
+        if z == 0:
+            run = _zero_cost_run(instance, table.matrix)
+        else:
+            run = _event_run(instance, table, z, stop_weight)
+        table.runs[z] = run
+    return _cut(instance, table.matrix, run, stop_weight)
+
+
+def _event_run(instance, table, z, stop_weight):
+    """The primal-dual event loop at ``z > 0``, up to the end of the first
+    freeze batch that leaves at most ``stop_weight`` unconnected.
 
     ``key`` holds one stored opening time per candidate (inf once it
     opens). Each is a lower bound, since freezing demands only delays an
@@ -336,47 +396,21 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     their estimate stored. Each batch row does the float operations of a
     one-candidate estimate, so every pick, and the result, is bit for bit
     that of a lazy binary heap of (time, index) pairs.
-
-    At ``z = 0`` the run has a closed form, which :func:`_zero_cost_probe`
-    computes without the event loop, bit for bit. Every stored opening time
-    is 0 and every re-estimate is 0 too, since the required excess
-    ``z - frozen`` is never positive. So the candidates open at time 0 in
-    column order, and each one freezes, in index order, the active demands
-    it serves at cost <= 1e-12 (their first such column). If the unconnected
-    weight reaches ``stop_weight`` meanwhile, growth stops at 0 with every
-    dual <= 1e-12: no pair of candidates conflicts, and all opened ones are
-    kept. Otherwise all candidates are open, and the other demands freeze
-    at their cheapest cost in ascending order, batched within the loop's
-    1e-12 relative tolerance and in index order within a batch, up to the
-    stop. Their duals are their cheapest costs, and the duals of those left
-    active at the stop are at most theirs, so again no pair conflicts.
-
-    ``table`` is the :class:`SortedCosts` of this instance's
-    ``(objective, tau)`` cost matrix; probes of one facility-cost search
-    share it. Built here when omitted.
     """
-    if z < 0:
-        raise InvalidParameterError("facility cost must be >= 0")
-    table = SortedCosts.ensure(table, instance, objective, tau)
     C = table.matrix
-    stop_weight = max(int(stop_weight), 0)
-    if z == 0:
-        return _zero_cost_probe(instance, C, stop_weight)
     n, m = C.shape
     w = instance.weights
-    wi = [d.weight for d in instance.demands]
-    total = int(sum(wi))
-
+    wi = w.astype(int)
     order, Csort = table.order, table.costs
 
     active = np.ones(n, dtype=bool)
-    freeze = np.full(n, np.inf)
     frozen_base = np.zeros(m)
     open_time = np.full(m, np.inf)
     open_seq = []
+    opened_at = []
     minopen = np.full(n, np.inf)
-    remaining = total
-    unprocessed = {}
+    frozen, times, steps, thetas = [], [], [], []
+    remaining = int(wi.sum())
     theta = 0.0
 
     def estimates(us):
@@ -426,12 +460,9 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
                 continue
             return max(tu, theta), u
 
-    stopped = False
-    while remaining > stop_weight and not stopped:
-        act_idx = np.where(active)[0]
-        if act_idx.size == 0:
-            break
-        t_freeze = float(minopen[act_idx].min()) if open_seq else np.inf
+    # ``remaining`` is the weight of the active demands, so some are active.
+    while remaining > stop_weight:
+        t_freeze = float(minopen[active].min()) if open_seq else np.inf
         t_open, u_next = next_opening()
         if math.isinf(t_open) and math.isinf(t_freeze):
             break  # pragma: no cover - no facility can ever open
@@ -440,26 +471,102 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
             key[u_next] = np.inf
             open_time[u_next] = theta
             open_seq.append(u_next)
+            opened_at.append(len(thetas))
             np.minimum(minopen, C[:, u_next], out=minopen)
         else:
             theta = t_freeze
         batch = np.where(active & (minopen <= theta + 1e-12 * (1.0 + theta)))[0]
         cols = np.array(open_seq, dtype=int)
         connect = np.maximum(open_time[cols], C[batch[:, None], cols]).min(axis=1)
+        active[batch] = False
         for j, tj in zip(batch, connect):
-            freeze[j] = tj
-            active[j] = False
-            if remaining - wi[j] < stop_weight:
-                frozen_copies = remaining - stop_weight
-                if frozen_copies < wi[j]:
-                    unprocessed[int(j)] = wi[j] - frozen_copies
-                remaining = stop_weight
-                stopped = True
-                break
-            remaining -= wi[j]
-            frozen_base += w[j] * np.maximum(freeze[j] - C[j], 0.0)
+            frozen_base += w[j] * np.maximum(tj - C[j], 0.0)
+        frozen.extend(batch.tolist())
+        times.extend(connect.tolist())
+        steps.extend([len(thetas)] * len(batch))
+        thetas.append(theta)
+        remaining -= int(wi[batch].sum())
 
-    return _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta)
+    return _Run(np.array(frozen, dtype=int), np.array(times), np.array(steps, dtype=int),
+                np.array(thetas), np.array(open_seq, dtype=int),
+                np.array(opened_at, dtype=int),
+                remaining if remaining <= stop_weight else 0)
+
+
+def _zero_cost_run(instance, C):
+    """The event loop's run at ``z = 0`` in closed form, to its end.
+
+    Every stored opening time is 0 and every re-estimate is 0 too, since
+    the required excess ``z - frozen`` is never positive. So candidate u
+    opens at level 0 in step u, and freezes the active demands whose first
+    column with cost <= 1e-12 it is, in index order, each at the later of
+    0 and that cost. Once all m are open, the other demands freeze at their
+    cheapest cost in ascending order, in steps m, m + 1, ... that batch
+    costs within the loop's 1e-12 relative tolerance of the step's first,
+    in index order within a step."""
+    n, m = C.shape
+    zero = C <= 1e-12
+    first = np.where(zero.any(axis=1), zero.argmax(axis=1), m)
+    early = np.argsort(first, kind="stable")
+    early = early[first[early] < m]
+    rest = np.flatnonzero(first == m)
+    low = C[rest].min(axis=1)
+    by_cost = np.argsort(low, kind="stable")
+    rest, low = rest[by_cost], low[by_cost]
+    batches = np.empty(len(rest), dtype=int)
+    thetas = [0.0] * m
+    i = 0
+    while i < len(rest):
+        theta = float(low[i])
+        end = int(np.searchsorted(low, theta + 1e-12 * (1.0 + theta), side="right"))
+        batches[i:end] = len(thetas)
+        thetas.append(theta)
+        i = end
+    in_batch = np.lexsort((rest, batches))
+    cols = np.arange(m)
+    return _Run(np.concatenate([early, rest[in_batch]]),
+                np.concatenate([np.maximum(0.0, C[early, first[early]]), low[in_batch]]),
+                np.concatenate([first[early], batches[in_batch]]),
+                np.array(thetas), cols, cols, 0)
+
+
+def _cut(instance, C, run, stop_weight):
+    """The probe's result at ``stop_weight``, read off ``run``.
+
+    Growth stops at the first freeze that leaves at most ``stop_weight``
+    unconnected. When it leaves less, only part of that demand's weight
+    froze before the stop, and the rest is unprocessed. When it leaves
+    exactly ``stop_weight`` and more of its batch is to come, the loop still
+    freezes the next demand of the batch, with all its weight unprocessed.
+    The level is that of the stop's step, and the candidates opened up to
+    that step are open. With no stop in the run, it ran to its end."""
+    wi = np.array([d.weight for d in instance.demands])
+    n = len(wi)
+    freeze = np.full(n, np.inf)
+    active = np.ones(n, dtype=bool)
+    unprocessed = {}
+    total = int(wi.sum())
+    if total <= stop_weight:
+        return _jv_result(instance, C, [], freeze, active, unprocessed, 0.0)
+    left = total - np.cumsum(wi[run.frozen])
+    hit = np.flatnonzero(left <= stop_weight)
+    if hit.size:
+        e = int(hit[0])
+        done = e + 1
+        step = int(run.steps[e])
+        if left[e] < stop_weight:
+            unprocessed[int(run.frozen[e])] = stop_weight - int(left[e])
+        elif done < len(left) and run.steps[done] == step:
+            unprocessed[int(run.frozen[done])] = int(wi[run.frozen[done]])
+            done += 1
+    else:  # pragma: no cover - growth ended before the stop
+        done = len(left)
+        step = len(run.thetas) - 1
+    freeze[run.frozen[:done]] = run.times[:done]
+    active[run.frozen[:done]] = False
+    theta = float(run.thetas[step]) if step >= 0 else 0.0
+    opened = run.opened[:int(np.searchsorted(run.opened_at, step, side="right"))]
+    return _jv_result(instance, C, opened, freeze, active, unprocessed, theta)
 
 
 def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
@@ -469,7 +576,9 @@ def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
     order, survives pruning. Two candidates conflict when some demand's
     dual exceeds its cost to both by more than 1e-12 relative; with no dual
     above any cost by that much, all are kept without the conflict matrix.
-    Costs are >= 0, so that holds when every dual is within the tolerance."""
+    Costs are >= 0, so that holds when every dual is within the tolerance,
+    as at ``z = 0``: a frozen demand's dual is its cheapest open cost, and
+    an active one's level is at most that."""
     for j in np.where(active)[0]:
         unprocessed[int(j)] = instance.demands[j].weight
     alpha = np.where(np.isinf(freeze), theta, freeze)
@@ -493,74 +602,6 @@ def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
     cert = DualCertificate(alpha, unprocessed, float(theta))
     return JVResult(tuple(int(cands[temp[i]]) for i in kept),
                     tuple(int(cands[u]) for u in temp), cert)
-
-
-def _zero_cost_probe(instance, C, stop_weight):
-    """``jv_facility_location`` at ``z = 0``: the event loop's result in
-    closed form (see there). Candidates open in column order; demand j
-    freezes when its first column with cost <= 1e-12 opens, or, once all
-    are open, in the batch of its cheapest cost."""
-    n, m = C.shape
-    wi = np.array([d.weight for d in instance.demands])
-    freeze = np.full(n, np.inf)
-    active = np.ones(n, dtype=bool)
-    unprocessed = {}
-    total = int(wi.sum())
-    if total <= stop_weight:
-        return _jv_result(instance, C, [], freeze, active, unprocessed, 0.0)
-
-    def freeze_until_stop(events, times, batches, remaining):
-        """Freezes demands ``events`` in order at ``times``, in the loop's
-        ``batches``, until the unconnected weight drops from ``remaining``
-        to the stop. Returns the position of the demand the stop came at,
-        or None."""
-        left = remaining - np.cumsum(wi[events])
-        hit = np.flatnonzero(left <= stop_weight)
-        e = int(hit[0]) if hit.size else None
-        done = len(events) if e is None else e + 1
-        if e is not None and left[e] < stop_weight:
-            # Only part of this demand's weight freezes before the stop.
-            unprocessed[int(events[e])] = stop_weight - int(left[e])
-        elif e is not None and done < len(events) and batches[done] == batches[e]:
-            # The stop falls exactly after it; the loop still freezes the
-            # next demand of the batch, with none of its weight.
-            unprocessed[int(events[done])] = int(wi[events[done]])
-            done += 1
-        freeze[events[:done]] = times[:done]
-        active[events[:done]] = False
-        return e
-
-    zero = C <= 1e-12
-    first = np.where(zero.any(axis=1), zero.argmax(axis=1), m)
-    events = np.argsort(first, kind="stable")
-    events = events[first[events] < m]
-    batches = first[events]
-    # The loop connects at the later of the opening time 0 and the cost.
-    times = np.maximum(0.0, C[events, batches])
-    e = freeze_until_stop(events, times, batches, total)
-    if e is not None:
-        opened = int(batches[e]) + 1
-        return _jv_result(instance, C, range(opened), freeze, active, unprocessed, 0.0)
-
-    # Every candidate is open: the rest freeze at their cheapest cost.
-    rest = np.flatnonzero(first == m)
-    low = C[rest].min(axis=1)
-    by_cost = np.argsort(low, kind="stable")
-    rest, low = rest[by_cost], low[by_cost]
-    batches = np.empty(len(rest), dtype=int)
-    thetas = []
-    i = 0
-    while i < len(rest):
-        theta = float(low[i])
-        end = int(np.searchsorted(low, theta + 1e-12 * (1.0 + theta), side="right"))
-        batches[i:end] = len(thetas)
-        thetas.append(theta)
-        i = end
-    in_batch = np.lexsort((rest, batches))
-    e = freeze_until_stop(rest[in_batch], low[in_batch], batches[in_batch],
-                          int(wi[rest].sum()))
-    theta = thetas[batches[in_batch[e]]]
-    return _jv_result(instance, C, range(m), freeze, active, unprocessed, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -720,17 +761,20 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     return min(candidates, key=_rank_key)
 
 
-def bicriteria_truncated_center(instance, k, t, tau, cfg=None, seed=0):
-    """Truncated-objective preclustering: duals grow against costs capped at
-    ``tau``; the returned assignment and cost use the 3x-looser truncation
-    (9 tau under relax="outliers", 3 tau under relax="centers"), matching the
-    hop count of the rounding argument."""
+def bicriteria_truncated_center(instance, k, t, tau, cfg=None, seed=0, table=None):
+    """Truncated-objective preclustering: duals grow against costs truncated
+    at ``tau`` (max(d - tau, 0)); the returned assignment and cost use the
+    3x-looser truncation (9 tau under relax="outliers", 3 tau under
+    relax="centers"), matching the hop count of the rounding argument.
+    ``table`` is the
+    :class:`SortedCosts` of the median cost matrix at ``tau``, as in
+    :func:`bicriteria_median`."""
     cfg = cfg or BicriteriaConfig()
     if tau < 0:
         raise InvalidParameterError("tau must be >= 0")
     factor = 9.0 if cfg.relax == "outliers" else 3.0
     return bicriteria_median(instance, k, t, cfg, Objective.MEDIAN, seed,
-                             tau=tau, report_tau=factor * tau)
+                             tau=tau, report_tau=factor * tau, table=table)
 
 
 # ---------------------------------------------------------------------------

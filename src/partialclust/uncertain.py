@@ -45,6 +45,7 @@ from .protocol import (
 )
 from .solvers import (
     BicriteriaConfig,
+    SortedCosts,
     bicriteria_truncated_center,
     pad_centers,
     solution_from_centers,
@@ -274,17 +275,21 @@ def tau_grid(d_min, d_max):
     return TauGrid(tuple(2.0 ** i * d_min / 18.0 for i in range(top + 1)))
 
 
-def _truncated_local(inst, k, q, tau, seed):
+def _truncated_local(inst, k, q, tau, seed, table=None):
     """sol(A_i, 2k, q) under the truncated surrogate: duals grow against
-    expected distances capped at 2 tau, the result is assigned and measured
-    at 6 tau."""
+    expected distances truncated at 2 tau (max(d - 2 tau, 0)), and the
+    result, padded to 2k centers, is assigned and measured at 6 tau. A
+    budget that covers every copy keeps one center and excludes them all.
+    ``table`` is the level's shared :class:`SortedCosts` of the 2 tau
+    matrix, if any."""
     cap = inst.total_weight
     qq = min(int(q), cap)
     if qq >= cap:
         lone = [int(inst.candidates[0])]
         return solution_from_centers(inst, lone, Objective.MEDIAN, qq, tau=6.0 * tau)
     cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
-    sol = bicriteria_truncated_center(inst, k, qq, 2.0 * tau, cfg, seed=seed)
+    sol = bicriteria_truncated_center(inst, k, qq, 2.0 * tau, cfg, seed=seed,
+                                      table=table)
     return pad_centers(inst, sol, 2 * k, Objective.MEDIAN, qq, tau=6.0 * tau)
 
 
@@ -325,12 +330,19 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
         inst = Instance(space, demands, [s.point for s in summaries],
                         counter=counter, payload_kind="node")
         qs = geometric_index_set(t, 2.0)
+
+        def level(ti, tau):
+            # One sorted-cost table serves the level's q grid, so its
+            # facility-cost searches share their runs. With more than k
+            # candidates the q = 0 solve reads this cost matrix anyway.
+            table = None
+            if len(inst.candidates) > k:
+                table = SortedCosts.build(inst, Objective.MEDIAN, 2.0 * tau)
+            return _site_curve(i, qs, lambda qi, q: _truncated_local(
+                inst, k, q, tau, seed=(seed, 41, i, ti, qi), table=table))
+
         # (solutions by q, curve) per threshold
-        return inst, [
-            _site_curve(i, qs, lambda qi, q: _truncated_local(
-                inst, k, q, tau, seed=(seed, 41, i, ti, qi)))
-            for ti, tau in enumerate(grid.taus)
-        ]
+        return inst, [level(ti, tau) for ti, tau in enumerate(grid.taus)]
 
     prep, secs = _run_sites(site_phase, npartition.n_sites, jobs)
     site_insts = [inst for inst, _ in prep]

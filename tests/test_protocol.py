@@ -436,13 +436,14 @@ def _sum_extreme_space(case):
 
 
 _SUM_RUNNERS = {
-    "kt-median": lambda part, k, t: run_kt_median(part, k, t, seed=2),
-    "kt-median-co": lambda part, k, t: run_kt_median_clustering_only(part, k, t, seed=2),
-    "one-round": lambda part, k, t: run_one_round(part, k, t, seed=2),
+    "kt-median": lambda part, k, t, obj: run_kt_median(part, k, t, objective=obj, seed=2),
+    "kt-median-co": lambda part, k, t, obj: run_kt_median_clustering_only(
+        part, k, t, objective=obj, seed=2),
+    "one-round": lambda part, k, t, obj: run_one_round(part, k, t, objective=obj, seed=2),
 }
 
 # (case, k, t, the error each of kt-median, kt-median-co and one-round
-# median raises, or None when it answers)
+# raises under either objective, or None when it answers)
 _SUM_EXTREMES = [
     ("one-point sites", 1, 1, (None, None, None)),
     ("k over distinct points", 4, 1, (None, None, None)),
@@ -454,23 +455,25 @@ _SUM_EXTREMES = [
 ]
 
 
-@pytest.mark.parametrize("case, k, t, errors", _SUM_EXTREMES,
-                         ids=[c[0] for c in _SUM_EXTREMES])
-def test_sum_protocols_at_the_extremes(case, k, t, errors):
+@pytest.mark.parametrize(
+    "case, k, t, errors, objective",
+    [(*c, obj) for obj in (Objective.MEDIAN, Objective.MEANS) for c in _SUM_EXTREMES],
+    ids=[c[0] + suffix for suffix in ("", ", means") for c in _SUM_EXTREMES])
+def test_sum_protocols_at_the_extremes(case, k, t, errors, objective):
     """Each sum-objective runner either raises its typed error or ignores
     no more than its bound, reports the cost its solution has, and is never
-    cheaper than the optimum with as many copies ignored. Every
-    facility-cost search starts with a z = 0 probe, and on these inputs
-    many stop there."""
+    cheaper than the optimum with as many copies ignored, under both the
+    median and the means objective. Every facility-cost search starts with
+    a z = 0 probe, and on these inputs many stop there."""
     space, s = _sum_extreme_space(case)
     part = Partition.round_robin(space, s)
     points = Instance.from_points(space, merge_duplicates=False)
     for (name, run), error in zip(_SUM_RUNNERS.items(), errors):
         if error is not None:
             with pytest.raises(error):
-                run(part, k, t)
+                run(part, k, t, objective)
             continue
-        rep = run(part, k, t)
+        rep = run(part, k, t, objective)
         sol = rep.solution
         if name == "kt-median-co":
             assert sol.total_excluded == rep.extras["total_ignored"]
@@ -478,9 +481,8 @@ def test_sum_protocols_at_the_extremes(case, k, t, errors):
         else:
             assert sol.total_excluded <= 2 * t
         assert len(sol.centers) <= k
-        assert instance_cost(points, sol, Objective.MEDIAN) == pytest.approx(sol.cost)
-        opt = exact_oracle(Instance.from_points(space), k, sol.total_excluded,
-                           Objective.MEDIAN)
+        assert instance_cost(points, sol, objective) == pytest.approx(sol.cost)
+        opt = exact_oracle(Instance.from_points(space), k, sol.total_excluded, objective)
         assert sol.cost >= opt.cost - 1e-9 * (1.0 + opt.cost)
 
 

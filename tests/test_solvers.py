@@ -487,27 +487,16 @@ def test_jv_burst_golden_pins(probe, pin):
     assert _jv_pin(res) == pin
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    coords=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-                    min_size=2, max_size=12),
-    zs=st.lists(st.floats(0.0, 60.0), min_size=1, max_size=4),
-    objective=st.sampled_from([Objective.MEDIAN, Objective.MEANS]),
-    tau=st.sampled_from([0.0, 1.5]),
-    stop_frac=st.floats(0.0, 0.9),
-)
-def test_jv_shared_table_matches_own_table(coords, zs, objective, tau, stop_frac):
-    inst = Instance.from_points(MetricSpace.euclidean(np.array(coords, dtype=float)))
-    stop_weight = int(stop_frac * inst.total_weight)
+def _reached_stops(inst, z, objective, tau):
+    """Stop weights a probe at ``z`` reaches exactly, read off a fresh run
+    to the end: the unconnected weight left after each freeze, and after
+    each freeze with more of its batch to come."""
     table = SortedCosts.build(inst, objective, tau)
-    for z in zs:
-        shared = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
-        own = jv_facility_location(inst, z, objective, tau, stop_weight)
-        assert shared.centers == own.centers
-        assert shared.temp_open == own.temp_open
-        assert shared.certificate.alpha.tobytes() == own.certificate.alpha.tobytes()
-        assert shared.certificate.unprocessed == own.certificate.unprocessed
-        assert shared.certificate.stop_time == own.certificate.stop_time
+    jv_facility_location(inst, z, objective, tau, 0, table=table)
+    run = table.runs[z]
+    left = [int(r) for r in inst.total_weight - np.cumsum(inst.weights[run.frozen])]
+    mid = [r for r, a, b in zip(left, run.steps, run.steps[1:]) if a == b]
+    return left, mid
 
 
 def _zero_cost_stops(inst, objective, tau):
@@ -607,6 +596,38 @@ def _assert_matches_lazy_heap(inst, z, objective, tau, stop_weight):
     assert fast.certificate.alpha.tobytes() == slow.certificate.alpha.tobytes()
     assert fast.certificate.unprocessed == slow.certificate.unprocessed
     assert fast.certificate.stop_time == slow.certificate.stop_time
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_jv_cases(), data=st.data())
+def test_jv_shared_table_matches_own_table(case, data):
+    """One table serves a sequence of probes whose facility costs repeat,
+    with stop weights in any order: a run is reused for a larger stop
+    weight and re-run for a smaller one. Every result matches a probe with
+    its own table and the heap reference bit for bit."""
+    inst, z, objective, tau, _ = case
+    W = inst.total_weight
+    z_hi = W * float(inst.cost_matrix(objective, tau).max()) + 1.0
+    zs = [z] + data.draw(st.lists(st.one_of(st.just(0.0), st.just(z_hi),
+                                            st.floats(0.0, z_hi)), max_size=2))
+    stops = {zv: [st.integers(0, W)] + [st.sampled_from(ws) for ws in
+                                        _reached_stops(inst, zv, objective, tau) if ws]
+             for zv in zs if zv > 0}
+    stops[0.0] = [st.integers(0, W)] + [st.sampled_from(ws) for ws in
+                                        _zero_cost_stops(inst, objective, tau) if ws]
+    table = SortedCosts.build(inst, objective, tau)
+    for _ in range(data.draw(st.integers(1, 8))):
+        zv = data.draw(st.sampled_from(zs))
+        stop_weight = data.draw(st.one_of(stops[zv]))
+        shared = jv_facility_location(inst, zv, objective, tau, stop_weight, table=table)
+        assert table.runs[zv].floor <= stop_weight
+        for other in (jv_facility_location(inst, zv, objective, tau, stop_weight),
+                      lazy_heap_jv_facility_location(inst, zv, objective, tau, stop_weight)):
+            assert shared.centers == other.centers
+            assert shared.temp_open == other.temp_open
+            assert shared.certificate.alpha.tobytes() == other.certificate.alpha.tobytes()
+            assert shared.certificate.unprocessed == other.certificate.unprocessed
+            assert shared.certificate.stop_time == other.certificate.stop_time
 
 
 @settings(max_examples=300, deadline=None)

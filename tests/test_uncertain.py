@@ -1,10 +1,15 @@
 """Uncertain nodes: collapse summaries, the compressed graph, both center
 semantics, and the expected-maximum estimator."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from partialclust import (
+    Demand,
+    Instance,
     MetricSpace,
     NodePartition,
     Objective,
@@ -22,7 +27,7 @@ from partialclust.errors import (
     InvalidParameterError,
     OracleSizeLimitError,
 )
-from partialclust.metric import ClusteringSolution
+from partialclust.metric import ClusteringSolution, extremes
 
 from helpers import random_uncertain_nodes
 
@@ -282,3 +287,79 @@ def test_eval_no_served_nodes(line4):
     sol = ClusteringSolution(centers=(0,), outliers={0: 1}, assignment={}, cost=0.0)
     est = eval_center_g_objective(line4, [UncertainNode(0, (1,), (1.0,))], sol)
     assert est.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# center-g sites without a facility-cost search
+
+
+def _center_g_case(case):
+    """(partition, k, t) of a center-g input whose sites skip the primal-dual
+    search at some tau level. "site within k": one site holds two nodes
+    for k = 2, so its every level answers from its own candidates. "zero
+    level": each site's nodes sit in one unit square and the squares lie
+    30 apart, so at the top tau levels every truncated cost of a site is 0."""
+    if case == "site within k":
+        universe, nodes = gen_uncertain_planted(14, 2, 2, seed=3)
+        space = MetricSpace.euclidean(universe)
+        return NodePartition.from_lists(space, nodes, [[0, 7], range(1, 7),
+                                                       range(8, 14)]), 2, 2
+    rng = np.random.default_rng(17)
+    pts = np.vstack([rng.uniform(0.0, 1.0, size=(8, 2)),
+                     rng.uniform(30.0, 31.0, size=(8, 2))])
+    space = MetricSpace.euclidean(pts)
+    nodes = []
+    for j in range(12):
+        base = 0 if j < 6 else 8
+        support = rng.choice(8, size=int(rng.integers(1, 4)), replace=False) + base
+        probs = rng.uniform(0.2, 1.0, size=len(support))
+        nodes.append(UncertainNode(j, tuple(int(u) for u in support),
+                                   tuple(float(p) for p in probs / probs.sum())))
+    return NodePartition.from_lists(space, nodes, [range(6), range(6, 12)]), 2, 1
+
+
+def _center_g_digest(rep):
+    sol, ex = rep.solution, rep.extras
+    body = [
+        [int(c) for c in sol.centers],
+        sorted((int(j), int(c)) for j, c in sol.outliers.items()),
+        sorted((int(j), int(c)) for j, c in sol.assignment.items()),
+        float(sol.cost).hex(),
+        [int(b) for b in rep.budgets],
+        rep.ledger.to_records(),
+        [float(v).hex() for v in ex["tau_sums"]],
+        [ex["tau_hat_index"], float(ex["rho2_cost"]).hex(), float(ex["rho6_cost"]).hex()],
+    ]
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
+# (case, sha256 of the report, site evaluations, coordinator evaluations),
+# recorded before the sites shared one sorted-cost table per tau level.
+_CENTER_G_SHORTCUTS = [
+    ("site within k", "67d507d4fb45b3523db9be18f5d133a874d2cea41ef787f20fca3f7cd2ccb184",
+     (240, 2096, 1488), 144),
+    ("zero level", "aacb21a6725b291207c0fd1aa3c29723c464861929b14fc988a1b597f95d573d",
+     (1048, 880), 140),
+]
+
+
+@pytest.mark.parametrize("case, sha, site_evals, coord_evals", _CENTER_G_SHORTCUTS,
+                         ids=[c[0] for c in _CENTER_G_SHORTCUTS])
+def test_center_g_sites_that_skip_the_search(case, sha, site_evals, coord_evals):
+    """Sites that answer a tau level without a facility-cost search report
+    and evaluate exactly what they always did."""
+    part, k, t = _center_g_case(case)
+    if case == "zero level":
+        grid = tau_grid(*extremes(part.space)[:2])
+        for ids in part.sites:
+            site = [part.nodes[j] for j in ids]
+            inst = Instance(part.space,
+                            [Demand(nd.support, nd.probs, 0.0, 1) for nd in site],
+                            [one_median(part.space, nd).point for nd in site])
+            assert len(inst.candidates) > k
+            assert inst.cost_matrix(Objective.MEDIAN, 2.0 * grid.taus[-1]).max() == 0.0
+    else:
+        assert min(len(ids) for ids in part.sites) <= k
+    rep = run_center_g(part, k, t, seed=4)
+    assert (_center_g_digest(rep), rep.site_evals, rep.coord_evals) == (
+        sha, site_evals, coord_evals)
