@@ -207,13 +207,12 @@ def dedupe_demands(space, indices, tags=None):
     """
     indices = [int(i) for i in indices]
     tags = list(tags) if tags is not None else indices
+    rows = space.coords if space.mode == "euclidean" else space.matrix
     groups = {}
     for i, lab in zip(indices, tags):
-        if space.mode == "euclidean":
-            key = tuple(space.coords[i])
-        else:
-            key = tuple(space.matrix[i])
-        groups.setdefault(key, []).append((i, lab))
+        # Python floats compare and hash as the numpy scalars do (-0.0 ==
+        # 0.0), and a row at a time keeps a matrix space's keys small.
+        groups.setdefault(tuple(rows[i].tolist()), []).append((i, lab))
     demands = []
     for members in groups.values():
         members.sort()
@@ -233,13 +232,25 @@ class Instance:
     ``payload_kind`` tells the protocol ledger how many words one forwarded
     demand costs: ``"point"`` (B), ``"tentacle"`` (B + 1: anchor point plus
     collapse scalar), or ``"node"`` (2 * support size: the full distribution).
+    ``demands`` is a tuple, and the per-demand data read on every probe and
+    distance row is computed once: ``weights`` (a read-only float array),
+    ``total_weight``, the anchors, the collapse offsets and whether every
+    demand is a single point.
     """
 
     def __init__(self, space, demands, candidates, counter=None, payload_kind="point"):
         if not demands:
             raise InvalidParameterError("instance needs at least one demand")
         self.space = space
-        self.demands = list(demands)
+        self.demands = tuple(demands)
+        self.weights = np.array([d.weight for d in self.demands], dtype=float)
+        self.weights.flags.writeable = False
+        self.total_weight = sum(d.weight for d in self.demands)
+        self._anchors = np.array([d.anchor for d in self.demands], dtype=int)
+        self._anchors.flags.writeable = False
+        self._collapse = np.array([d.collapse for d in self.demands])
+        self._collapse.flags.writeable = False
+        self._single_support = all(len(d.support) == 1 for d in self.demands)
         cand = sorted({int(c) for c in candidates})
         if not cand:
             raise InvalidParameterError("instance needs at least one candidate center")
@@ -266,14 +277,6 @@ class Instance:
     @property
     def n(self):
         return len(self.demands)
-
-    @property
-    def total_weight(self):
-        return sum(d.weight for d in self.demands)
-
-    @property
-    def weights(self):
-        return np.array([d.weight for d in self.demands], dtype=float)
 
     def candidate_column(self, point):
         try:
@@ -307,7 +310,7 @@ class Instance:
                 raise InvalidPointError(
                     "squared distances overflow the float range; scale the "
                     "input down")
-        if self._single_support():
+        if self._single_support:
             rows = base[[pos[d.support[0]] for d in self.demands]]
         else:
             W = np.zeros((self.n, len(pts)))
@@ -315,7 +318,7 @@ class Instance:
                 for p, pr in zip(d.support, d.probs):
                     W[j, pos[p]] += pr
             rows = W @ base
-        M = rows + self._collapse()[:, None]
+        M = rows + self._collapse[:, None]
         self._cost_cache[key] = M
         return M
 
@@ -333,15 +336,15 @@ class Instance:
         cols = [self.candidate_column(p) for p in points]
         M = self._cost_cache.get((objective.power, float(tau)))
         if M is None and not (objective is Objective.CENTER and tau == 0
-                              and self._single_support()):
+                              and self._single_support):
             M = self.cost_matrix(objective, tau)
         if M is not None:
             return M[:, cols]
         missing = [u for u in cols if u not in self._center_columns]
         if missing:
-            D = self.space.block(self._anchors(), self.candidates[missing])
+            D = self.space.block(self._anchors, self.candidates[missing])
             self.counter.add(D.size)
-            D += self._collapse()[:, None]
+            D += self._collapse[:, None]
             self._center_columns.update(zip(missing, D.T))
         return np.stack([self._center_columns[u] for u in cols], axis=1)
 
@@ -354,27 +357,18 @@ class Instance:
         as its center cost column (see :meth:`cost_columns`) and no distance
         is evaluated twice. Returns a new array.
         """
-        if not self._single_support():
+        if not self._single_support:
             raise InvalidParameterError("pair rows need single-support demands")
-        anchors = self._anchors()
-        row = self.space.block([anchors[j]], anchors)[0]
+        anchors = self._anchors
+        row = self.space.block(anchors[j:j + 1], anchors)[0]
         self.counter.add(row.size)
-        ell = self._collapse()
-        u = self._cand_pos.get(anchors[j])
+        ell = self._collapse
+        u = self._cand_pos.get(int(anchors[j]))
         if self.space.mode == "euclidean" and u is not None:
             self._center_columns.setdefault(u, row + ell)
         row += ell[j] + ell
         row[j] = 0.0
         return row
-
-    def _single_support(self):
-        return all(len(d.support) == 1 for d in self.demands)
-
-    def _anchors(self):
-        return [d.anchor for d in self.demands]
-
-    def _collapse(self):
-        return np.array([d.collapse for d in self.demands])
 
     def pair_matrix(self):
         """Demand-to-demand distances (single-support demands only).
@@ -389,12 +383,12 @@ class Instance:
         """
         if self._pair_cache is not None:
             return self._pair_cache
-        if not self._single_support():
+        if not self._single_support:
             raise InvalidParameterError("pair_matrix needs single-support demands")
-        anchors = self._anchors()
+        anchors = self._anchors
         D = self.space.block(anchors, anchors).copy()
         self.counter.add(D.size)
-        ell = self._collapse()
+        ell = self._collapse
         D += ell[:, None] + ell[None, :]
         np.fill_diagonal(D, 0.0)
         self._pair_cache = D

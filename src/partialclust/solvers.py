@@ -7,7 +7,9 @@ Four families live here:
   per chosen point and stopped at the prefix the caller reads;
 * :func:`kt_center_outliers` — threshold sweep with greedy disk covering
   (3-approximate k-center with outliers, weighted via copy counting), run
-  incrementally over one sort of the cost matrix with exact integer gains;
+  over one sort of the cost matrix and event-driven: exact integer gains
+  show the few radii where the greedy picks can change, and the picks are
+  rerun only there;
 * :func:`bicriteria_median` — facility-location primal-dual with uniform
   opening cost, a binary search over that cost bracketing the center count,
   and randomized convex-combination rounding; relaxes either the outlier
@@ -64,20 +66,20 @@ def solution_from_centers(instance, centers, objective, budget, tau=0.0):
     best = np.argmin(sub, axis=1)
     costs = sub[np.arange(instance.n), best]
     w = instance.weights
-    budget = min(int(budget), int(w.sum()))
+    budget = min(int(budget), instance.total_weight)
     excluded = _greedy_exclude(costs, w, budget)
-    assignment = {}
-    total = 0.0
-    worst = 0.0
-    for j in range(instance.n):
-        live = instance.demands[j].weight - excluded.get(j, 0)
-        if live == 0:
-            continue
-        assignment[j] = centers[best[j]]
-        total += live * costs[j]
-        worst = max(worst, float(costs[j]))
-    cost = worst if objective is Objective.CENTER else total
-    return ClusteringSolution(centers, excluded, assignment, float(cost))
+    live = w.astype(np.int64)
+    live[list(excluded)] -= np.fromiter(excluded.values(), np.int64, len(excluded))
+    served = np.flatnonzero(live)
+    # An object array hands out the centers' own ints, not a new int per demand.
+    ctrs = np.array(centers, dtype=object)[best[served]]
+    assignment = dict(zip(served.tolist(), ctrs.tolist()))
+    if objective is Objective.CENTER:
+        cost = max(0.0, float(costs[served].max(initial=0.0)))
+    else:
+        # Sequential, from 0.0 and in demand order: the sum a loop makes.
+        cost = float(np.cumsum(np.r_[0.0, live[served] * costs[served]])[-1])
+    return ClusteringSolution(centers, excluded, assignment, cost)
 
 
 def pad_centers(instance, solution, target, objective, budget, tau=0.0):
@@ -156,6 +158,8 @@ def insertion_marginals(gorder, k, t):
 # ---------------------------------------------------------------------------
 # k-center with outliers: threshold sweep + greedy disk covering
 
+_SWEEP_BLOCK = 64   # radii the sweep tests for a pick change at once
+
 
 def kt_center_outliers(instance, k, t):
     """3-approximate (k, t)-center on weighted demands.
@@ -166,52 +170,115 @@ def kt_center_outliers(instance, k, t):
     The first radius leaving at most t uncovered weight wins; the returned
     solution excludes exactly t copies (largest costs first).
 
-    The sweep is incremental. The cost matrix is sorted once, and two
-    pointers into that order add the entries newly within r and 3r to a 0/1
-    disk matrix, a candidate-major expanded-disk mask and each candidate's
-    disk weight, so a radius costs only its k picks. A pick subtracts the
-    weight of the rows it newly covers from the gains rather than
-    recomputing them all. Demand weights are positive integers, so every
-    gain is an integer-valued float far below 2**53 and any summation order
-    gives the same value: the picks, and the solution, are exactly those of
-    rebuilding both disks and every gain at each radius.
+    The sweep is event-driven. The cost matrix is sorted once, and each
+    radius adds the entries newly within r and 3r to a 0/1 disk matrix and a
+    candidate-major expanded-disk mask. For each stage s of the greedy the
+    sweep keeps the gain of every candidate ``gains[s]``, the weight still
+    uncovered before the pick ``uncovered[s]``, and the pick ``picks[s]``.
+    As long as the picks stay, new entries change no uncovered weight unless
+    (a) a 3r entry lands in a picked column on a row still uncovered at
+    that stage, and they change the pick at stage s only if (b) r entries
+    raise another column's gain to at least the pick's gain before them.
+    So the sweep tests blocks of radii for (a) and (b) at once, adds every
+    entry up to the first radius where either holds to the disks and the
+    gains in bulk, and reruns the k picks only there. Both tests may fire
+    where the picks stay, which only costs a rerun. Each radius skipped over
+    keeps the picks and the uncovered weight of the last rerun, so it is
+    infeasible too: the first feasible radius is that of the plain sweep.
+    Demand weights are positive integers, so every gain is an
+    integer-valued float far below 2**53 and any summation order gives the
+    same value: the picks, and the solution, are exactly those of rebuilding
+    both disks and every gain at each radius.
     """
     _check_kt(instance, k, t)
     M = instance.cost_matrix(Objective.CENTER)
     w = instance.weights
     n, m = M.shape
+    kk = min(k, m)
     order = np.argsort(M, axis=None, kind="stable")
     vals = M.ravel()[order]
     radii = vals[np.r_[True, vals[1:] != vals[:-1]]]
+    # Radius j adds the entries inner[j-1]:inner[j] of the sorted order to
+    # the disks and outer[j-1]:outer[j] to the expanded disks (from 0 at j = 0).
     inner = np.searchsorted(vals, radii + 1e-12, side="right")
     outer = np.searchsorted(vals, 3.0 * radii + 1e-12, side="right")
+    del vals   # only the bounds are read from here on: a smaller peak
     within = np.zeros((n, m))
     expanded = np.zeros((m, n), dtype=bool)
-    gain0 = np.zeros(m)
-    done_in = done_out = 0
-    for p_in, p_out in zip(inner, outer):
-        rows, cols = np.divmod(order[done_in:p_in], m)
+    gains = np.zeros((kk, m))
+    uncovered = np.tile(w, (kk, 1))
+    picks = np.zeros(kk, dtype=int)
+    stages = np.arange(kk)[:, None]
+
+    def entries(bounds, lo, hi):
+        """(rows, cols) of the entries radii lo + 1..hi add."""
+        return np.divmod(order[bounds[lo] if lo >= 0 else 0:bounds[hi]], m)
+
+    def advance(lo, hi):
+        """Add the entries of radii lo + 1..hi to the disks and the gains."""
+        rows, cols = entries(inner, lo, hi)
         within[rows, cols] = 1.0
-        gain0 += np.bincount(cols, weights=w[rows], minlength=m)
-        rows, cols = np.divmod(order[done_out:p_out], m)
+        gains[:] += np.bincount((stages * m + cols).ravel(),
+                                weights=uncovered[:, rows].ravel(),
+                                minlength=kk * m).reshape(kk, m)
+        rows, cols = entries(outer, lo, hi)
         expanded[cols, rows] = True
-        done_in, done_out = p_in, p_out
-        gain = gain0.copy()
-        uncovered = w.copy()
-        picks = []
-        for _ in range(min(k, m)):
-            # Array methods, not the np.* wrappers: this runs k times at each
-            # of thousands of radii on small arrays. Rows covered earlier
-            # hold 0 in uncovered, so they subtract nothing.
+
+    def first_event(lo, hi):
+        """The first radius in lo + 1..hi at which (a) or (b) holds, else None."""
+        first = []
+        rows, cols = entries(outer, lo, hi)
+        hit = np.flatnonzero(((cols == picks[:, None])
+                              & (uncovered[:, rows] > 0)).any(axis=0))
+        if hit.size:
+            first.append(np.searchsorted(outer, outer[lo] + hit[0], side="right"))
+        # Each entry's running sum over its column's new entries, per stage:
+        # the cumulative sum in column order less that at the column's start.
+        rows, cols = entries(inner, lo, hi)
+        by_col = np.argsort(cols, kind="stable")
+        cols = cols[by_col]
+        add = uncovered[:, rows[by_col]]
+        run = add.cumsum(axis=1)
+        start = np.ones(cols.size, dtype=bool)
+        start[1:] = cols[1:] != cols[:-1]
+        run -= (run[:, start] - add[:, start])[:, start.cumsum() - 1]
+        lead = gains[stages, picks[:, None]]
+        hit = ((gains[stages, cols] + run >= lead) & (cols != picks[:, None])).any(axis=0)
+        if hit.any():
+            first.append(np.searchsorted(inner, inner[lo] + by_col[hit].min(), side="right"))
+        return int(min(first)) if first else None
+
+    def rerun():
+        """The k picks at the current radius; True when they are feasible.
+        ``gains[0]``, the weight within r of each candidate, is current at
+        every radius; the later stages are rebuilt from it."""
+        gain = gains[0].copy()
+        unc = w.copy()
+        for s in range(kk):
+            # Array methods, not the np.* wrappers, on these small arrays.
+            # Rows covered earlier hold 0 in unc, so they subtract nothing.
+            gains[s] = gain
+            uncovered[s] = unc
             u = int(gain.argmax())
-            picks.append(u)
+            picks[s] = u
             hit = expanded[u].nonzero()[0]
-            gain -= uncovered[hit] @ within[hit]
-            uncovered[hit] = 0.0
-        if uncovered.sum() <= t + 1e-9:
+            gain -= unc[hit] @ within[hit]
+            unc[hit] = 0.0
+        return unc.sum() <= t + 1e-9
+
+    lo, hi, event = -1, 0, True   # the first radius always runs the picks
+    while True:
+        advance(lo, hi)
+        if event and rerun():
             centers = instance.candidates[picks].tolist()
             return solution_from_centers(instance, centers, Objective.CENTER, t)
-    raise InfeasibleError("threshold sweep found no feasible radius")  # pragma: no cover
+        if hi == len(radii) - 1:
+            raise InfeasibleError("threshold sweep found no feasible radius")  # pragma: no cover
+        end = min(hi + _SWEEP_BLOCK, len(radii) - 1)
+        lo, hi = hi, first_event(hi, end)
+        event = hi is not None
+        if not event:
+            hi = end
 
 
 def _check_kt(instance, k, t):
@@ -540,15 +607,15 @@ def _cut(instance, C, run, stop_weight):
     freezes the next demand of the batch, with all its weight unprocessed.
     The level is that of the stop's step, and the candidates opened up to
     that step are open. With no stop in the run, it ran to its end."""
-    wi = np.array([d.weight for d in instance.demands])
-    n = len(wi)
+    w = instance.weights
+    n = len(w)
     freeze = np.full(n, np.inf)
     active = np.ones(n, dtype=bool)
     unprocessed = {}
-    total = int(wi.sum())
+    total = instance.total_weight
     if total <= stop_weight:
         return _jv_result(instance, C, [], freeze, active, unprocessed, 0.0)
-    left = total - np.cumsum(wi[run.frozen])
+    left = total - np.cumsum(w[run.frozen])
     hit = np.flatnonzero(left <= stop_weight)
     if hit.size:
         e = int(hit[0])
@@ -557,7 +624,7 @@ def _cut(instance, C, run, stop_weight):
         if left[e] < stop_weight:
             unprocessed[int(run.frozen[e])] = stop_weight - int(left[e])
         elif done < len(left) and run.steps[done] == step:
-            unprocessed[int(run.frozen[done])] = int(wi[run.frozen[done]])
+            unprocessed[int(run.frozen[done])] = int(w[run.frozen[done]])
             done += 1
     else:  # pragma: no cover - growth ended before the stop
         done = len(left)

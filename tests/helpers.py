@@ -199,6 +199,39 @@ def full_gonzalez_order(instance):
     return GonzalezOrder(tuple(order), tuple(radii))
 
 
+def loop_solution_from_centers(instance, centers, objective, budget, tau=0.0):
+    """Nearest-center assignment and greedy exclusion written as plain loops
+    over the demands. ``solution_from_centers`` must return exactly this
+    solution: the same dicts of Python ints and the same cost bits."""
+    centers = tuple(sorted({int(c) for c in centers}))
+    M = instance.cost_matrix(objective, tau)
+    cols = [instance.candidate_column(c) for c in centers]
+    best, costs = [], []
+    for j in range(instance.n):
+        i = min(range(len(cols)), key=lambda i: (M[j, cols[i]], i))
+        best.append(i)
+        costs.append(M[j, cols[i]])
+    excluded = {}
+    rem = min(int(budget), instance.total_weight)
+    for j in sorted(range(instance.n), key=lambda j: (-costs[j], j)):
+        if rem == 0:
+            break
+        excluded[j] = min(instance.demands[j].weight, rem)
+        rem -= excluded[j]
+    assignment = {}
+    total = 0.0
+    worst = 0.0
+    for j, d in enumerate(instance.demands):
+        live = d.weight - excluded.get(j, 0)
+        if live == 0:
+            continue
+        assignment[j] = centers[best[j]]
+        total += live * costs[j]
+        worst = max(worst, float(costs[j]))
+    cost = worst if objective is Objective.CENTER else total
+    return centers, excluded, assignment, float(cost)
+
+
 def naive_kt_center_outliers(instance, k, t):
     """The threshold sweep written plainly: both disks and every gain are
     rebuilt from the cost matrix at each radius. ``kt_center_outliers`` must

@@ -135,6 +135,16 @@ def test_dedupe_merges_coincident_points():
     assert demands[1].tag == (1, 3)
 
 
+def test_instance_per_demand_data_is_read_only(square_space):
+    inst = Instance(square_space, [point_demand(0, 2), point_demand(3)], [0, 3])
+    assert inst.weights.tolist() == [2.0, 1.0]
+    assert inst.total_weight == 3
+    with pytest.raises(ValueError):
+        inst.weights[0] = 5.0
+    with pytest.raises(TypeError):
+        inst.demands[0] = point_demand(1)
+
+
 def test_instance_counts_distance_evaluations(square_space):
     counter = EvalCounter()
     inst = Instance.from_points(square_space, counter=counter)

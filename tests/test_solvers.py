@@ -1,6 +1,7 @@
 """Centralized solvers: Gonzalez, threshold sweep, primal-dual, the oracle."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from partialclust import (
     pad_centers,
     solution_from_centers,
 )
+from partialclust import solvers
 from partialclust.cli import gen_planted, gen_uncertain_planted
 from partialclust.errors import (
     InfeasibleError,
@@ -37,6 +39,7 @@ from partialclust.uncertain import one_median, tau_grid
 from helpers import (
     full_gonzalez_order,
     lazy_heap_jv_facility_location,
+    loop_solution_from_centers,
     naive_kt_center_outliers,
     random_instance,
     random_points,
@@ -64,6 +67,43 @@ def test_solution_from_centers_splits_weighted_demand():
     assert sol.total_excluded == 2
     assert sol.outliers == {0: 2}
     assert sol.cost == pytest.approx(9.0)
+
+
+@st.composite
+def _assignment_cases(draw):
+    """(instance, centers, objective, budget, tau): integer-grid points, so
+    many costs are 0 or tied; up to 16 demands, enough for a pairwise sum to
+    round otherwise, of weight 1-4 with up to three support points and
+    collapse offsets; and budgets from 0 past the total weight, which
+    exclude some demands in full and split the boundary one."""
+    coords = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                           min_size=1, max_size=10))
+    n = len(coords)
+    demands = []
+    for _ in range(draw(st.integers(1, 16))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                unique=True))
+        raw = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                            max_size=len(support)))
+        demands.append(Demand(tuple(support), tuple(r / sum(raw) for r in raw),
+                              draw(st.sampled_from([0.0, 0.0, 0.5])),
+                              draw(st.integers(1, 4))))
+    cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    inst = Instance(MetricSpace.euclidean(np.array(coords, dtype=float)), demands, cands)
+    centers = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=len(cands)))
+    return (inst, centers, draw(st.sampled_from(list(Objective))),
+            draw(st.integers(0, inst.total_weight + 2)), draw(st.sampled_from([0.0, 0.5])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_assignment_cases())
+def test_solution_from_centers_matches_loop(case):
+    inst, centers, objective, budget, tau = case
+    sol = solution_from_centers(inst, centers, objective, budget, tau)
+    want = loop_solution_from_centers(inst, centers, objective, budget, tau)
+    assert (sol.centers, sol.outliers, sol.assignment) == want[:3]
+    assert all(type(x) is int for pair in sol.assignment.items() for x in pair)
+    assert sol.cost.hex() == want[3].hex()
 
 
 def test_pad_centers_adds_and_never_hurts(line_space):
@@ -265,13 +305,29 @@ def _kt_center_cases(draw):
     """(instance, k, t) in the shapes a coordinator sweeps: integer-grid
     points (tied costs) whose duplicates merge into weights, matrix-mode
     spaces with costs 1e-12 apart, and multi-support demands with collapse
-    offsets; k up to past the candidate count, t anywhere in 0..W-1."""
-    shape = draw(st.sampled_from(["grid", "matrix", "support"]))
+    offsets; k up to past the candidate count, t anywhere in 0..W-1. On a
+    "line" of integer points a pick change often makes the first feasible
+    radius. The "large" shape, 20-60 random or integer-grid points with
+    weighted duplicates and k up to 6, has hundreds of radii, so the sweep
+    tests several blocks of them."""
+    shape = draw(st.sampled_from(["grid", "line", "matrix", "support", "large"]))
     coords = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            min_size=1, max_size=14))
     pts = np.array(coords, dtype=float)
     n = len(coords)
-    if shape == "grid":
+    if shape == "line":
+        xs = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8))
+        inst = Instance.from_points(MetricSpace.euclidean(np.array(xs, dtype=float)))
+    elif shape == "large":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(20, 60))
+        if draw(st.booleans()):
+            pts = rng.integers(-6, 7, size=(size, 2)).astype(float)
+        else:
+            pts = rng.random((size, 2))
+        dups = rng.integers(0, size, size=draw(st.integers(0, size)))
+        inst = Instance.from_points(MetricSpace.euclidean(np.vstack([pts, pts[dups]])))
+    elif shape == "grid":
         inst = Instance.from_points(MetricSpace.euclidean(pts))
     elif shape == "matrix":
         D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
@@ -293,7 +349,7 @@ def _kt_center_cases(draw):
                                   draw(st.integers(1, 4))))
         cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         inst = Instance(MetricSpace.euclidean(pts), demands, cands)
-    k = draw(st.integers(1, len(inst.candidates) + 2))
+    k = draw(st.integers(1, 6 if shape == "large" else len(inst.candidates) + 2))
     t = draw(st.integers(0, inst.total_weight - 1))
     return inst, k, t
 
@@ -308,6 +364,19 @@ def test_kt_center_matches_naive_sweep(case):
     assert fast.outliers == slow.outliers
     assert fast.assignment == slow.assignment
     assert fast.cost == slow.cost
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(case=_kt_center_cases())
+def test_kt_center_short_blocks_match_naive_sweep(block, case):
+    """Blocks of one or two radii put the pick changes on the first and the
+    last radius of a block, and leave many blocks without one."""
+    inst, k, t = case
+    with mock.patch.object(solvers, "_SWEEP_BLOCK", block):
+        fast = kt_center_outliers(inst, k, t)
+    slow = naive_kt_center_outliers(inst, k, t)
+    assert (fast.centers, fast.outliers, fast.cost) == (slow.centers, slow.outliers, slow.cost)
 
 
 # ---------------------------------------------------------------------------
