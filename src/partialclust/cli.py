@@ -80,7 +80,11 @@ def build_parser():
                        choices=("median", "means", "center"),
                        help="objective for one-round and subquadratic")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--jobs", type=int, default=1)
+    solve.add_argument("--jobs", type=int, default=1,
+                       help="must be >= 1; does not change scheduling or "
+                            "output: sites run one after another in site "
+                            "order, which beat a thread pool on every "
+                            "measured workload")
     solve.add_argument("--format", default="json", choices=("json", "csv"))
     solve.add_argument("--out", help="write the report here instead of stdout")
     solve.add_argument("--transcript",

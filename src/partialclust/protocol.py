@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,10 +152,9 @@ class ProtocolReport:
 
     ``solution`` is point-level over the original ids (node-level for the
     uncertain protocols); ``budgets`` are the final per-site outlier budgets;
-    ``site_seconds`` are each site worker's CPU time on its own thread
-    (``time.thread_time``), so under ``jobs > 1`` they leave out time spent
-    waiting for the interpreter lock; they are deliberately kept out of
-    serialized reports so byte-identical replay stays possible.
+    ``site_seconds`` are each site worker's CPU time (``time.thread_time``);
+    they are deliberately kept out of serialized reports so byte-identical
+    replay stays possible.
     """
 
     solution: ClusteringSolution
@@ -181,7 +179,7 @@ def _norm_objective(objective, allow_center=True):
     return obj
 
 
-def _validate_common(k, t, seed, epsilon=1.0, rho=None):
+def _validate_common(k, t, seed, epsilon=1.0, rho=None, jobs=1):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidParameterError("k must be a positive integer")
     if not isinstance(t, (int, np.integer)) or t < 0:
@@ -192,6 +190,8 @@ def _validate_common(k, t, seed, epsilon=1.0, rho=None):
         raise InvalidParameterError("epsilon must be > 0")
     if rho is not None and not 1.0 < rho <= 2.0:
         raise InvalidParameterError("rho must lie in (1, 2]")
+    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise InvalidParameterError("jobs must be a positive integer")
 
 
 def _site_instances(partition, t):
@@ -204,22 +204,27 @@ def _site_instances(partition, t):
 
 
 def _run_sites(worker, s, jobs):
-    """``worker(i)`` for every site, on ``jobs`` threads when jobs > 1.
+    """``worker(i)`` for every site, in site order, on the calling thread.
 
-    Returns the results in site order and each worker's CPU seconds on its
-    own thread (``time.thread_time``).
+    ``jobs`` is validated by the runners and otherwise ignored. There is no
+    thread pool because one lost on every workload measured on a two-core
+    host: numpy drops and retakes the interpreter lock on every mid-size
+    operation, so six center-g inputs took 16.1 s wall and 17.5 s CPU on
+    two threads against 7.6-8.0 s serially (a 60x60 ufunc loop on two
+    threads costs 1.8x the wall and 2.5x the CPU of one), kt-median lost
+    12-26% of its wall time on two threads and one-round center 35% on
+    four. Real parallelism needs site steps that share nothing and a tracer
+    that sees spans recorded in child processes.
+
+    Returns the results in site order and each worker's CPU seconds
+    (``time.thread_time``).
     """
-    def timed(i):
+    results, secs = [], []
+    for i in range(s):
         start = time.thread_time()
-        result = worker(i)
-        return result, time.thread_time() - start
-
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(jobs)) as ex:
-            pairs = list(ex.map(timed, range(s)))
-    else:
-        pairs = [timed(i) for i in range(s)]
-    return [r for r, _ in pairs], [dt for _, dt in pairs]
+        results.append(worker(i))
+        secs.append(time.thread_time() - start)
+    return results, secs
 
 
 def _local_solution(inst, k, q, objective, seed, table=None):
@@ -482,15 +487,14 @@ def _allocate(marginals, t, rho, ledger=None, curves=None):
     ``curves``, the pivot site's budget then rounds up to its next hull
     vertex, so every site answers with a solution it already computed; given
     a ``ledger``, the pivot is broadcast (three words per site). Returns the
-    allocation before and after that adjustment.
+    allocation after that adjustment.
     """
     alloc = allocate(marginals, t, rho)
-    adjusted = alloc
     if curves is not None and alloc.pivot_site is not None:
-        adjusted = exceptional_adjust(alloc, curves[alloc.pivot_site])
+        alloc = exceptional_adjust(alloc, curves[alloc.pivot_site])
     if ledger is not None:
         _broadcast_pivot(ledger, len(marginals))
-    return alloc, adjusted
+    return alloc
 
 
 def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
@@ -501,7 +505,7 @@ def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
     seeds ``(*salt, i, qi)``, and ships the lower hull of its cost curve (two
     words per vertex); the coordinator allocates, adjusting the pivot site
     when ``adjust`` is set. Returns (site solutions by q, curves, allocation,
-    adjusted allocation, site seconds).
+    site seconds).
     """
     qs = geometric_index_set(t, rho)
 
@@ -518,9 +522,9 @@ def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
     if ledger is not None:
         for i, c in enumerate(curves):
             ledger.add(1, "site->coord", i, "cost-curve", 2 * c.n_vertices)
-    alloc, adjusted = _allocate([c.marginals() for c in curves], t, rho, ledger,
-                                curves if adjust else None)
-    return [sols for sols, _ in results], curves, alloc, adjusted, secs
+    alloc = _allocate([c.marginals() for c in curves], t, rho, ledger,
+                      curves if adjust else None)
+    return [sols for sols, _ in results], curves, alloc, secs
 
 
 def _center_round(site_insts, k, t, rho, jobs, ledger):
@@ -543,7 +547,7 @@ def _center_round(site_insts, k, t, rho, jobs, ledger):
     results, secs = _run_sites(traverse, len(site_insts), jobs)
     for i in range(len(site_insts)):
         ledger.add(1, "site->coord", i, "marginals", t)
-    alloc, _ = _allocate([m for _, m in results], t, rho, ledger)
+    alloc = _allocate([m for _, m in results], t, rho, ledger)
 
     def answer(i):
         inst, (gorder, _) = site_insts[i], results[i]
@@ -611,21 +615,20 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
     rho = 2). Round 2: 2k weighted centers plus the budgeted outlier points.
     The coordinator solve keeps k centers and excludes at most
     floor((1 + epsilon) t) copies. The report's ``allocation`` is the one
-    before the pivot adjustment; ``budgets`` and ``extras["adjusted"]`` are
-    after it.
+    after the pivot adjustment, so its ``t_by_site`` equals ``budgets``.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon, rho)
+    _validate_common(k, t, seed, epsilon, rho, jobs)
     site_insts = _site_instances(partition, t)
     ledger = CommLedger()
-    sols_by_q, curves, alloc, adjusted, secs = _curve_round(
+    sols_by_q, curves, alloc, secs = _curve_round(
         site_insts, k, t, rho, objective, (seed, 11), jobs, ledger)
-    site_sols = [sols[q] for sols, q in zip(sols_by_q, adjusted.t_by_site)]
+    site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     report = _coordinate(
         partition.space, site_insts, site_sols, objective, k, t, ledger,
-        allocation=alloc, budgets=adjusted.t_by_site, site_seconds=secs,
+        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
         epsilon=epsilon, seed=seed, forward_outliers=True, payload_kind="point")
-    report.extras.update(curves=curves, adjusted=adjusted, site_excluded=tuple(
+    report.extras.update(curves=curves, site_excluded=tuple(
         s.total_excluded for s in site_sols))
     return report
 
@@ -644,12 +647,12 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     the final solution ignores at most (2 + epsilon + delta) t points.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon)
+    _validate_common(k, t, seed, epsilon, jobs=jobs)
     if not 0.0 < delta <= 1.0:
         raise InvalidParameterError("delta must lie in (0, 1]")
     site_insts = _site_instances(partition, t)
     ledger = CommLedger()
-    sols_by_q, curves, alloc, _, secs = _curve_round(
+    sols_by_q, curves, alloc, secs = _curve_round(
         site_insts, k, t, 1.0 + delta, objective, (seed, 12), jobs, ledger,
         adjust=False)
     site_sols = []
@@ -686,7 +689,7 @@ def run_kt_center(partition, k, t, rho=2.0, seed=0, jobs=1):
     attached counts. The coordinator's threshold sweep keeps k centers and
     excludes exactly t copies.
     """
-    _validate_common(k, t, seed, rho=rho)
+    _validate_common(k, t, seed, rho=rho, jobs=jobs)
     site_insts = _site_instances(partition, t)
     ledger = CommLedger()
     alloc, site_sols, secs = _center_round(site_insts, k, t, rho, jobs, ledger)
@@ -706,7 +709,7 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
     of the median protocol.
     """
     objective = _norm_objective(objective)
-    _validate_common(k, t, seed, epsilon)
+    _validate_common(k, t, seed, epsilon, jobs=jobs)
     site_insts = _site_instances(partition, t)
     site_sols, secs = _run_sites(
         lambda i: _local_solution(site_insts[i], k, t, objective, seed=(seed, 21, i)),
@@ -768,7 +771,7 @@ def _subquadratic_level(inst, k, t, depth, objective, seed, levels):
     levels.append((n, s))
     parts = np.array_split(np.arange(n), s)
     subinsts = [inst.subset([int(j) for j in p]) for p in parts]
-    sols_by_q, _, _, alloc, _ = _curve_round(
+    sols_by_q, _, alloc, _ = _curve_round(
         subinsts, k, t, 2.0, objective, (seed, 13, depth), 1, None)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     coord, prov = _assemble_coordinator(

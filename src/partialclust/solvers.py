@@ -330,8 +330,8 @@ class SortedCosts:
     ``runs`` caches the probes' runs by facility cost (see
     :func:`jv_facility_location`): a probe at a cost already run reads its
     result off that run when the run went far enough, and otherwise runs
-    again and replaces it. A table is filled by the thread that probes it
-    and must not be shared between threads."""
+    again and replaces it. A table fills as it is probed, so it serves one
+    site's curve round and is dropped with it."""
 
     matrix: np.ndarray
     order: np.ndarray

@@ -208,7 +208,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         raise InvalidParameterError(
             f"objective must be one of {sorted(_UNCERTAIN_OBJECTIVES)}")
     obj = _UNCERTAIN_OBJECTIVES[objective]
-    _validate_common(k, t, seed, epsilon, rho)
+    _validate_common(k, t, seed, epsilon, rho, jobs)
     space = npartition.space
     if len(npartition.nodes) <= t:
         raise InfeasibleError(f"outlier budget t={t} >= {len(npartition.nodes)} nodes")
@@ -228,7 +228,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
     if obj is Objective.CENTER:
         alloc, site_sols, secs1 = _center_round(site_insts, k, t, rho, jobs, ledger)
     else:
-        sols_by_q, _, _, alloc, secs1 = _curve_round(
+        sols_by_q, _, alloc, secs1 = _curve_round(
             site_insts, k, t, rho, obj, (seed, 31), jobs, ledger)
         site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
 
@@ -306,7 +306,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
     centers and excludes floor((1 + epsilon) t) nodes under expected
     distances.
     """
-    _validate_common(k, t, seed, epsilon)
+    _validate_common(k, t, seed, epsilon, jobs=jobs)
     space = npartition.space
     n_nodes = len(npartition.nodes)
     relaxed_t = int((1.0 + epsilon) * t + 1e-9)
@@ -355,8 +355,8 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
     tau_sums = []
     for ti, tau in enumerate(grid.taus):
         curves = [per_tau[ti][1] for _, per_tau in prep]
-        _, alloc = _allocate([c.marginals() for c in curves], t, 2.0,
-                             curves=curves)
+        alloc = _allocate([c.marginals() for c in curves], t, 2.0,
+                          curves=curves)
         s_cost = sum(c.value(min(ti_c, c.t))
                      for c, ti_c in zip(curves, alloc.t_by_site))
         tau_sums.append(s_cost)

@@ -212,6 +212,11 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     code, _, _ = run(["solve", "--input", str(planted_file), "--alg",
                       "kt-median", "--k", "0", "--t", "3"], capsys)
     assert code == 2
+    for jobs in ("0", "-3"):
+        code, out, err = run(["solve", "--input", str(planted_file), "--alg",
+                              "kt-median", "--k", "2", "--t", "3",
+                              "--jobs", jobs], capsys)
+        assert code == 2 and out == "" and "jobs" in err
     # unusable file
     bad = tmp_path / "bad.jsonl"
     bad.write_text("nope\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from partialclust.errors import (
     InvalidParameterError,
     PreconditionError,
 )
+from partialclust.protocol import _run_sites
 
 from helpers import random_points
 
@@ -132,6 +134,38 @@ def test_median_jobs_do_not_change_anything():
     assert a.ledger.to_records() == b.ledger.to_records()
     assert a.site_evals == b.site_evals
     assert a.coord_evals == b.coord_evals
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_run_sites_runs_in_order_on_the_calling_thread(jobs):
+    calls = []
+
+    def worker(i):
+        calls.append((i, threading.get_ident()))
+        return 10 * i
+
+    results, secs = _run_sites(worker, 5, jobs)
+    assert results == [0, 10, 20, 30, 40]
+    assert calls == [(i, threading.get_ident()) for i in range(5)]
+    assert len(secs) == 5 and all(dt >= 0.0 for dt in secs)
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"])
+def test_runners_reject_jobs_that_are_not_positive_integers(jobs):
+    space, part = planted_partition()
+    for run in (run_kt_median, run_kt_median_clustering_only, run_kt_center,
+                run_one_round):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run(part, 3, 4, jobs=jobs)
+
+
+def test_median_reports_the_adjusted_allocation():
+    # the pivot site's budget rounds up from 1 to its next hull vertex, 4
+    space = MetricSpace.euclidean(gen_planted(120, 3, 5, seed=2))
+    rep = run_kt_median(Partition.round_robin(space, 4), 3, 5, seed=2)
+    assert rep.allocation.pivot_site == 1 and rep.allocation.pivot_q == 1
+    assert rep.allocation.t_by_site == rep.budgets == (5, 4, 2, 2)
+    assert "adjusted" not in rep.extras
 
 
 def test_median_means_objective():

@@ -169,6 +169,15 @@ def test_uncertain_rejects_unknown_objective():
         run_uncertain(part, 2, 2, objective="widest")
 
 
+def test_uncertain_runners_reject_bad_jobs():
+    space, nodes, part = planted_node_partition()
+    for jobs in (0, -3):
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run_uncertain(part, 2, 2, objective="median", jobs=jobs)
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run_center_g(part, 2, 2, jobs=jobs)
+
+
 def test_uncertain_deterministic_across_jobs():
     space, nodes, part = planted_node_partition()
     a = run_uncertain(part, 2, 2, objective="median", seed=5, jobs=1)
