@@ -216,14 +216,6 @@ def exceptional_adjust(allocation, curve):
 # Convex merge of two solutions with different outlier counts
 
 
-def _demand_parts(solution, j):
-    """(center, copies) parts a demand's surviving copies occupy."""
-    if solution.copy_assignment and j in solution.copy_assignment:
-        return list(solution.copy_assignment[j])
-    ctr = solution.assignment.get(j)
-    return [] if ctr is None else [(ctr, None)]
-
-
 def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.MEDIAN,
                         tau=0.0):
     """Interpolate two solutions into one with exactly ``target_t`` outliers.

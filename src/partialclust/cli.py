@@ -267,6 +267,9 @@ def _csv_row(payload):
 
 def _cmd_solve(args):
     start = time.perf_counter()
+    # The runners check jobs too, but subquadratic has no runner to pass it to.
+    if args.jobs < 1:
+        raise InvalidParameterError("jobs must be a positive integer")
     space, groups = _load_space(args)
     if args.alg in _NODE_ALGS:
         if not args.nodes:

@@ -448,21 +448,113 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     return _cut(instance, table.matrix, run, stop_weight)
 
 
+def _opening_estimate(order, costs, live_w, req, theta):
+    """Opening time of one candidate under the current duals: its row of a
+    :class:`SortedCosts` table (``order``, ``costs``), the weight of every
+    demand that is still active (0 once frozen) and the facility cost
+    ``req`` its frozen demands do not pay yet. The least level, at least
+    ``theta``, at which the active demands' duals pay ``req``; ``theta``
+    itself when nothing is left to pay, and inf when no level does."""
+    if req <= 0:
+        return theta
+    wa = live_w[order]
+    cw = wa.cumsum()
+    wa *= costs
+    cand = wa.cumsum()
+    cand += req
+    live = cw > 0
+    np.divide(cand, cw, out=cand, where=live)
+    ok = cand >= costs - 1e-12
+    ok &= live
+    ok[:-1] &= cand[:-1] <= costs[1:] + 1e-12
+    cand = cand[ok]
+    return max(float(cand.min()), theta) if cand.size else np.inf
+
+
+def _opening_estimates(order, costs, live_w, req, theta):
+    """:func:`_opening_estimate` of several candidates, one row each of
+    ``order`` and ``costs`` per entry of ``req``. Each row does the same
+    float operations, so each estimate has the same bits."""
+    wa = live_w[order]
+    cw = wa.cumsum(axis=1)
+    wa *= costs
+    cand = wa.cumsum(axis=1)
+    cand += req[:, None]
+    live = cw > 0
+    np.divide(cand, cw, out=cand, where=live)
+    ok = cand >= costs - 1e-12
+    ok &= live
+    ok[:, :-1] &= cand[:, :-1] <= costs[:, 1:] + 1e-12
+    est = np.maximum(np.where(ok, cand, np.inf).min(axis=1), theta)
+    est[req <= 0] = theta
+    return est
+
+
+def _next_opening(key, estimate, estimates, batch_size):
+    """The next opening of a lazy binary heap of (time, index) pairs, with
+    the stored times ``key`` (inf for candidates that opened).
+
+    The heap pops the least pair and re-estimates it under the current
+    duals. If the estimate is later than the stored time by more than 1e-12
+    relative, the candidate is stale: the heap pushes it back with the
+    estimate and goes on; otherwise it returns that pair. The duals do not
+    move during one search, so its outcome has a closed form: with K' the
+    estimate of a stale candidate and the stored time K of a fresh one, the
+    heap returns the least (K', index), and it stores the estimate of every
+    stale candidate whose (K, index) comes before that answer.
+
+    Most searches end at their first candidate, so the least key is
+    re-estimated alone (``estimate(u)``). When it is stale, the next keys in
+    (K, index) order are estimated ``batch_size`` at a time
+    (``estimates(us)``), until the least key not yet estimated comes after
+    the best (K', index) found. Returns that (K', index) and updates
+    ``key`` as the heap would; (inf, None) when every key is inf.
+    """
+    u = int(key.argmin())
+    tu = float(key[u])
+    if math.isinf(tu):
+        return np.inf, None
+    best = estimate(u)
+    if best <= tu + 1e-12 * (1.0 + abs(tu)):
+        return tu, u
+    # Every key in (K, index) order; u, the least, comes first.
+    by_key = key.argsort(kind="stable")
+    sorted_keys = key[by_key]
+    finite = int(sorted_keys.searchsorted(np.inf))
+    key[u] = best
+    examined = []
+    for lo in range(1, finite, batch_size):
+        low = sorted_keys[lo]
+        if low > best or (low == best and by_key[lo] > u):
+            break
+        hi = min(lo + batch_size, finite)
+        us, ks = by_key[lo:hi], sorted_keys[lo:hi]
+        es = estimates(us)
+        stale = es > ks + 1e-12 * (1.0 + np.abs(ks))
+        kp = np.where(stale, es, ks)
+        low = kp.min()
+        v = int(us[kp == low].min())
+        if low < best or (low == best and v < u):
+            best, u = float(low), v
+        examined.append((us, ks, es, stale))
+    for us, ks, es, stale in examined:
+        stale &= (ks < best) | ((ks == best) & (us < u))
+        key[us[stale]] = es[stale]
+    return best, u
+
+
 def _event_run(instance, table, z, stop_weight):
     """The primal-dual event loop at ``z > 0``, up to the end of the first
     freeze batch that leaves at most ``stop_weight`` unconnected.
 
     ``key`` holds one stored opening time per candidate (inf once it
     opens). Each is a lower bound, since freezing demands only delays an
-    opening. The next opening is found lazily: the smallest key, lowest
-    index on ties, is re-estimated under the current duals, and if the
-    estimate is later it is stored and the search goes on. The duals do not
-    move during one search, so after the first stale candidate the smallest
-    unestimated keys are estimated in batches of up to 32 and looked up as
-    the search reaches them; only the candidates the search examines have
-    their estimate stored. Each batch row does the float operations of a
-    one-candidate estimate, so every pick, and the result, is bit for bit
-    that of a lazy binary heap of (time, index) pairs.
+    opening, and :func:`_next_opening` picks the next opening from them as
+    a lazy heap would. It re-estimates a candidate on its own sorted row
+    (:func:`_opening_estimate`) and several at once on theirs
+    (:func:`_opening_estimates`). A batch row does the float operations of
+    the one-row estimate, so every pick, every stored key, and the run, is
+    bit for bit that of the heap.
     """
     C = table.matrix
     n, m = C.shape
@@ -471,6 +563,7 @@ def _event_run(instance, table, z, stop_weight):
     order, Csort = table.order, table.costs
 
     active = np.ones(n, dtype=bool)
+    live_w = w.copy()   # w where active, 0.0 once frozen
     frozen_base = np.zeros(m)
     open_time = np.full(m, np.inf)
     open_seq = []
@@ -480,57 +573,20 @@ def _event_run(instance, table, z, stop_weight):
     remaining = int(wi.sum())
     theta = 0.0
 
-    def estimates(us):
-        """Opening times of candidates ``us`` under the current duals, one
-        row per candidate (``initial_opening_times`` with frozen demands)."""
-        req = z - frozen_base[us]
-        cols = order[us]
-        wa = w[cols] * active[cols]
-        cw = wa.cumsum(axis=1)
-        costs = Csort[us]
-        wa *= costs
-        cand = wa.cumsum(axis=1)
-        cand += req[:, None]
-        live = cw > 0
-        np.divide(cand, cw, out=cand, where=live)
-        ok = cand >= costs - 1e-12
-        ok &= live
-        ok[:, :-1] &= cand[:, :-1] <= costs[:, 1:] + 1e-12
-        est = np.maximum(np.where(ok, cand, np.inf).min(axis=1), theta)
-        est[req <= 0] = theta
-        return est
-
     key = table.initial_opening_times(z)
-    batch_size = min(_ESTIMATE_BATCH, m)
+    freeze_rows = max(1, _BLOCK_ENTRIES // m)
 
-    def next_opening():
-        memo = {}   # estimates made in this search, by candidate
-        while True:
-            u = int(key.argmin())
-            tu = float(key[u])
-            if math.isinf(tu):
-                return np.inf, None
-            if u not in memo:
-                # Most searches need one estimate, so the first goes alone.
-                if memo:
-                    pending = key.copy()
-                    pending[list(memo)] = np.inf
-                    pending[u] = -np.inf
-                    us = np.argpartition(pending, batch_size - 1)[:batch_size]
-                    us = us[pending[us] < np.inf]
-                else:
-                    us = np.array([u])
-                memo.update(zip(us.tolist(), estimates(us).tolist()))
-            t2 = memo[u]
-            if t2 > tu + 1e-12 * (1.0 + abs(tu)):
-                key[u] = t2
-                continue
-            return max(tu, theta), u
+    def estimate(u):
+        return _opening_estimate(order[u], Csort[u], live_w, z - frozen_base[u], theta)
+
+    def estimates(us):
+        return _opening_estimates(order[us], Csort[us], live_w, z - frozen_base[us], theta)
 
     # ``remaining`` is the weight of the active demands, so some are active.
     while remaining > stop_weight:
         t_freeze = float(minopen[active].min()) if open_seq else np.inf
-        t_open, u_next = next_opening()
+        t_open, u_next = _next_opening(key, estimate, estimates, _ESTIMATE_BATCH)
+        t_open = max(t_open, theta)
         if math.isinf(t_open) and math.isinf(t_freeze):
             break  # pragma: no cover - no facility can ever open
         if t_open <= t_freeze:
@@ -546,8 +602,21 @@ def _event_run(instance, table, z, stop_weight):
         cols = np.array(open_seq, dtype=int)
         connect = np.maximum(open_time[cols], C[batch[:, None], cols]).min(axis=1)
         active[batch] = False
-        for j, tj in zip(batch, connect):
-            frozen_base += w[j] * np.maximum(tj - C[j], 0.0)
+        live_w[batch] = 0.0
+        # frozen_base + the batch's excess duals, added in demand order: a
+        # cumulative sum down blocks of rows is the sum a loop makes. Each
+        # block is built in place and freed with its step, which keeps the
+        # peak memory of the loop it replaces.
+        for r in range(0, len(batch), freeze_rows):
+            rows = batch[r:r + freeze_rows]
+            add = np.empty((len(rows) + 1, m))
+            add[0] = frozen_base
+            gain = add[1:]
+            np.take(C, rows, axis=0, out=gain)
+            np.subtract(connect[r:r + freeze_rows, None], gain, out=gain)
+            np.maximum(gain, 0.0, out=gain)
+            gain *= w[rows, None]
+            np.copyto(frozen_base, add.cumsum(axis=0, out=add)[-1])
         frozen.extend(batch.tolist())
         times.extend(connect.tolist())
         steps.extend([len(thetas)] * len(batch))

@@ -212,9 +212,9 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     code, _, _ = run(["solve", "--input", str(planted_file), "--alg",
                       "kt-median", "--k", "0", "--t", "3"], capsys)
     assert code == 2
-    for jobs in ("0", "-3"):
+    for alg, jobs in (("kt-median", "0"), ("kt-median", "-3"), ("subquadratic", "0")):
         code, out, err = run(["solve", "--input", str(planted_file), "--alg",
-                              "kt-median", "--k", "2", "--t", "3",
+                              alg, "--k", "2", "--t", "3",
                               "--jobs", jobs], capsys)
         assert code == 2 and out == "" and "jobs" in err
     # unusable file
@@ -371,3 +371,38 @@ def test_solve_golden_reports_without_evals(golden_inputs, flags, stripped_sha,
     del report["evals"]
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == stripped_sha
+
+
+# Pins on inputs shaped like two benchmark workloads: a centerg-threads
+# input, whose sites reach the near-zero tau levels where one primal-dual
+# run takes 30-50 steps, and a median-large input with its 375-point sites.
+_BENCH_GOLDEN = [
+    # (input kind and flags, report sha256, transcript sha256)
+    ("uncertain", ["--alg", "center-g", "--k", "3", "--t", "4", "--sites", "2",
+                   "--seed", "6"],
+     "9da345b7e670f62722b4fba193acc028f1d45efe1582e57f2900890a24d73d17",
+     "56967322579e256aa4b08572d404eadb67cabd47d2bc7c4d68fda502189c88b5"),
+    ("planted", ["--alg", "kt-median", "--k", "5", "--t", "10", "--sites", "4",
+                 "--seed", "2"],
+     "4162f0f7fc1b1ce28e517de51b85a22a01603200f22dfdbc6f9420d6768cd9e3",
+     "0d3876b35533e097f0c16a2b66f060e5786e03486dff5eadf25e4ae06c6d2c30"),
+]
+
+
+@pytest.mark.parametrize("kind, flags, report_sha, transcript_sha", _BENCH_GOLDEN,
+                         ids=[g[1][1] for g in _BENCH_GOLDEN])
+def test_solve_bench_shaped_golden_reports(tmp_path, kind, flags, report_sha,
+                                           transcript_sha, capsys):
+    pts_f, tr = tmp_path / "pts.jsonl", tmp_path / "transcript.jsonl"
+    if kind == "uncertain":
+        universe, nodes = gen_uncertain_planted(120, 3, 4, seed=6)
+        write_points_jsonl(pts_f, universe)
+        write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+        flags = flags + ["--nodes", str(tmp_path / "nodes.jsonl")]
+    else:
+        write_points_jsonl(pts_f, gen_planted(1500, 5, 10, seed=2))
+    code, out, err = run(["solve", "--input", str(pts_f), "--transcript", str(tr)]
+                         + flags, capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+    assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha

@@ -1,6 +1,7 @@
 """Centralized solvers: Gonzalez, threshold sweep, primal-dual, the oracle."""
 
 import hashlib
+import heapq
 from unittest import mock
 
 import numpy as np
@@ -709,6 +710,102 @@ def test_jv_matches_lazy_heap_probe(case):
 @given(case=_jv_cases(zero=True))
 def test_jv_zero_matches_lazy_heap_probe(case):
     _assert_matches_lazy_heap(*case)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(case=_jv_cases())
+def test_jv_short_batches_match_lazy_heap(batch, case):
+    """Batches of one or two estimates make every search that re-estimates
+    more than one candidate cross batch boundaries, with the answer, a tie
+    on its key or the last stale candidate on either side of one."""
+    with mock.patch.object(solvers, "_ESTIMATE_BATCH", batch):
+        _assert_matches_lazy_heap(*case)
+
+
+def _heap_next_opening(key, est):
+    """One search of a lazy binary heap of (key, index) pairs with the
+    estimates ``est``: the reference :func:`solvers._next_opening` mirrors."""
+    heap = [(float(k), u) for u, k in enumerate(key) if k < np.inf]
+    heapq.heapify(heap)
+    while heap:
+        tu, u = heap[0]
+        if est[u] > tu + 1e-12 * (1.0 + abs(tu)):
+            heapq.heapreplace(heap, (float(est[u]), u))
+            key[u] = est[u]
+            continue
+        return tu, u
+    return np.inf, None
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 32])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_next_opening_matches_heap_search(batch, data):
+    """Keys and estimates from a few values, so that keys and estimates tie
+    across candidates, and estimates within or just past the staleness
+    tolerance of their key: the same answer and the same stored keys as
+    the heap."""
+    m = data.draw(st.integers(1, 40))
+    values = [0.0, 1.0, 1.0 + 1e-13, 2.0, 2.0 + 5e-12, 3.0, np.inf]
+    key = np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
+    bumps = st.one_of(st.sampled_from(values),
+                      st.sampled_from([0.0, -1e-13, 1e-12, 3e-12]).map(lambda d: ("rel", d)))
+    est = np.empty(m)
+    for u, b in enumerate(data.draw(st.lists(bumps, min_size=m, max_size=m))):
+        est[u] = key[u] * (1.0 + b[1]) if isinstance(b, tuple) else max(b, key[u] - 1e-13)
+    fast_key, slow_key = key.copy(), key.copy()
+    calls = []
+
+    def estimates(us):
+        calls.append(len(us))
+        return est[us]
+
+    fast = solvers._next_opening(fast_key, lambda u: float(est[u]), estimates, batch)
+    slow = _heap_next_opening(slow_key, est)
+    assert fast[0] == slow[0]
+    if fast[0] < np.inf:
+        assert fast[1] == slow[1]
+    assert fast_key.tobytes() == slow_key.tobytes()
+    assert all(c <= batch for c in calls)
+
+
+@st.composite
+def _estimate_rows(draw):
+    """(order, costs, live weights, req, theta) of a few candidates: integer
+    costs, some nudged by 1e-13 onto their neighbours, rows in which every
+    demand is frozen, and facility costs left to pay at or below 0."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 6))
+    grid = st.integers(0, 6).map(float)
+    C = np.array(draw(st.lists(st.lists(grid, min_size=m, max_size=m),
+                               min_size=n, max_size=n)))
+    C += np.array(draw(st.lists(st.lists(st.sampled_from([0.0, 1e-13]), min_size=m,
+                                         max_size=m), min_size=n, max_size=n)))
+    order = np.argsort(C.T, axis=1, kind="stable")
+    costs = np.take_along_axis(C.T, order, axis=1)
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float)
+    live = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        live[:] = False
+    req = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1e-13, 0.5, 1.0, 3.0, 7.5,
+                                                  40.0]), min_size=m, max_size=m)))
+    theta = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return order, costs, np.where(live, w, 0.0), req, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_estimate_rows())
+def test_one_row_estimate_matches_batch_row(rows):
+    order, costs, live_w, req, theta = rows
+    batch = solvers._opening_estimates(order, costs, live_w, req, theta)
+    for u in range(len(req)):
+        one = solvers._opening_estimate(order[u], costs[u], live_w, req[u], theta)
+        assert np.float64(one).tobytes() == batch[u].tobytes()
+        if req[u] <= 0:
+            assert one == theta
+        elif not live_w.any():
+            assert one == np.inf
 
 
 def test_jv_rejects_table_of_another_matrix():
