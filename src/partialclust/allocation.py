@@ -216,8 +216,7 @@ def exceptional_adjust(allocation, curve):
 # Convex merge of two solutions with different outlier counts
 
 
-def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.MEDIAN,
-                        tau=0.0):
+def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.MEDIAN):
     """Interpolate two solutions into one with exactly ``target_t`` outliers.
 
     Write theta = (target_t - t1) / (t2 - t1). Copies served by both inputs
@@ -243,7 +242,7 @@ def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.ME
         return sol_a
     if target_t == t2:
         return sol_b
-    M = instance.cost_matrix(objective, tau)
+    M = instance.cost_matrix(objective)
     W = instance.total_weight
 
     parts = {}          # demand -> {center: copies}

@@ -202,8 +202,16 @@ def _effective_objective(alg, args):
     return _OBJECTIVE_OF_ALG.get(alg, args.objective)
 
 
+def _solution_fields(sol):
+    return {
+        "cost": sol.cost,
+        "centers": [int(c) for c in sol.centers],
+        "outliers": sorted(int(p) for p in sol.outliers),
+        "n_outliers": int(sol.total_excluded),
+    }
+
+
 def _report_payload(alg, args, report, n_items, label):
-    sol = report.solution
     ledger = report.ledger
     payload = {
         "alg": alg,
@@ -214,10 +222,7 @@ def _report_payload(alg, args, report, n_items, label):
             "objective": _effective_objective(alg, args),
         },
         label: n_items,
-        "cost": sol.cost,
-        "centers": [int(c) for c in sol.centers],
-        "outliers": sorted(int(p) for p in sol.outliers),
-        "n_outliers": int(sol.total_excluded),
+        **_solution_fields(report.solution),
         "rounds": report.rounds,
         "words": {
             "total": ledger.total_words,
@@ -267,7 +272,7 @@ def _csv_row(payload):
 
 def _cmd_solve(args):
     start = time.perf_counter()
-    # The runners check jobs too, but subquadratic has no runner to pass it to.
+    # --jobs is checked and otherwise ignored: sites run in site order.
     if args.jobs < 1:
         raise InvalidParameterError("jobs must be a positive integer")
     space, groups = _load_space(args)
@@ -278,12 +283,12 @@ def _cmd_solve(args):
         npart = _make_node_partition(space, nodes, args, node_groups)
         if args.alg == "center-g":
             report = run_center_g(npart, args.k, args.t, epsilon=args.epsilon,
-                                  seed=args.seed, jobs=args.jobs)
+                                  seed=args.seed)
         else:
             obj = args.alg.split("uncertain-", 1)[1]
             report = run_uncertain(npart, args.k, args.t, objective=obj,
                                    epsilon=args.epsilon, seed=args.seed,
-                                   jobs=args.jobs, rho=args.rho)
+                                   rho=args.rho)
         payload = _report_payload(args.alg, args, report, len(nodes), "n_nodes")
     elif args.alg == "subquadratic":
         objective = Objective.from_string(args.objective)
@@ -297,10 +302,7 @@ def _cmd_solve(args):
             "params": {"k": args.k, "t": args.t, "alpha": args.alpha,
                        "seed": args.seed, "objective": args.objective},
             "n_points": space.n,
-            "cost": solution.cost,
-            "centers": [int(c) for c in solution.centers],
-            "outliers": sorted(int(p) for p in solution.outliers),
-            "n_outliers": int(solution.total_excluded),
+            **_solution_fields(solution),
             "depth": sub.depth,
             "levels": [list(l) for l in sub.levels],
             "evals": {"total": sub.evals},
@@ -310,25 +312,22 @@ def _cmd_solve(args):
         part = _make_partition(space, args, groups)
         if args.alg == "kt-median":
             report = run_kt_median(part, args.k, args.t, rho=args.rho,
-                                   epsilon=args.epsilon, seed=args.seed,
-                                   jobs=args.jobs)
+                                   epsilon=args.epsilon, seed=args.seed)
         elif args.alg == "kt-means":
             report = run_kt_median(part, args.k, args.t, rho=args.rho,
                                    epsilon=args.epsilon,
-                                   objective=Objective.MEANS, seed=args.seed,
-                                   jobs=args.jobs)
+                                   objective=Objective.MEANS, seed=args.seed)
         elif args.alg == "kt-median-co":
             report = run_kt_median_clustering_only(
                 part, args.k, args.t, delta=args.delta, epsilon=args.epsilon,
-                seed=args.seed, jobs=args.jobs)
+                seed=args.seed)
         elif args.alg == "kt-center":
             report = run_kt_center(part, args.k, args.t, rho=args.rho,
-                                   seed=args.seed, jobs=args.jobs)
+                                   seed=args.seed)
         else:
             report = run_one_round(part, args.k, args.t,
                                    objective=Objective.from_string(args.objective),
-                                   epsilon=args.epsilon, seed=args.seed,
-                                   jobs=args.jobs)
+                                   epsilon=args.epsilon, seed=args.seed)
         payload = _report_payload(args.alg, args, report, space.n, "n_points")
 
     if args.timings:

@@ -38,7 +38,7 @@ def _parse_jsonl(path):
     return rows
 
 
-def read_points_files(paths, word_width=None):
+def read_points_files(paths):
     """Read one or more point files into a euclidean space.
 
     Returns (space, groups) where ``groups[i]`` lists the point ids that came
@@ -79,11 +79,11 @@ def read_points_files(paths, word_width=None):
             f"ids must cover 0..{n - 1}; missing {sorted(missing)[:5]}",
             path=paths[-1])
     coords = np.array([seen[i] for i in range(n)], dtype=float)
-    return MetricSpace.euclidean(coords, word_width), groups
+    return MetricSpace.euclidean(coords), groups
 
 
-def read_points_jsonl(path, word_width=None):
-    space, _ = read_points_files([path], word_width)
+def read_points_jsonl(path):
+    space, _ = read_points_files([path])
     return space
 
 
@@ -97,7 +97,7 @@ def write_points_jsonl(path, coords):
             fh.write("\n")
 
 
-def read_matrix(path, word_width=1):
+def read_matrix(path):
     """Distance-matrix file: first line n, then n rows of n numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -130,7 +130,7 @@ def read_matrix(path, word_width=1):
             raise ParseError("matrix entries must be numbers", path=path,
                              line=ln) from None
     try:
-        return MetricSpace.from_matrix(np.array(rows), word_width)
+        return MetricSpace.from_matrix(np.array(rows))
     except Exception as exc:
         raise ParseError(str(exc), path=path) from None
 

@@ -70,7 +70,7 @@ class MetricSpace:
         self.n = n
 
     @classmethod
-    def euclidean(cls, coords, word_width=None):
+    def euclidean(cls, coords):
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
@@ -84,13 +84,10 @@ class MetricSpace:
         if np.abs(coords).max() >= limit:
             raise InvalidPointError(
                 f"coordinates must lie within +-{limit:.3g} so distances stay finite")
-        B = int(word_width) if word_width is not None else coords.shape[1]
-        if B < 1:
-            raise InvalidParameterError("word_width must be >= 1")
-        return cls("euclidean", coords, None, B, coords.shape[0])
+        return cls("euclidean", coords, None, coords.shape[1], coords.shape[0])
 
     @classmethod
-    def from_matrix(cls, matrix, word_width=1):
+    def from_matrix(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
             raise InvalidParameterError("matrix must be square and nonempty")
@@ -102,8 +99,7 @@ class MetricSpace:
             raise InvalidParameterError("matrix must be symmetric")
         if not np.allclose(np.diag(matrix), 0, rtol=0, atol=1e-12):
             raise InvalidParameterError("matrix diagonal must be zero")
-        n = matrix.shape[0]
-        return cls("matrix", None, matrix, int(word_width), n)
+        return cls("matrix", None, matrix, 1, matrix.shape[0])
 
     def _check(self, u):
         if not 0 <= u < self.n:
@@ -394,15 +390,12 @@ class Instance:
         self._pair_cache = D
         return D
 
-    def subset(self, demand_indices, candidates=None, payload_kind=None):
-        """New instance over a subset of demands, sharing space and counter."""
+    def subset(self, demand_indices):
+        """New instance over a subset of demands, with their anchors as the
+        candidates, sharing space, counter and payload kind."""
         dem = [self.demands[j] for j in demand_indices]
-        if candidates is None:
-            candidates = [d.anchor for d in dem]
-        return Instance(
-            self.space, dem, candidates, counter=self.counter,
-            payload_kind=self.payload_kind if payload_kind is None else payload_kind,
-        )
+        return Instance(self.space, dem, [d.anchor for d in dem],
+                        counter=self.counter, payload_kind=self.payload_kind)
 
 
 @dataclass

@@ -84,12 +84,12 @@ class Partition:
 
     @classmethod
     def round_robin(cls, space, s):
-        _check_site_count(space, s)
+        _check_site_count(space.n, s, "points")
         return cls(space, tuple(tuple(range(i, space.n, s)) for i in range(s)))
 
     @classmethod
     def contiguous(cls, space, s):
-        _check_site_count(space, s)
+        _check_site_count(space.n, s, "points")
         parts = np.array_split(np.arange(space.n), s)
         return cls(space, tuple(tuple(int(p) for p in part) for part in parts))
 
@@ -98,11 +98,11 @@ class Partition:
         return cls(space, tuple(tuple(int(p) for p in pts) for pts in lists))
 
 
-def _check_site_count(space, s):
+def _check_site_count(n, s, unit):
     if not isinstance(s, (int, np.integer)) or s < 1:
         raise InvalidParameterError("site count must be a positive integer")
-    if s > space.n:
-        raise InvalidParameterError(f"cannot spread {space.n} points over {s} sites")
+    if s > n:
+        raise InvalidParameterError(f"cannot spread {n} {unit} over {s} sites")
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def _norm_objective(objective, allow_center=True):
     return obj
 
 
-def _validate_common(k, t, seed, epsilon=1.0, rho=None, jobs=1):
+def _validate_common(k, t, seed, epsilon=1.0, rho=None):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidParameterError("k must be a positive integer")
     if not isinstance(t, (int, np.integer)) or t < 0:
@@ -190,8 +190,6 @@ def _validate_common(k, t, seed, epsilon=1.0, rho=None, jobs=1):
         raise InvalidParameterError("epsilon must be > 0")
     if rho is not None and not 1.0 < rho <= 2.0:
         raise InvalidParameterError("rho must lie in (1, 2]")
-    if not isinstance(jobs, (int, np.integer)) or jobs < 1:
-        raise InvalidParameterError("jobs must be a positive integer")
 
 
 def _site_instances(partition, t):
@@ -203,28 +201,27 @@ def _site_instances(partition, t):
     return insts
 
 
-def _run_sites(worker, s, jobs):
+def _run_sites(worker, s, seconds):
     """``worker(i)`` for every site, in site order, on the calling thread.
 
-    ``jobs`` is validated by the runners and otherwise ignored. There is no
-    thread pool because one lost on every workload measured on a two-core
-    host: numpy drops and retakes the interpreter lock on every mid-size
-    operation, so six center-g inputs took 16.1 s wall and 17.5 s CPU on
-    two threads against 7.6-8.0 s serially (a 60x60 ufunc loop on two
+    There is no thread pool because one lost on every workload measured on a
+    two-core host: numpy drops and retakes the interpreter lock on every
+    mid-size operation, so six center-g inputs took 16.1 s wall and 17.5 s
+    CPU on two threads against 7.6-8.0 s serially (a 60x60 ufunc loop on two
     threads costs 1.8x the wall and 2.5x the CPU of one), kt-median lost
     12-26% of its wall time on two threads and one-round center 35% on
     four. Real parallelism needs site steps that share nothing and a tracer
     that sees spans recorded in child processes.
 
-    Returns the results in site order and each worker's CPU seconds
-    (``time.thread_time``).
+    Adds each worker's CPU seconds (``time.thread_time``) to ``seconds[i]``
+    and returns the results in site order.
     """
-    results, secs = [], []
+    results = []
     for i in range(s):
         start = time.thread_time()
         results.append(worker(i))
-        secs.append(time.thread_time() - start)
-    return results, secs
+        seconds[i] += time.thread_time() - start
+    return results
 
 
 def _local_solution(inst, k, q, objective, seed, table=None):
@@ -308,21 +305,21 @@ def _tag_slice(demand, copies):
 
 
 def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
-                          forward_outliers, ledger, payload_kind,
-                          count_word=False, round_no=2, tau=0.0,
-                          centers_only_candidates=False):
+                          forward_outliers, ledger, count_word=False, round_no=2,
+                          tau=0.0):
     """Build the coordinator's weighted instance from round-2 site summaries.
 
     Each surviving preclustering center becomes a weighted point demand; each
     forwarded outlier keeps its own demand (support, collapse, excluded copy
-    count). Provenance records let :func:`_lift_solution` map the
-    coordinator's verdict back onto site demands. ``tau`` picks the truncated
-    cost surface the attachment order (farthest first) is read from;
-    ``centers_only_candidates`` restricts the coordinator's candidate centers
-    to the forwarded center points (set when outliers are whole
-    distributions rather than points).
+    count), priced by the sites' payload kind. Provenance records let
+    :func:`_lift_solution` map the coordinator's verdict back onto site
+    demands. ``tau`` picks the truncated cost surface the attachment order
+    (farthest first) is read from. When outliers are whole node
+    distributions rather than points, only the forwarded center points are
+    candidate centers. Returns no instance when the sites keep no copy.
     """
     B = space.word_width
+    payload_kind = site_instances[0].payload_kind
     demands, prov = [], []
     center_anchors = set()
     for i, (inst, sol) in enumerate(zip(site_instances, site_sols)):
@@ -348,7 +345,9 @@ def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
             words += 1
         if ledger is not None:
             ledger.add(round_no, "site->coord", i, "summary", words)
-    if centers_only_candidates and center_anchors:
+    if not demands:
+        return None, prov
+    if payload_kind == "node" and center_anchors:
         anchors = sorted(center_anchors)
     else:
         anchors = sorted({d.anchor for d in demands})
@@ -497,15 +496,15 @@ def _allocate(marginals, t, rho, ledger=None, curves=None):
     return alloc
 
 
-def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
+def _curve_round(site_insts, k, t, rho, objective, salt, seconds, ledger,
                  adjust=True):
     """Round 1 of the sum-objective protocols.
 
     Every site solves its local (2k, q) problems on the geometric grid, with
     seeds ``(*salt, i, qi)``, and ships the lower hull of its cost curve (two
     words per vertex); the coordinator allocates, adjusting the pivot site
-    when ``adjust`` is set. Returns (site solutions by q, curves, allocation,
-    site seconds).
+    when ``adjust`` is set. Site CPU time adds to ``seconds``. Returns (site
+    solutions by q, curves, allocation).
     """
     qs = geometric_index_set(t, rho)
 
@@ -517,17 +516,17 @@ def _curve_round(site_insts, k, t, rho, objective, salt, jobs, ledger,
         return _site_curve(i, qs, lambda qi, q: _local_solution(
             inst, k, q, objective, seed=(*salt, i, qi), table=table))
 
-    results, secs = _run_sites(worker, len(site_insts), jobs)
+    results = _run_sites(worker, len(site_insts), seconds)
     curves = [c for _, c in results]
     if ledger is not None:
         for i, c in enumerate(curves):
             ledger.add(1, "site->coord", i, "cost-curve", 2 * c.n_vertices)
     alloc = _allocate([c.marginals() for c in curves], t, rho, ledger,
                       curves if adjust else None)
-    return [sols for sols, _ in results], curves, alloc, secs
+    return [sols for sols, _ in results], curves, alloc
 
 
-def _center_round(site_insts, k, t, rho, jobs, ledger):
+def _center_round(site_insts, k, t, rho, seconds, ledger):
     """Site work of the two-round center protocols.
 
     Each site runs a farthest-first traversal up to position k + t and
@@ -537,14 +536,14 @@ def _center_round(site_insts, k, t, rho, jobs, ledger):
     k + t_i traversal points, whose cost columns in euclidean mode are the
     traversal's own rows, so a site of n_i demands evaluates at most
     (k + t) * n_i distances (matrix mode reads the columns apart). Both
-    steps run as site work. Returns (allocation, site solutions, site
-    seconds).
+    steps run as site work, their CPU time added to ``seconds``. Returns
+    (allocation, site solutions).
     """
     def traverse(i):
         gorder = gonzalez_order(site_insts[i], k + t)
         return gorder, insertion_marginals(gorder, k, t)
 
-    results, secs = _run_sites(traverse, len(site_insts), jobs)
+    results = _run_sites(traverse, len(site_insts), seconds)
     for i in range(len(site_insts)):
         ledger.add(1, "site->coord", i, "marginals", t)
     alloc = _allocate([m for _, m in results], t, rho, ledger)
@@ -555,8 +554,7 @@ def _center_round(site_insts, k, t, rho, jobs, ledger):
         prefix = [inst.demands[j].anchor for j in gorder.order[:size]]
         return solution_from_centers(inst, prefix, Objective.CENTER, 0)
 
-    site_sols, answer_secs = _run_sites(answer, len(site_insts), jobs)
-    return alloc, site_sols, [a + b for a, b in zip(secs, answer_secs)]
+    return alloc, _run_sites(answer, len(site_insts), seconds)
 
 
 def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
@@ -570,24 +568,31 @@ def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
     otherwise), lifts the verdict onto the site demands and reports it
     point-level, or node-level for node payloads. ``score(solution,
     counter)`` returns extras measured on the final solution, with its
-    distance evaluations counted as the coordinator's.
+    distance evaluations counted as the coordinator's. Sites that keep their
+    outliers may leave it t copies or fewer: its budget then stays below the
+    copies it holds, as a site's does, and holding none it ignores every
+    point around one lone center.
     """
     coord_counter = EvalCounter()
     coord_inst, prov = _assemble_coordinator(
         space, site_insts, site_sols, objective, coord_counter, ledger=ledger,
         round_no=rounds, **assemble)
-    if objective is Objective.CENTER:
-        final = kt_center_outliers(coord_inst, k, t)
+    if coord_inst is None:
+        final = ClusteringSolution((int(site_insts[0].candidates[0]),), {}, {}, 0.0)
     else:
-        cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
-        final = bicriteria_median(coord_inst, k, t, cfg, objective, seed=(seed, 3))
+        t = min(t, coord_inst.total_weight - 1)
+        if objective is Objective.CENTER:
+            final = kt_center_outliers(coord_inst, k, t)
+        else:
+            cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
+            final = bicriteria_median(coord_inst, k, t, cfg, objective,
+                                      seed=(seed, 3))
     demand_sol, view = _lift_solution(space, site_insts, prov, final, objective,
                                       coord_counter, site_excluded=site_excluded)
     extras = {"coordinator_excluded": final.total_excluded}
-    if coord_inst.payload_kind == "point":
+    if site_insts[0].payload_kind == "point":
         solution = _expand_points(space, view.demands, demand_sol, objective,
                                   coord_counter)
-        extras["demand_solution"] = demand_sol
     else:
         solution = _node_solution(view.demands, demand_sol)
     if score is not None:
@@ -606,7 +611,7 @@ def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
 
 
 def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
-                  objective=Objective.MEDIAN, seed=0, jobs=1):
+                  objective=Objective.MEDIAN, seed=0):
     """Two-round (k, t)-median/means with outlier forwarding.
 
     Round 1: cost-curve hulls up, budget pivot down; the pivot site's budget
@@ -618,23 +623,23 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
     after the pivot adjustment, so its ``t_by_site`` equals ``budgets``.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon, rho, jobs)
+    _validate_common(k, t, seed, epsilon, rho)
     site_insts = _site_instances(partition, t)
-    ledger = CommLedger()
-    sols_by_q, curves, alloc, secs = _curve_round(
-        site_insts, k, t, rho, objective, (seed, 11), jobs, ledger)
+    ledger, secs = CommLedger(), [0.0] * partition.n_sites
+    sols_by_q, curves, alloc = _curve_round(
+        site_insts, k, t, rho, objective, (seed, 11), secs, ledger)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     report = _coordinate(
         partition.space, site_insts, site_sols, objective, k, t, ledger,
         allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
-        epsilon=epsilon, seed=seed, forward_outliers=True, payload_kind="point")
+        epsilon=epsilon, seed=seed, forward_outliers=True)
     report.extras.update(curves=curves, site_excluded=tuple(
         s.total_excluded for s in site_sols))
     return report
 
 
 def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
-                                  objective=Objective.MEDIAN, seed=0, jobs=1):
+                                  objective=Objective.MEDIAN, seed=0):
     """Clustering-only variant: centers travel, outlier identities do not.
 
     Runs the curve round with rho = 1 + delta and no budget adjustment, so
@@ -647,13 +652,13 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     the final solution ignores at most (2 + epsilon + delta) t points.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon, jobs=jobs)
+    _validate_common(k, t, seed, epsilon)
     if not 0.0 < delta <= 1.0:
         raise InvalidParameterError("delta must lie in (0, 1]")
     site_insts = _site_instances(partition, t)
-    ledger = CommLedger()
-    sols_by_q, curves, alloc, secs = _curve_round(
-        site_insts, k, t, 1.0 + delta, objective, (seed, 12), jobs, ledger,
+    ledger, secs = CommLedger(), [0.0] * partition.n_sites
+    sols_by_q, curves, alloc = _curve_round(
+        site_insts, k, t, 1.0 + delta, objective, (seed, 12), secs, ledger,
         adjust=False)
     site_sols = []
     for inst, sols, curve, ti in zip(site_insts, sols_by_q, curves,
@@ -672,7 +677,7 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
         allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
         epsilon=epsilon, seed=seed,
         site_excluded=[dict(s.outliers) for s in site_sols],
-        forward_outliers=False, payload_kind="point", count_word=True)
+        forward_outliers=False, count_word=True)
     site_excluded = tuple(s.total_excluded for s in site_sols)
     report.extras.update(
         curves=curves, site_excluded=site_excluded,
@@ -680,7 +685,7 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     return report
 
 
-def run_kt_center(partition, k, t, rho=2.0, seed=0, jobs=1):
+def run_kt_center(partition, k, t, rho=2.0, seed=0):
     """Two-round (k, t)-center.
 
     Round 1: each site sends its farthest-first insertion radii and the same
@@ -689,18 +694,18 @@ def run_kt_center(partition, k, t, rho=2.0, seed=0, jobs=1):
     attached counts. The coordinator's threshold sweep keeps k centers and
     excludes exactly t copies.
     """
-    _validate_common(k, t, seed, rho=rho, jobs=jobs)
+    _validate_common(k, t, seed, rho=rho)
     site_insts = _site_instances(partition, t)
-    ledger = CommLedger()
-    alloc, site_sols, secs = _center_round(site_insts, k, t, rho, jobs, ledger)
+    ledger, secs = CommLedger(), [0.0] * partition.n_sites
+    alloc, site_sols = _center_round(site_insts, k, t, rho, secs, ledger)
     return _coordinate(
         partition.space, site_insts, site_sols, Objective.CENTER, k, t, ledger,
         allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
-        forward_outliers=False, payload_kind="point")
+        forward_outliers=False)
 
 
 def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
-                  seed=0, jobs=1):
+                  seed=0):
     """Single-round baseline: every site sends its full (2k, t) summary.
 
     No allocation happens, so each site budgets t outliers of its own and
@@ -709,16 +714,17 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
     of the median protocol.
     """
     objective = _norm_objective(objective)
-    _validate_common(k, t, seed, epsilon, jobs=jobs)
+    _validate_common(k, t, seed, epsilon)
     site_insts = _site_instances(partition, t)
-    site_sols, secs = _run_sites(
+    secs = [0.0] * partition.n_sites
+    site_sols = _run_sites(
         lambda i: _local_solution(site_insts[i], k, t, objective, seed=(seed, 21, i)),
-        partition.n_sites, jobs)
+        partition.n_sites, secs)
     return _coordinate(
         partition.space, site_insts, site_sols, objective, k, t, CommLedger(),
         rounds=1, allocation=None,
         budgets=tuple(s.total_excluded for s in site_sols), site_seconds=secs,
-        epsilon=epsilon, seed=seed, forward_outliers=True, payload_kind="point")
+        epsilon=epsilon, seed=seed, forward_outliers=True)
 
 
 # ---------------------------------------------------------------------------
@@ -771,12 +777,12 @@ def _subquadratic_level(inst, k, t, depth, objective, seed, levels):
     levels.append((n, s))
     parts = np.array_split(np.arange(n), s)
     subinsts = [inst.subset([int(j) for j in p]) for p in parts]
-    sols_by_q, _, alloc, _ = _curve_round(
-        subinsts, k, t, 2.0, objective, (seed, 13, depth), 1, None)
+    sols_by_q, _, alloc = _curve_round(
+        subinsts, k, t, 2.0, objective, (seed, 13, depth), [0.0] * s, None)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     coord, prov = _assemble_coordinator(
         inst.space, subinsts, site_sols, objective, inst.counter,
-        forward_outliers=True, ledger=None, payload_kind="point")
+        forward_outliers=True, ledger=None)
     sub = _subquadratic_level(coord, k, t, depth - 1, objective, seed, levels)
     lifted, _ = _lift_solution(inst.space, subinsts, prov, sub, objective,
                                inst.counter)

@@ -750,29 +750,26 @@ class BicriteriaConfig:
 
     ``relax`` picks which budget may stretch by (1 + epsilon): ``"outliers"``
     keeps at most k centers, ``"centers"`` keeps at most t outliers.
-    ``rounding_trials`` defaults to ceil(8/epsilon * ln 100), capped at 200.
+    ``trials``, the number of rounding draws, is ceil(8/epsilon * ln 100),
+    capped at 200.
     """
 
     epsilon: float = 1.0
     relax: str = "outliers"
-    rounding_trials: int | None = None
-    facility_cost_search_iters: int = 64
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise InvalidParameterError("epsilon must be > 0")
         if self.relax not in ("outliers", "centers"):
             raise InvalidParameterError("relax must be 'outliers' or 'centers'")
-        if self.rounding_trials is not None and self.rounding_trials < 1:
-            raise InvalidParameterError("rounding_trials must be >= 1")
-        if self.facility_cost_search_iters < 1:
-            raise InvalidParameterError("facility_cost_search_iters must be >= 1")
 
     @property
     def trials(self):
-        if self.rounding_trials is not None:
-            return min(self.rounding_trials, 200)
         return min(math.ceil(8.0 / self.epsilon * math.log(100.0)), 200)
+
+
+# Bisection steps of the facility-cost search, at most.
+_FACILITY_COST_SEARCH_ITERS = 64
 
 
 def _rank_key(sol):
@@ -837,7 +834,7 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
         return finish(res_hi.centers, final_budget, "bracket-failed")
 
     sol_large, sol_small = res_lo, res_hi
-    for _ in range(cfg.facility_cost_search_iters):
+    for _ in range(_FACILITY_COST_SEARCH_ITERS):
         if z_hi - z_lo <= 1e-9 * max(1.0, z_hi):
             break
         mid = 0.5 * (z_lo + z_hi)
@@ -917,7 +914,7 @@ def bicriteria_truncated_center(instance, k, t, tau, cfg=None, seed=0, table=Non
 # Exhaustive oracle
 
 
-def exact_oracle(instance, k, t, objective, tau=0.0):
+def exact_oracle(instance, k, t, objective):
     """Optimal (k, t) clustering by enumerating all k-subsets of candidates.
 
     Guarded to n <= 18 demands and k <= 4. Weighted outlier budgets split
@@ -931,11 +928,11 @@ def exact_oracle(instance, k, t, objective, tau=0.0):
         )
     if k < 1 or t < 0:
         raise InvalidParameterError("need k >= 1 and t >= 0")
-    M = instance.cost_matrix(objective, tau)
+    M = instance.cost_matrix(objective)
     w = instance.weights
     if instance.total_weight <= t:
         lone = (int(instance.candidates[0]),)
-        return solution_from_centers(instance, lone, objective, t, tau)
+        return solution_from_centers(instance, lone, objective, t)
     m = len(instance.candidates)
     kk = min(k, m)
     best = None
@@ -954,4 +951,4 @@ def exact_oracle(instance, k, t, objective, tau=0.0):
         key = (score, tuple(int(instance.candidates[u]) for u in combo))
         if best is None or key < best:
             best = key
-    return solution_from_centers(instance, best[1], objective, t, tau)
+    return solution_from_centers(instance, best[1], objective, t)

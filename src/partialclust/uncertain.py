@@ -37,6 +37,7 @@ from .protocol import (
     _allocate,
     _broadcast_pivot,
     _center_round,
+    _check_site_count,
     _coordinate,
     _curve_round,
     _run_sites,
@@ -155,15 +156,13 @@ class NodePartition:
 
     @classmethod
     def round_robin(cls, space, nodes, s):
-        if s < 1 or s > len(nodes):
-            raise InvalidParameterError("bad site count")
+        _check_site_count(len(nodes), s, "nodes")
         return cls(space, tuple(nodes),
                    tuple(tuple(range(i, len(nodes), s)) for i in range(s)))
 
     @classmethod
     def contiguous(cls, space, nodes, s):
-        if s < 1 or s > len(nodes):
-            raise InvalidParameterError("bad site count")
+        _check_site_count(len(nodes), s, "nodes")
         parts = np.array_split(np.arange(len(nodes)), s)
         return cls(space, tuple(nodes), tuple(tuple(int(j) for j in p) for p in parts))
 
@@ -193,7 +192,7 @@ _UNCERTAIN_OBJECTIVES = {
 
 
 def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
-                  jobs=1, rho=2.0):
+                  rho=2.0):
     """Distributed (k, t) clustering of uncertain nodes via collapse.
 
     Phase 0 is communication-free: every site collapses its own nodes onto
@@ -208,7 +207,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         raise InvalidParameterError(
             f"objective must be one of {sorted(_UNCERTAIN_OBJECTIVES)}")
     obj = _UNCERTAIN_OBJECTIVES[objective]
-    _validate_common(k, t, seed, epsilon, rho, jobs)
+    _validate_common(k, t, seed, epsilon, rho)
     space = npartition.space
     if len(npartition.nodes) <= t:
         raise InfeasibleError(f"outlier budget t={t} >= {len(npartition.nodes)} nodes")
@@ -223,13 +222,13 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         return Instance(space, demands, [d.anchor for d in demands],
                         counter=counter, payload_kind="tentacle")
 
-    site_insts, secs0 = _run_sites(collapse_site, npartition.n_sites, jobs)
-    ledger = CommLedger()
+    ledger, secs = CommLedger(), [0.0] * npartition.n_sites
+    site_insts = _run_sites(collapse_site, npartition.n_sites, secs)
     if obj is Objective.CENTER:
-        alloc, site_sols, secs1 = _center_round(site_insts, k, t, rho, jobs, ledger)
+        alloc, site_sols = _center_round(site_insts, k, t, rho, secs, ledger)
     else:
-        sols_by_q, _, alloc, secs1 = _curve_round(
-            site_insts, k, t, rho, obj, (seed, 31), jobs, ledger)
+        sols_by_q, _, alloc = _curve_round(
+            site_insts, k, t, rho, obj, (seed, 31), secs, ledger)
         site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
 
     def universe_check(node_sol, counter):
@@ -251,10 +250,9 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
 
     return _coordinate(
         space, site_insts, site_sols, obj, k, t, ledger,
-        allocation=alloc, budgets=alloc.t_by_site,
-        site_seconds=[a + b for a, b in zip(secs0, secs1)],
+        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
         epsilon=epsilon, seed=seed, score=universe_check,
-        forward_outliers=obj is not Objective.CENTER, payload_kind="tentacle")
+        forward_outliers=obj is not Objective.CENTER)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,7 @@ def _truncated_local(inst, k, q, tau, seed, table=None):
     return pad_centers(inst, sol, 2 * k, Objective.MEDIAN, qq, tau=6.0 * tau)
 
 
-def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
+def run_center_g(npartition, k, t, epsilon=1.0, seed=0):
     """Two-round (k, t)-center under the expected-maximum objective.
 
     No collapse is sound here, so sites keep full node distributions. For
@@ -306,7 +304,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
     centers and excludes floor((1 + epsilon) t) nodes under expected
     distances.
     """
-    _validate_common(k, t, seed, epsilon, jobs=jobs)
+    _validate_common(k, t, seed, epsilon)
     space = npartition.space
     n_nodes = len(npartition.nodes)
     relaxed_t = int((1.0 + epsilon) * t + 1e-9)
@@ -315,7 +313,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
             f"relaxed outlier budget {relaxed_t} >= {n_nodes} nodes")
     d_min, d_max, _ = extremes(space)
     grid = tau_grid(d_min, d_max)
-    ledger = CommLedger()
+    ledger, secs = CommLedger(), [0.0] * npartition.n_sites
 
     def site_phase(i):
         counter = EvalCounter()
@@ -344,7 +342,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
         # (solutions by q, curve) per threshold
         return inst, [level(ti, tau) for ti, tau in enumerate(grid.taus)]
 
-    prep, secs = _run_sites(site_phase, npartition.n_sites, jobs)
+    prep = _run_sites(site_phase, npartition.n_sites, secs)
     site_insts = [inst for inst, _ in prep]
     for i, (_, per_tau) in enumerate(prep):
         words = sum(2 * c.n_vertices for _, c in per_tau)
@@ -395,7 +393,7 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0, jobs=1):
         space, site_insts, site_sols, Objective.CENTER, k, relaxed_t, ledger,
         allocation=chosen_alloc, budgets=chosen_alloc.t_by_site,
         site_seconds=secs, score=truncated_costs, forward_outliers=True,
-        payload_kind="node", tau=6.0 * tau_hat, centers_only_candidates=True)
+        tau=6.0 * tau_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +409,7 @@ class ObjectiveEstimate:
 
 
 def eval_center_g_objective(space, nodes, solution, method="auto", samples=10000,
-                            seed=0, counter=None):
+                            seed=0):
     """E[max over served nodes of d(realized point, assigned center)].
 
     ``method="exact"`` enumerates the product distribution (guarded to 1e6
@@ -426,8 +424,6 @@ def eval_center_g_objective(space, nodes, solution, method="auto", samples=10000
     for nid in served:
         nd = nodes[nid]
         D = space.block(list(nd.support), [solution.assignment[nid]])
-        if counter is not None:
-            counter.add(D.size)
         rows.append((np.asarray(D[:, 0]), np.asarray(nd.probs)))
     if not rows:
         return ObjectiveEstimate(0.0, 0.0, "exact", 1)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from partialclust import (
     CommLedger,
     Instance,
     MetricSpace,
+    NodePartition,
     Objective,
     Partition,
+    UncertainNode,
     exact_oracle,
     geometric_index_set,
     instance_cost,
@@ -66,6 +69,18 @@ def test_partition_validates_cover():
         Partition.from_lists(space, [[0, 1, 2, 3, 4, 5], []])  # empty site
     with pytest.raises(InvalidParameterError):
         Partition.round_robin(space, 7)  # more sites than points
+
+
+@pytest.mark.parametrize("cls", [Partition, NodePartition])
+def test_partitions_reject_bad_site_counts(cls):
+    space = MetricSpace.euclidean(random_points(1, 6))
+    items = () if cls is Partition else (
+        [UncertainNode(i, (i,), (1.0,)) for i in range(6)],)
+    for split in (cls.round_robin, cls.contiguous):
+        assert split(space, *items, 6).n_sites == 6
+        for s in (0, -1, 1.5, "2", 7):
+            with pytest.raises(InvalidParameterError, match="site"):
+                split(space, *items, s)
 
 
 def test_ledger_word_bookkeeping():
@@ -125,38 +140,25 @@ def test_median_budget_bounds_loop():
         assert rep.solution.total_excluded <= 2 * t
 
 
-def test_median_jobs_do_not_change_anything():
-    space, part = planted_partition()
-    a = run_kt_median(part, 3, 4, seed=9, jobs=1)
-    b = run_kt_median(part, 3, 4, seed=9, jobs=3)
-    assert a.solution == b.solution
-    assert a.budgets == b.budgets
-    assert a.ledger.to_records() == b.ledger.to_records()
-    assert a.site_evals == b.site_evals
-    assert a.coord_evals == b.coord_evals
-
-
-@pytest.mark.parametrize("jobs", [1, 3])
-def test_run_sites_runs_in_order_on_the_calling_thread(jobs):
+@pytest.mark.parametrize("s", [1, 3])
+def test_run_sites_runs_in_order_on_the_calling_thread(s, monkeypatch):
     calls = []
+    clock = iter(range(1000))
+    # each read of the CPU clock moves it on by one second
+    monkeypatch.setattr(time, "thread_time", lambda: float(next(clock)))
 
     def worker(i):
         calls.append((i, threading.get_ident()))
+        next(clock)         # the worker's own CPU second
         return 10 * i
 
-    results, secs = _run_sites(worker, 5, jobs)
-    assert results == [0, 10, 20, 30, 40]
-    assert calls == [(i, threading.get_ident()) for i in range(5)]
-    assert len(secs) == 5 and all(dt >= 0.0 for dt in secs)
-
-
-@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"])
-def test_runners_reject_jobs_that_are_not_positive_integers(jobs):
-    space, part = planted_partition()
-    for run in (run_kt_median, run_kt_median_clustering_only, run_kt_center,
-                run_one_round):
-        with pytest.raises(InvalidParameterError, match="jobs"):
-            run(part, 3, 4, jobs=jobs)
+    secs = [0.5] * s
+    assert _run_sites(worker, s, secs) == [10 * i for i in range(s)]
+    assert calls == [(i, threading.get_ident()) for i in range(s)]
+    assert secs == [2.5] * s
+    # a second call adds each site's seconds to what is there
+    _run_sites(worker, s, secs)
+    assert secs == [4.5] * s
 
 
 def test_median_reports_the_adjusted_allocation():
@@ -331,19 +333,19 @@ def test_center_protocol_properties(protocol, case):
     part, k, t = case
     space, s, B = part.space, part.n_sites, part.space.word_width
 
-    def run(jobs):
+    def run():
         if protocol == "kt-center":
-            return run_kt_center(part, k, t, seed=4, jobs=jobs)
-        return run_one_round(part, k, t, objective=Objective.CENTER, seed=4, jobs=jobs)
+            return run_kt_center(part, k, t, seed=4)
+        return run_one_round(part, k, t, objective=Objective.CENTER, seed=4)
 
-    rep = run(1)
+    rep = run()
     sol = rep.solution
     assert sol.total_excluded == t
     points = Instance.from_points(space, merge_duplicates=False)
     assert instance_cost(points, sol, Objective.CENTER) == sol.cost
     opt = exact_oracle(Instance.from_points(space), k, t, Objective.CENTER)
     assert sol.cost >= opt.cost
-    other = run(2)
+    other = run()
     assert other.solution == sol
     assert other.allocation == rep.allocation
     assert other.budgets == rep.budgets
@@ -481,9 +483,7 @@ _SUM_RUNNERS = {
 _SUM_EXTREMES = [
     ("one-point sites", 1, 1, (None, None, None)),
     ("k over distinct points", 4, 1, (None, None, None)),
-    # The clustering-only coordinator holds only the 2 copies the sites
-    # keep, which cannot absorb t = 7 more.
-    ("t = n - 1", 1, 7, (None, InfeasibleError, None)),
+    ("t = n - 1", 1, 7, (None, None, None)),
     ("matrix zeros", 2, 2, (None, None, None)),
     ("t = n", 1, 8, (InfeasibleError,) * 3),
 ]
@@ -518,6 +518,35 @@ def test_sum_protocols_at_the_extremes(case, k, t, errors, objective):
         assert instance_cost(points, sol, objective) == pytest.approx(sol.cost)
         opt = exact_oracle(Instance.from_points(space), k, sol.total_excluded, objective)
         assert sol.cost >= opt.cost - 1e-9 * (1.0 + opt.cost)
+
+
+@pytest.mark.parametrize("objective", [Objective.MEDIAN, Objective.MEANS],
+                         ids=["median", "means"])
+@pytest.mark.parametrize("n, k, planted, seed, s",
+                         [(40, 3, 4, 1, 4), (34, 1, 0, 34, 2)],
+                         ids=["capped", "kept none"])
+def test_clustering_only_answers_every_budget(n, k, planted, seed, s, objective):
+    """kt-median-co answers every t below n. Its sites keep their outliers,
+    so the coordinator may hold t copies or fewer: it then ignores fewer
+    than it holds, and when the sites keep no copy every point is ignored
+    around one center. Under either objective the first input reaches the
+    capped coordinator from t = 18 on, the second keeps no copy from t = 28
+    on."""
+    space = MetricSpace.euclidean(gen_planted(n, k, planted, seed=seed))
+    part = Partition.round_robin(space, s)
+    points = Instance.from_points(space, merge_duplicates=False)
+    capped = kept_none = False
+    for t in range(n):
+        rep = run_kt_median_clustering_only(part, k, t, objective=objective, seed=t)
+        sol = rep.solution
+        site_excluded = sum(rep.extras["site_excluded"])
+        capped |= n - site_excluded <= t
+        kept_none |= site_excluded == n
+        assert sol.total_excluded == rep.extras["total_ignored"]
+        assert sol.total_excluded <= (2 + 1.0 + 0.25) * t
+        assert 1 <= len(sol.centers) <= k
+        assert instance_cost(points, sol, objective) == pytest.approx(sol.cost)
+    assert capped and kept_none == (k == 1)
 
 
 # ---------------------------------------------------------------------------
