@@ -60,7 +60,6 @@ from .solvers import (
     BicriteriaConfig,
     GonzalezOrder,
     bicriteria_median,
-    bicriteria_truncated_center,
     exact_oracle,
     gonzalez_order,
     insertion_marginals,
@@ -96,8 +95,8 @@ __all__ = [
     "NodePartition", "Objective", "ObjectiveEstimate", "OneMedianSummary",
     "OracleSizeLimitError", "ParseError", "Partition", "PreconditionError",
     "ProtocolReport", "SubquadraticReport", "TauGrid", "UncertainNode",
-    "allocate", "bicriteria_median", "bicriteria_truncated_center",
-    "build_compressed_graph", "dedupe_demands", "eval_center_g_objective",
+    "allocate", "bicriteria_median", "build_compressed_graph",
+    "dedupe_demands", "eval_center_g_objective",
     "exact_oracle", "exceptional_adjust", "extremes", "geometric_index_set",
     "gonzalez_order", "insertion_marginals", "instance_cost",
     "jv_facility_location", "kt_center_outliers", "lower_hull",

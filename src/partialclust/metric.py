@@ -39,10 +39,6 @@ class Objective(Enum):
     def power(self):
         return 2 if self is Objective.MEANS else 1
 
-    @property
-    def is_sum(self):
-        return self is not Objective.CENTER
-
     @classmethod
     def from_string(cls, name):
         try:
@@ -127,18 +123,16 @@ class MetricSpace:
         return self.matrix[np.ix_(rows, cols)]
 
 
-def extremes(space, indices=None):
-    """(d_min, d_max, spread) over distinct point pairs.
+def extremes(space):
+    """(d_min, d_max, spread) over the distinct point pairs of the space.
 
-    Raises if fewer than two points are given or if two of them coincide;
+    Raises if it holds fewer than two points or if two of them coincide;
     merge duplicates into weights first (see :func:`dedupe_demands`).
     """
-    idx = np.arange(space.n) if indices is None else np.asarray(sorted(indices), dtype=int)
-    if idx.size < 2:
+    if space.n < 2:
         raise DegenerateInstanceError("extremes need at least two points")
-    D = space.block(idx, idx)
-    iu = np.triu_indices(idx.size, k=1)
-    vals = D[iu]
+    idx = np.arange(space.n)
+    vals = space.block(idx, idx)[np.triu_indices(space.n, k=1)]
     d_min = float(vals.min())
     d_max = float(vals.max())
     if d_min == 0.0:
@@ -186,35 +180,29 @@ class Demand:
         """Representative point (the single support point when deterministic)."""
         return self.support[0]
 
-    @property
-    def is_point(self):
-        return len(self.support) == 1 and self.collapse == 0.0
-
 
 def point_demand(p, weight=1, tag=None):
     return Demand((int(p),), (1.0,), 0.0, int(weight), (int(p),) if tag is None else tag)
 
 
-def dedupe_demands(space, indices, tags=None):
+def dedupe_demands(space, indices):
     """Merge exactly coinciding points into weighted demands.
 
     Returns demands sorted by representative point index; each demand's tag
-    tuple lists the merged original labels (the point indices by default).
+    tuple lists the merged point indices in ascending order.
     """
-    indices = [int(i) for i in indices]
-    tags = list(tags) if tags is not None else indices
     rows = space.coords if space.mode == "euclidean" else space.matrix
     groups = {}
-    for i, lab in zip(indices, tags):
+    for i in indices:
+        i = int(i)
         # Python floats compare and hash as the numpy scalars do (-0.0 ==
         # 0.0), and a row at a time keeps a matrix space's keys small.
-        groups.setdefault(tuple(rows[i].tolist()), []).append((i, lab))
+        groups.setdefault(tuple(rows[i].tolist()), []).append(i)
     demands = []
     for members in groups.values():
         members.sort()
-        rep = members[0][0]
         demands.append(
-            Demand((rep,), (1.0,), 0.0, len(members), tuple(lab for _, lab in members))
+            Demand((members[0],), (1.0,), 0.0, len(members), tuple(members))
         )
     demands.sort(key=lambda d: d.anchor)
     return demands

@@ -65,18 +65,7 @@ class Partition:
     sites: tuple
 
     def __post_init__(self):
-        seen = set()
-        if not self.sites:
-            raise InvalidParameterError("partition needs at least one site")
-        for i, pts in enumerate(self.sites):
-            if len(pts) == 0:
-                raise InvalidParameterError(f"site {i} holds no points")
-            for p in pts:
-                if p in seen:
-                    raise InvalidParameterError(f"point {p} placed on two sites")
-                seen.add(p)
-        if seen != set(range(self.space.n)):
-            raise InvalidParameterError("sites must cover every point exactly once")
+        _check_cover(self.sites, self.space.n, "point")
 
     @property
     def n_sites(self):
@@ -84,12 +73,12 @@ class Partition:
 
     @classmethod
     def round_robin(cls, space, s):
-        _check_site_count(space.n, s, "points")
+        _check_site_count(space.n, s, "point")
         return cls(space, tuple(tuple(range(i, space.n, s)) for i in range(s)))
 
     @classmethod
     def contiguous(cls, space, s):
-        _check_site_count(space.n, s, "points")
+        _check_site_count(space.n, s, "point")
         parts = np.array_split(np.arange(space.n), s)
         return cls(space, tuple(tuple(int(p) for p in part) for part in parts))
 
@@ -102,7 +91,24 @@ def _check_site_count(n, s, unit):
     if not isinstance(s, (int, np.integer)) or s < 1:
         raise InvalidParameterError("site count must be a positive integer")
     if s > n:
-        raise InvalidParameterError(f"cannot spread {n} {unit} over {s} sites")
+        raise InvalidParameterError(f"cannot spread {n} {unit}s over {s} sites")
+
+
+def _check_cover(sites, n, unit):
+    """Every one of the ``n`` items (``unit``s) sits on exactly one of the
+    nonempty ``sites``."""
+    if not sites:
+        raise InvalidParameterError("partition needs at least one site")
+    seen = set()
+    for i, items in enumerate(sites):
+        if len(items) == 0:
+            raise InvalidParameterError(f"site {i} holds no {unit}s")
+        for p in items:
+            if p in seen:
+                raise InvalidParameterError(f"{unit} {p} placed on two sites")
+            seen.add(p)
+    if seen != set(range(n)):
+        raise InvalidParameterError(f"sites must cover every {unit} exactly once")
 
 
 @dataclass(frozen=True)
@@ -224,27 +230,34 @@ def _run_sites(worker, s, seconds):
     return results
 
 
-def _local_solution(inst, k, q, objective, seed, table=None):
+def _local_solution(inst, k, q, objective, table=None, tau=0.0):
     """sol(A_i, 2k, q): local bicriteria with doubled centers, exactly
     min(q, |A_i|) excluded copies. Center objective uses the first
     min(2k, n_i) points of a farthest-first traversal instead of the
     primal-dual machinery, and reads only those centers' cost columns: in
     euclidean mode min(2k, n_i) * n_i distance evaluations, or n_i when one
-    center takes every copy out. ``table`` is the site's shared
-    :class:`SortedCosts`, if any."""
+    center takes every copy out.
+
+    ``tau`` > 0 solves center-g's truncated surrogate: the duals grow against
+    costs truncated at 2 tau (max(d - 2 tau, 0)), and the solution is
+    assigned and measured at 6 tau, the looser truncation the rounding
+    argument pays for. ``table`` is the site's shared :class:`SortedCosts`
+    of the ``(objective, 2 tau)`` cost matrix, if any."""
     cap = inst.total_weight
     qq = min(int(q), cap)
     target = 2 * k
+    measure = 6.0 * tau
     if qq >= cap:
         lone = [int(inst.candidates[0])]
-        return solution_from_centers(inst, lone, objective, qq)
+        return solution_from_centers(inst, lone, objective, qq, measure)
     if objective is Objective.CENTER:
         gorder = gonzalez_order(inst, target)
         prefix = [inst.demands[j].anchor for j in gorder.order]
         return solution_from_centers(inst, prefix, objective, qq)
     cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
-    sol = bicriteria_median(inst, k, qq, cfg, objective, seed=seed, table=table)
-    return pad_centers(inst, sol, target, objective, qq)
+    sol = bicriteria_median(inst, k, qq, cfg, objective, tau=2.0 * tau,
+                            report_tau=measure, table=table)
+    return pad_centers(inst, sol, target, objective, qq, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +480,6 @@ def _node_solution(all_demands, demand_sol):
 # The two-round driver: site summaries, allocation, coordinator tail
 
 
-def _site_curve(i, qs, solve):
-    """Site i's round-1 summary: ``solve(qi, q)`` at every grid count q, and
-    the lower hull of the resulting (q, cost) points."""
-    sols = {q: solve(qi, q) for qi, q in enumerate(qs)}
-    return sols, lower_hull(i, [(q, sol.cost) for q, sol in sols.items()])
-
-
 def _broadcast_pivot(ledger, s, words=3):
     for i in range(s):
         ledger.add(1, "coord->site", i, "pivot", words)
@@ -496,25 +502,30 @@ def _allocate(marginals, t, rho, ledger=None, curves=None):
     return alloc
 
 
-def _curve_round(site_insts, k, t, rho, objective, salt, seconds, ledger,
-                 adjust=True):
+def _curve_round(site_insts, k, t, rho, objective, seconds, ledger,
+                 adjust=True, tau=0.0):
     """Round 1 of the sum-objective protocols.
 
-    Every site solves its local (2k, q) problems on the geometric grid, with
-    seeds ``(*salt, i, qi)``, and ships the lower hull of its cost curve (two
-    words per vertex); the coordinator allocates, adjusting the pivot site
-    when ``adjust`` is set. Site CPU time adds to ``seconds``. Returns (site
-    solutions by q, curves, allocation).
+    Every site solves its local (2k, q) problems on the geometric grid (at
+    truncation ``tau``, see :func:`_local_solution`) and ships the lower hull
+    of its cost curve (two words per vertex, when a ``ledger`` is given); the
+    coordinator allocates, adjusting the pivot site when ``adjust`` is set.
+    Site CPU time adds to ``seconds``. Returns (site solutions by q, curves,
+    allocation).
     """
     qs = geometric_index_set(t, rho)
 
     def worker(i):
         # One sorted-cost table serves the site's whole q grid. It lives only
-        # while this worker runs, so finished sites hold none.
+        # while this worker runs, so finished sites hold none. A site with at
+        # most k candidates answers every q from them without a search, so it
+        # builds none.
         inst = site_insts[i]
-        table = SortedCosts.build(inst, objective)
-        return _site_curve(i, qs, lambda qi, q: _local_solution(
-            inst, k, q, objective, seed=(*salt, i, qi), table=table))
+        table = None
+        if len(inst.candidates) > k:
+            table = SortedCosts.build(inst, objective, 2.0 * tau)
+        sols = {q: _local_solution(inst, k, q, objective, table, tau) for q in qs}
+        return sols, lower_hull(i, [(q, sol.cost) for q, sol in sols.items()])
 
     results = _run_sites(worker, len(site_insts), seconds)
     curves = [c for _, c in results]
@@ -627,7 +638,7 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
     site_insts = _site_instances(partition, t)
     ledger, secs = CommLedger(), [0.0] * partition.n_sites
     sols_by_q, curves, alloc = _curve_round(
-        site_insts, k, t, rho, objective, (seed, 11), secs, ledger)
+        site_insts, k, t, rho, objective, secs, ledger)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     report = _coordinate(
         partition.space, site_insts, site_sols, objective, k, t, ledger,
@@ -658,8 +669,7 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     site_insts = _site_instances(partition, t)
     ledger, secs = CommLedger(), [0.0] * partition.n_sites
     sols_by_q, curves, alloc = _curve_round(
-        site_insts, k, t, 1.0 + delta, objective, (seed, 12), secs, ledger,
-        adjust=False)
+        site_insts, k, t, 1.0 + delta, objective, secs, ledger, adjust=False)
     site_sols = []
     for inst, sols, curve, ti in zip(site_insts, sols_by_q, curves,
                                      alloc.t_by_site):
@@ -718,7 +728,7 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
     site_insts = _site_instances(partition, t)
     secs = [0.0] * partition.n_sites
     site_sols = _run_sites(
-        lambda i: _local_solution(site_insts[i], k, t, objective, seed=(seed, 21, i)),
+        lambda i: _local_solution(site_insts[i], k, t, objective),
         partition.n_sites, secs)
     return _coordinate(
         partition.space, site_insts, site_sols, objective, k, t, CommLedger(),
@@ -778,7 +788,7 @@ def _subquadratic_level(inst, k, t, depth, objective, seed, levels):
     parts = np.array_split(np.arange(n), s)
     subinsts = [inst.subset([int(j) for j in p]) for p in parts]
     sols_by_q, _, alloc = _curve_round(
-        subinsts, k, t, 2.0, objective, (seed, 13, depth), [0.0] * s, None)
+        subinsts, k, t, 2.0, objective, [0.0] * s, None)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     coord, prov = _assemble_coordinator(
         inst.space, subinsts, site_sols, objective, inst.counter,

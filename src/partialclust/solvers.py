@@ -13,8 +13,9 @@ Four families live here:
 * :func:`bicriteria_median` — facility-location primal-dual with uniform
   opening cost, a binary search over that cost bracketing the center count,
   and randomized convex-combination rounding; relaxes either the outlier
-  budget or the center count. :func:`bicriteria_truncated_center` runs the
-  same machinery over threshold-truncated expected distances;
+  budget or the center count, and can grow its duals against
+  threshold-truncated expected distances and measure the answer at a looser
+  threshold;
 * :func:`exact_oracle` — exhaustive enumeration at desk scale, the ground
   truth the approximation bounds are tested against.
 """
@@ -892,22 +893,6 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
                 chos = tuple(partners) + tuple(int(x) for x in extra)
             candidates.append(finish(chos, relaxed_t, "rounded"))
     return min(candidates, key=_rank_key)
-
-
-def bicriteria_truncated_center(instance, k, t, tau, cfg=None, seed=0, table=None):
-    """Truncated-objective preclustering: duals grow against costs truncated
-    at ``tau`` (max(d - tau, 0)); the returned assignment and cost use the
-    3x-looser truncation (9 tau under relax="outliers", 3 tau under
-    relax="centers"), matching the hop count of the rounding argument.
-    ``table`` is the
-    :class:`SortedCosts` of the median cost matrix at ``tau``, as in
-    :func:`bicriteria_median`."""
-    cfg = cfg or BicriteriaConfig()
-    if tau < 0:
-        raise InvalidParameterError("tau must be >= 0")
-    factor = 9.0 if cfg.relax == "outliers" else 3.0
-    return bicriteria_median(instance, k, t, cfg, Objective.MEDIAN, seed,
-                             tau=tau, report_tau=factor * tau, table=table)
 
 
 # ---------------------------------------------------------------------------

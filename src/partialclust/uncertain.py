@@ -7,8 +7,9 @@ a compressed graph of "tentacles" whose optimum is within a constant factor
 of the universe optimum, and whose solutions map back losslessly (the final
 assignment is evaluated under both metrics, and the factor is asserted on
 every run). For the expected-maximum center objective the collapse is not
-sound; :func:`run_center_g` instead searches a geometric grid of truncation
-thresholds and forwards whole node distributions at the chosen one.
+sound; :func:`run_center_g` instead runs the sum objectives' curve round once
+per truncation threshold of a geometric grid, on whole node distributions,
+and forwards those distributions at the threshold it picks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import geometric_index_set
 from .errors import (
     InfeasibleError,
     InternalInvariantError,
@@ -34,22 +34,14 @@ from .metric import (
 )
 from .protocol import (
     CommLedger,
-    _allocate,
     _broadcast_pivot,
     _center_round,
+    _check_cover,
     _check_site_count,
     _coordinate,
     _curve_round,
     _run_sites,
-    _site_curve,
     _validate_common,
-)
-from .solvers import (
-    BicriteriaConfig,
-    SortedCosts,
-    bicriteria_truncated_center,
-    pad_centers,
-    solution_from_centers,
 )
 
 
@@ -137,18 +129,7 @@ class NodePartition:
         for i, nd in enumerate(self.nodes):
             if nd.node_id != i:
                 raise InvalidParameterError("node ids must equal their positions")
-        seen = set()
-        if not self.sites:
-            raise InvalidParameterError("partition needs at least one site")
-        for i, idx in enumerate(self.sites):
-            if len(idx) == 0:
-                raise InvalidParameterError(f"site {i} holds no nodes")
-            for j in idx:
-                if j in seen:
-                    raise InvalidParameterError(f"node {j} placed on two sites")
-                seen.add(j)
-        if seen != set(range(len(self.nodes))):
-            raise InvalidParameterError("sites must cover every node exactly once")
+        _check_cover(self.sites, len(self.nodes), "node")
 
     @property
     def n_sites(self):
@@ -156,13 +137,13 @@ class NodePartition:
 
     @classmethod
     def round_robin(cls, space, nodes, s):
-        _check_site_count(len(nodes), s, "nodes")
+        _check_site_count(len(nodes), s, "node")
         return cls(space, tuple(nodes),
                    tuple(tuple(range(i, len(nodes), s)) for i in range(s)))
 
     @classmethod
     def contiguous(cls, space, nodes, s):
-        _check_site_count(len(nodes), s, "nodes")
+        _check_site_count(len(nodes), s, "node")
         parts = np.array_split(np.arange(len(nodes)), s)
         return cls(space, tuple(nodes), tuple(tuple(int(j) for j in p) for p in parts))
 
@@ -227,8 +208,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
     if obj is Objective.CENTER:
         alloc, site_sols = _center_round(site_insts, k, t, rho, secs, ledger)
     else:
-        sols_by_q, _, alloc = _curve_round(
-            site_insts, k, t, rho, obj, (seed, 31), secs, ledger)
+        sols_by_q, _, alloc = _curve_round(site_insts, k, t, rho, obj, secs, ledger)
         site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
 
     def universe_check(node_sol, counter):
@@ -273,36 +253,21 @@ def tau_grid(d_min, d_max):
     return TauGrid(tuple(2.0 ** i * d_min / 18.0 for i in range(top + 1)))
 
 
-def _truncated_local(inst, k, q, tau, seed, table=None):
-    """sol(A_i, 2k, q) under the truncated surrogate: duals grow against
-    expected distances truncated at 2 tau (max(d - 2 tau, 0)), and the
-    result, padded to 2k centers, is assigned and measured at 6 tau. A
-    budget that covers every copy keeps one center and excludes them all.
-    ``table`` is the level's shared :class:`SortedCosts` of the 2 tau
-    matrix, if any."""
-    cap = inst.total_weight
-    qq = min(int(q), cap)
-    if qq >= cap:
-        lone = [int(inst.candidates[0])]
-        return solution_from_centers(inst, lone, Objective.MEDIAN, qq, tau=6.0 * tau)
-    cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
-    sol = bicriteria_truncated_center(inst, k, qq, 2.0 * tau, cfg, seed=seed,
-                                      table=table)
-    return pad_centers(inst, sol, 2 * k, Objective.MEDIAN, qq, tau=6.0 * tau)
-
-
 def run_center_g(npartition, k, t, epsilon=1.0, seed=0):
     """Two-round (k, t)-center under the expected-maximum objective.
 
-    No collapse is sound here, so sites keep full node distributions. For
-    every threshold tau on a geometric grid they report the cost curve of
-    truncated local clusterings (round 1); the coordinator allocates budgets
-    per tau and picks tau-hat, the smallest tau whose allocated site costs
-    sum to at most 12 tau, then broadcasts tau-hat with the pivot (4 words).
-    Round 2 forwards the 2k weighted centers plus the budgeted outliers as
-    whole nodes (2 |support| words each); the final threshold sweep keeps k
-    centers and excludes floor((1 + epsilon) t) nodes under expected
-    distances.
+    No collapse is sound here, so sites keep full node distributions. Round
+    1 is the curve round of the sum objectives (:func:`_curve_round`), run
+    once per threshold tau of a geometric grid on the truncated surrogate:
+    every site solves its local clusterings with duals truncated at 2 tau and
+    costs measured at 6 tau, and sends one cost-curve message holding its
+    hulls at every level. The coordinator allocates budgets per level, picks
+    tau-hat, the smallest tau whose allocated site costs sum to at most
+    12 tau, and broadcasts tau-hat with the pivot (4 words). Round 2 forwards
+    the 2k weighted centers plus the budgeted outliers as whole nodes
+    (2 |support| words each); the final threshold sweep keeps k centers and
+    excludes floor((1 + epsilon) t) nodes under expected distances. No step
+    draws at random, so ``seed`` is only validated.
     """
     _validate_common(k, t, seed, epsilon)
     space = npartition.space
@@ -315,52 +280,31 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0):
     grid = tau_grid(d_min, d_max)
     ledger, secs = CommLedger(), [0.0] * npartition.n_sites
 
-    def site_phase(i):
+    def site_instance(i):
+        # whole node distributions as demands, their 1-medians as candidates
         counter = EvalCounter()
-        node_ids = npartition.sites[i]
-        summaries = [one_median(space, npartition.nodes[j], Objective.MEDIAN, counter)
-                     for j in node_ids]
-        demands = [
-            Demand(npartition.nodes[j].support, npartition.nodes[j].probs,
-                   0.0, 1, (j,))
-            for j in node_ids
-        ]
-        inst = Instance(space, demands, [s.point for s in summaries],
-                        counter=counter, payload_kind="node")
-        qs = geometric_index_set(t, 2.0)
+        nodes = [npartition.nodes[j] for j in npartition.sites[i]]
+        demands = [Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,))
+                   for nd in nodes]
+        cands = [one_median(space, nd, Objective.MEDIAN, counter).point
+                 for nd in nodes]
+        return Instance(space, demands, cands, counter=counter,
+                        payload_kind="node")
 
-        def level(ti, tau):
-            # One sorted-cost table serves the level's q grid, so its
-            # facility-cost searches share their runs. With more than k
-            # candidates the q = 0 solve reads this cost matrix anyway.
-            table = None
-            if len(inst.candidates) > k:
-                table = SortedCosts.build(inst, Objective.MEDIAN, 2.0 * tau)
-            return _site_curve(i, qs, lambda qi, q: _truncated_local(
-                inst, k, q, tau, seed=(seed, 41, i, ti, qi), table=table))
-
-        # (solutions by q, curve) per threshold
-        return inst, [level(ti, tau) for ti, tau in enumerate(grid.taus)]
-
-    prep = _run_sites(site_phase, npartition.n_sites, secs)
-    site_insts = [inst for inst, _ in prep]
-    for i, (_, per_tau) in enumerate(prep):
-        words = sum(2 * c.n_vertices for _, c in per_tau)
+    site_insts = _run_sites(site_instance, npartition.n_sites, secs)
+    # (site solutions by q, curves, allocation) per threshold
+    levels = [_curve_round(site_insts, k, t, 2.0, Objective.MEDIAN, secs, None,
+                           tau=tau)
+              for tau in grid.taus]
+    for i in range(npartition.n_sites):
+        words = sum(2 * curves[i].n_vertices for _, curves, _ in levels)
         ledger.add(1, "site->coord", i, "cost-curve", words)
 
-    tau_hat_idx = None
-    chosen_alloc = None
-    tau_sums = []
-    for ti, tau in enumerate(grid.taus):
-        curves = [per_tau[ti][1] for _, per_tau in prep]
-        alloc = _allocate([c.marginals() for c in curves], t, 2.0,
-                          curves=curves)
-        s_cost = sum(c.value(min(ti_c, c.t))
-                     for c, ti_c in zip(curves, alloc.t_by_site))
-        tau_sums.append(s_cost)
-        if tau_hat_idx is None and s_cost <= 12.0 * tau * (1.0 + 1e-12) + 1e-12:
-            tau_hat_idx = ti
-            chosen_alloc = alloc
+    tau_sums = [sum(c.value(min(q, c.t)) for c, q in zip(curves, alloc.t_by_site))
+                for _, curves, alloc in levels]
+    tau_hat_idx = next(
+        (ti for ti, (tau, s_cost) in enumerate(zip(grid.taus, tau_sums))
+         if s_cost <= 12.0 * tau * (1.0 + 1e-12) + 1e-12), None)
     if tau_hat_idx is None:
         raise InternalInvariantError(
             "no grid threshold satisfied the 12 tau budget rule")
@@ -369,8 +313,8 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0):
     if tau_sums[tau_hat_idx] > 12.0 * tau_hat * (1.0 + 1e-12) + 1e-12:
         raise InternalInvariantError("chosen threshold violates its own rule")
     _broadcast_pivot(ledger, npartition.n_sites, words=4)
-    site_sols = [per_tau[tau_hat_idx][0][q]
-                 for (_, per_tau), q in zip(prep, chosen_alloc.t_by_site)]
+    sols_by_q, _, chosen_alloc = levels[tau_hat_idx]
+    site_sols = [sols[q] for sols, q in zip(sols_by_q, chosen_alloc.t_by_site)]
 
     def truncated_costs(node_sol, counter):
         rho2 = 0.0

@@ -28,8 +28,6 @@ def test_objective_powers_and_sums():
     assert Objective.MEDIAN.power == 1
     assert Objective.MEANS.power == 2
     assert Objective.CENTER.power == 1
-    assert Objective.MEDIAN.is_sum and Objective.MEANS.is_sum
-    assert not Objective.CENTER.is_sum
 
 
 def test_objective_from_string():
@@ -121,8 +119,6 @@ def test_demand_validation():
         Demand((0,), (1.0,), collapse=-1.0)
     d = Demand((3, 4), (0.25, 0.75), collapse=2.0, weight=2)
     assert d.anchor == 3
-    assert not d.is_point
-    assert point_demand(7).is_point
 
 
 def test_dedupe_merges_coincident_points():

@@ -16,7 +16,6 @@ from partialclust import (
     MetricSpace,
     Objective,
     bicriteria_median,
-    bicriteria_truncated_center,
     exact_oracle,
     gonzalez_order,
     insertion_marginals,
@@ -865,16 +864,19 @@ def test_bicriteria_few_candidates_short_circuit():
 
 
 def test_truncated_center_measures_looser_radius():
+    """Duals grow against costs truncated at ``tau``; the answer is assigned
+    and measured at ``report_tau``, the looser truncation its rounding pays
+    for (9 tau when the outliers stretch, 3 tau when the centers do)."""
     inst = random_instance(7, 10)
     tau = 0.5
-    sol = bicriteria_truncated_center(inst, 2, 1, tau,
-                                      BicriteriaConfig(epsilon=1.0, relax="outliers"))
+    sol = bicriteria_median(inst, 2, 1, BicriteriaConfig(epsilon=1.0, relax="outliers"),
+                            tau=tau, report_tau=9 * tau)
     assert instance_cost(inst, sol, Objective.MEDIAN, tau=9 * tau) == pytest.approx(sol.cost)
-    solc = bicriteria_truncated_center(inst, 2, 1, tau,
-                                       BicriteriaConfig(epsilon=1.0, relax="centers"))
+    solc = bicriteria_median(inst, 2, 1, BicriteriaConfig(epsilon=1.0, relax="centers"),
+                             tau=tau, report_tau=3 * tau)
     assert instance_cost(inst, solc, Objective.MEDIAN, tau=3 * tau) == pytest.approx(solc.cost)
     with pytest.raises(InvalidParameterError):
-        bicriteria_truncated_center(inst, 2, 1, -1.0)
+        bicriteria_median(inst, 2, 1, tau=-1.0)
 
 
 # ---------------------------------------------------------------------------

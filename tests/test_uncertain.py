@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialclust import (
     Demand,
@@ -16,6 +18,7 @@ from partialclust import (
     UncertainNode,
     build_compressed_graph,
     eval_center_g_objective,
+    instance_cost,
     node_universe_cost,
     one_median,
     run_center_g,
@@ -28,6 +31,8 @@ from partialclust.errors import (
     OracleSizeLimitError,
 )
 from partialclust.metric import ClusteringSolution, extremes
+from partialclust.protocol import _local_solution
+from partialclust.solvers import SortedCosts
 
 from helpers import random_uncertain_nodes
 
@@ -355,3 +360,36 @@ def test_center_g_sites_that_skip_the_search(case, sha, site_evals, coord_evals)
     rep = run_center_g(part, k, t, seed=4)
     assert (_center_g_digest(rep), rep.site_evals, rep.coord_evals) == (
         sha, site_evals, coord_evals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_nodes=st.integers(1, 9),
+       k=st.integers(1, 3), q=st.integers(0, 10), level=st.integers(0, 8))
+def test_local_solution_on_the_truncated_surrogate(seed, n_nodes, k, q, level):
+    """A center-g site's local solution at a tau level: duals grown at 2 tau,
+    the answer measured at 6 tau, exactly min(q, W) copies excluded, and 2k
+    centers whenever the site has that many candidates and serves a copy.
+    A shared sorted-cost table of the 2 tau matrix changes nothing."""
+    space, nodes = random_uncertain_nodes(seed, n_nodes, 12)
+    grid = tau_grid(*extremes(space)[:2])
+    tau = grid.taus[min(level, len(grid.taus) - 1)]
+
+    def site():
+        return Instance(space, [Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,))
+                                for nd in nodes],
+                        [one_median(space, nd).point for nd in nodes],
+                        payload_kind="node")
+
+    inst = site()
+    sol = _local_solution(inst, k, q, Objective.MEDIAN, tau=tau)
+    W = inst.total_weight
+    assert instance_cost(inst, sol, Objective.MEDIAN, tau=6.0 * tau) == pytest.approx(
+        sol.cost, rel=1e-9, abs=1e-12)
+    assert sol.total_excluded == min(q, W)
+    if q < W and len(inst.candidates) >= 2 * k:
+        assert len(sol.centers) == 2 * k
+    shared = site()
+    table = SortedCosts.build(shared, Objective.MEDIAN, 2.0 * tau)
+    again = _local_solution(shared, k, q, Objective.MEDIAN, table, tau)
+    assert (again.centers, again.outliers, again.cost) == (sol.centers, sol.outliers,
+                                                         sol.cost)
