@@ -53,7 +53,7 @@ print()
 # doubling tau grid for the smallest scale whose truncated costs stay
 # within budget.
 
-rep = run_center_g(npart, 2, 2, seed=7)
+rep = run_center_g(npart, 2, 2)
 ex = rep.extras
 grid, sums = ex["tau_grid"], ex["tau_sums"]
 i = ex["tau_hat_index"]

@@ -69,7 +69,6 @@ from .solvers import (
     solution_from_centers,
 )
 from .uncertain import (
-    CompressedGraph,
     NodePartition,
     ObjectiveEstimate,
     OneMedianSummary,
@@ -88,7 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "BicriteriaConfig", "ClusteringError", "ClusteringSolution",
-    "CommLedger", "CompressedGraph", "CostCurve", "DegenerateInstanceError",
+    "CommLedger", "CostCurve", "DegenerateInstanceError",
     "Demand", "EvalCounter", "GonzalezOrder", "InconsistentSolutionError",
     "InfeasibleError", "Instance", "InternalInvariantError",
     "InvalidParameterError", "InvalidPointError", "Message", "MetricSpace",

@@ -275,6 +275,9 @@ def _cmd_solve(args):
     # --jobs is checked and otherwise ignored: sites run in site order.
     if args.jobs < 1:
         raise InvalidParameterError("jobs must be a positive integer")
+    # center-g takes no seed, but every report prints one
+    if args.seed < 0:
+        raise InvalidParameterError("seed must be a nonnegative integer")
     space, groups = _load_space(args)
     if args.alg in _NODE_ALGS:
         if not args.nodes:
@@ -282,8 +285,7 @@ def _cmd_solve(args):
         nodes, node_groups = read_nodes_files(args.nodes, space)
         npart = _make_node_partition(space, nodes, args, node_groups)
         if args.alg == "center-g":
-            report = run_center_g(npart, args.k, args.t, epsilon=args.epsilon,
-                                  seed=args.seed)
+            report = run_center_g(npart, args.k, args.t, epsilon=args.epsilon)
         else:
             obj = args.alg.split("uncertain-", 1)[1]
             report = run_uncertain(npart, args.k, args.t, objective=obj,
@@ -295,8 +297,11 @@ def _cmd_solve(args):
         inst = Instance.from_points(space)
         sub = subquadratic_solve(inst, args.k, args.t, args.alpha,
                                  seed=args.seed, objective=objective)
-        solution = _expand_points(space, inst.demands, sub.solution, objective,
-                                  inst.counter)
+        # the view a distributed run's lift prices with, so points are priced
+        # the same way; its evaluations come after sub.evals is taken
+        view = Instance(space, inst.demands, sub.solution.centers,
+                        counter=inst.counter)
+        solution = _expand_points(view, sub.solution, objective)
         payload = {
             "alg": args.alg,
             "params": {"k": args.k, "t": args.t, "alpha": args.alpha,

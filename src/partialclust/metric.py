@@ -181,8 +181,8 @@ class Demand:
         return self.support[0]
 
 
-def point_demand(p, weight=1, tag=None):
-    return Demand((int(p),), (1.0,), 0.0, int(weight), (int(p),) if tag is None else tag)
+def point_demand(p, weight=1):
+    return Demand((int(p),), (1.0,), 0.0, int(weight), (int(p),))
 
 
 def dedupe_demands(space, indices):

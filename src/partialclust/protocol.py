@@ -53,6 +53,8 @@ from .solvers import (
     insertion_marginals,
     kt_center_outliers,
     pad_centers,
+    price,
+    serve_nearest,
     solution_from_centers,
 )
 
@@ -185,7 +187,7 @@ def _norm_objective(objective, allow_center=True):
     return obj
 
 
-def _validate_common(k, t, seed, epsilon=1.0, rho=None):
+def _validate_common(k, t, epsilon=1.0, rho=None, seed=0):
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidParameterError("k must be a positive integer")
     if not isinstance(t, (int, np.integer)) or t < 0:
@@ -311,12 +313,6 @@ def _payload_words(demand, copies, kind, B):
     raise InvalidParameterError(f"unknown payload kind {kind!r}")
 
 
-def _tag_slice(demand, copies):
-    if len(demand.tag) == demand.weight:
-        return demand.tag[demand.weight - copies:]
-    return demand.tag
-
-
 def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
                           forward_outliers, ledger, count_word=False, round_no=2,
                           tau=0.0):
@@ -342,7 +338,7 @@ def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
             weight = sum(x[1] for x in att[c])
             if weight == 0:
                 continue
-            demands.append(point_demand(c, weight, tag=("center", i, c)))
+            demands.append(point_demand(c, weight))
             prov.append(_CenterProv(i, c, tuple(sorted(att[c], key=lambda x: (-x[2], x[0])))))
             center_anchors.add(int(c))
             words += B + 1
@@ -350,8 +346,7 @@ def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
             for j in sorted(sol.outliers):
                 copies = sol.outliers[j]
                 d = inst.demands[j]
-                demands.append(Demand(d.support, d.probs, d.collapse, copies,
-                                      _tag_slice(d, copies)))
+                demands.append(Demand(d.support, d.probs, d.collapse, copies))
                 prov.append(_ForwardProv(i, j, copies))
                 words += _payload_words(d, copies, payload_kind, B)
         elif count_word:
@@ -374,8 +369,12 @@ def _lift_solution(space, site_instances, prov, final, objective, counter,
 
     A copy excluded from a weighted center demand takes out the attached site
     copy farthest from that center; an excluded forwarded copy takes out the
-    copy it stands for; everything surviving is reassigned to its nearest
-    final center. Exclusion counts are preserved exactly.
+    copy it stands for; everything surviving is served at its nearest final
+    center (:func:`~partialclust.solvers.serve_nearest`). Exclusion counts are
+    preserved exactly. Returns the solution and its view: the instance of
+    the site demands with the final centers as candidates, whose cached
+    ``cost_matrix(objective)`` priced it, each distinct point against each
+    center once.
     """
     offsets, all_demands = [], []
     for inst in site_instances:
@@ -412,54 +411,37 @@ def _lift_solution(space, site_instances, prov, final, objective, counter,
     view = Instance(space, all_demands, final.centers, counter=counter,
                     payload_kind="point")
     C = view.cost_matrix(objective)
-    best = np.argmin(C, axis=1)
-    assignment = {}
-    total = 0.0
-    worst = 0.0
-    for g, d in enumerate(all_demands):
-        live = d.weight - excluded.get(g, 0)
-        if live <= 0:
-            continue
-        assignment[g] = int(view.candidates[best[g]])
-        total += live * C[g, best[g]]
-        worst = max(worst, float(C[g, best[g]]))
-    cost = worst if objective is Objective.CENTER else total
-    sol = ClusteringSolution(tuple(int(c) for c in view.candidates), excluded,
-                             assignment, float(cost))
+    nearest = np.argmin(C, axis=1)
+    sol = serve_nearest(tuple(int(c) for c in view.candidates), nearest,
+                        C[np.arange(view.n), nearest], view.weights, excluded,
+                        objective)
     return sol, view
 
 
-def _expand_points(space, all_demands, demand_sol, objective, counter):
-    """Demand-level solution -> point-level over original ids (via tags).
+def _expand_points(view, demand_sol, objective):
+    """Demand-level solution over ``view``'s demands -> point-level over
+    original ids (via tags).
 
-    Excluded copies take a demand's highest original ids; the reported cost
-    is re-accumulated point by point in ascending id order.
+    Excluded copies take a demand's highest original ids. A served point
+    costs its demand's entry at its center in ``view.cost_matrix(objective)``,
+    the matrix the lift already priced with, so no distance is evaluated
+    here; the reported cost is priced point by point in ascending id order.
     """
-    assigned = {}
-    out_ids = []
-    for g, d in enumerate(all_demands):
-        e = demand_sol.excluded_copies(g)
-        live_tags = d.tag[: d.weight - e]
-        out_ids.extend(d.tag[d.weight - e:])
-        if live_tags:
+    C = view.cost_matrix(objective)
+    assigned, cost_of, out_ids = {}, {}, []
+    for g, d in enumerate(view.demands):
+        live = d.weight - demand_sol.excluded_copies(g)
+        out_ids.extend(d.tag[live:])
+        if live > 0:
             ctr = demand_sol.assignment[g]
-            for p in live_tags:
+            c = C[g, view.candidate_column(ctr)]
+            for p in d.tag[:live]:
                 assigned[int(p)] = ctr
-    centers = demand_sol.centers
-    total = 0.0
-    worst = 0.0
-    pts = sorted(assigned)
-    if pts:
-        D = space.block(pts, list(centers))
-        counter.add(D.size)
-        col = {c: i for i, c in enumerate(centers)}
-        for r, p in enumerate(pts):
-            c = float(D[r, col[assigned[p]]]) ** objective.power
-            total += c
-            worst = max(worst, c)
-    cost = worst if objective is Objective.CENTER else total
+                cost_of[int(p)] = c
+    costs = np.array([cost_of[p] for p in sorted(assigned)])
     outliers = {int(p): 1 for p in sorted(int(x) for x in out_ids)}
-    return ClusteringSolution(centers, outliers, assigned, float(cost))
+    return ClusteringSolution(demand_sol.centers, outliers, assigned,
+                              price(costs, 1, objective))
 
 
 def _node_solution(all_demands, demand_sol):
@@ -576,8 +558,10 @@ def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
     Assembles the sites' summaries (``assemble`` goes to
     :func:`_assemble_coordinator`), solves them (threshold sweep for the
     center objective, bicriteria with floor((1 + epsilon) t) excluded copies
-    otherwise), lifts the verdict onto the site demands and reports it
-    point-level, or node-level for node payloads. ``score(solution,
+    otherwise), lifts the verdict onto the site demands, pricing each
+    distinct site point against each final center once, and reports it
+    point-level (each point's cost read from that pricing), or node-level
+    for node payloads. ``score(solution,
     counter)`` returns extras measured on the final solution, with its
     distance evaluations counted as the coordinator's. Sites that keep their
     outliers may leave it t copies or fewer: its budget then stays below the
@@ -602,8 +586,7 @@ def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
                                       coord_counter, site_excluded=site_excluded)
     extras = {"coordinator_excluded": final.total_excluded}
     if site_insts[0].payload_kind == "point":
-        solution = _expand_points(space, view.demands, demand_sol, objective,
-                                  coord_counter)
+        solution = _expand_points(view, demand_sol, objective)
     else:
         solution = _node_solution(view.demands, demand_sol)
     if score is not None:
@@ -634,7 +617,7 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
     after the pivot adjustment, so its ``t_by_site`` equals ``budgets``.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon, rho)
+    _validate_common(k, t, epsilon, rho, seed)
     site_insts = _site_instances(partition, t)
     ledger, secs = CommLedger(), [0.0] * partition.n_sites
     sols_by_q, curves, alloc = _curve_round(
@@ -663,7 +646,7 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     the final solution ignores at most (2 + epsilon + delta) t points.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed, epsilon)
+    _validate_common(k, t, epsilon, seed=seed)
     if not 0.0 < delta <= 1.0:
         raise InvalidParameterError("delta must lie in (0, 1]")
     site_insts = _site_instances(partition, t)
@@ -704,7 +687,7 @@ def run_kt_center(partition, k, t, rho=2.0, seed=0):
     attached counts. The coordinator's threshold sweep keeps k centers and
     excludes exactly t copies.
     """
-    _validate_common(k, t, seed, rho=rho)
+    _validate_common(k, t, rho=rho, seed=seed)
     site_insts = _site_instances(partition, t)
     ledger, secs = CommLedger(), [0.0] * partition.n_sites
     alloc, site_sols = _center_round(site_insts, k, t, rho, secs, ledger)
@@ -724,7 +707,7 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
     of the median protocol.
     """
     objective = _norm_objective(objective)
-    _validate_common(k, t, seed, epsilon)
+    _validate_common(k, t, epsilon, seed=seed)
     site_insts = _site_instances(partition, t)
     secs = [0.0] * partition.n_sites
     site_sols = _run_sites(
@@ -760,7 +743,7 @@ def subquadratic_solve(instance, k, t, alpha, seed=0, objective=Objective.MEDIAN
     direct bicriteria solve, so at most 2t copies end up excluded.
     """
     objective = _norm_objective(objective, allow_center=False)
-    _validate_common(k, t, seed)
+    _validate_common(k, t, seed=seed)
     if alpha <= 0:
         raise InvalidParameterError("alpha must be > 0")
     W = instance.total_weight

@@ -58,29 +58,45 @@ def _greedy_exclude(costs, weights, budget):
 
 
 def solution_from_centers(instance, centers, objective, budget, tau=0.0):
-    """Best solution with the given centers: nearest-center assignment plus
-    exact-budget greedy exclusion (weighted copies may split)."""
+    """Best solution with the given centers: exact-budget greedy exclusion
+    (weighted copies may split), then :func:`serve_nearest`."""
     centers = tuple(sorted({int(c) for c in centers}))
     if not centers:
         raise InvalidParameterError("need at least one center")
     sub = instance.cost_columns(objective, centers, tau)
-    best = np.argmin(sub, axis=1)
-    costs = sub[np.arange(instance.n), best]
-    w = instance.weights
+    nearest = np.argmin(sub, axis=1)
+    costs = sub[np.arange(instance.n), nearest]
     budget = min(int(budget), instance.total_weight)
-    excluded = _greedy_exclude(costs, w, budget)
-    live = w.astype(np.int64)
+    excluded = _greedy_exclude(costs, instance.weights, budget)
+    return serve_nearest(centers, nearest, costs, instance.weights, excluded,
+                         objective)
+
+
+def serve_nearest(centers, nearest, costs, weights, excluded, objective):
+    """Serve every copy that ``excluded`` ({demand: copies}) leaves at its
+    nearest center, and price the result.
+
+    Demand j's nearest center is ``centers[nearest[j]]``, at cost
+    ``costs[j]``; ``weights`` are the demands' copy counts.
+    """
+    live = weights.astype(np.int64)
     live[list(excluded)] -= np.fromiter(excluded.values(), np.int64, len(excluded))
-    served = np.flatnonzero(live)
+    served = np.flatnonzero(live > 0)
     # An object array hands out the centers' own ints, not a new int per demand.
-    ctrs = np.array(centers, dtype=object)[best[served]]
+    ctrs = np.array(centers, dtype=object)[nearest[served]]
     assignment = dict(zip(served.tolist(), ctrs.tolist()))
-    if objective is Objective.CENTER:
-        cost = max(0.0, float(costs[served].max(initial=0.0)))
-    else:
-        # Sequential, from 0.0 and in demand order: the sum a loop makes.
-        cost = float(np.cumsum(np.r_[0.0, live[served] * costs[served]])[-1])
+    cost = price(costs[served], live[served], objective)
     return ClusteringSolution(centers, excluded, assignment, cost)
+
+
+def price(costs, copies, objective):
+    """Cost of ``copies[j]`` copies served at ``costs[j]`` each (``copies``
+    may be one count for all): the largest cost for the center objective,
+    else the sum of copies times cost, taken sequentially from 0.0 in the
+    given order (the sum a loop makes)."""
+    if objective is Objective.CENTER:
+        return max(0.0, float(costs.max(initial=0.0)))
+    return float(np.cumsum(np.r_[0.0, copies * costs])[-1])
 
 
 def pad_centers(instance, solution, target, objective, budget, tau=0.0):

@@ -89,28 +89,17 @@ def one_median(space, node, objective=Objective.MEDIAN, counter=None):
     return OneMedianSummary(node.node_id, best, float(vals[best]))
 
 
-@dataclass(frozen=True)
-class CompressedGraph:
-    """Collapse summaries of a node family, as tentacle demands.
+def build_compressed_graph(space, nodes, objective=Objective.MEDIAN, counter=None):
+    """The compressed graph of a node family, as a list of tentacle demands.
 
     A tentacle demand anchors at the node's 1-median and carries the collapse
     cost as an additive offset, so d-hat(j, u) = l_j + d(y_j, u): an upper
     bound on the expected distance that is at most a factor 2 loose (4 for
-    squared distances).
+    squared distances). Its tag is the node id.
     """
-
-    summaries: tuple
-
-    def demands(self):
-        return [
-            Demand((s.point,), (1.0,), s.value, 1, (s.node_id,))
-            for s in self.summaries
-        ]
-
-
-def build_compressed_graph(space, nodes, objective=Objective.MEDIAN, counter=None):
-    summaries = tuple(one_median(space, nd, objective, counter) for nd in nodes)
-    return CompressedGraph(summaries)
+    summaries = (one_median(space, nd, objective, counter) for nd in nodes)
+    return [Demand((s.point,), (1.0,), s.value, 1, (s.node_id,))
+            for s in summaries]
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         raise InvalidParameterError(
             f"objective must be one of {sorted(_UNCERTAIN_OBJECTIVES)}")
     obj = _UNCERTAIN_OBJECTIVES[objective]
-    _validate_common(k, t, seed, epsilon, rho)
+    _validate_common(k, t, epsilon, rho, seed)
     space = npartition.space
     if len(npartition.nodes) <= t:
         raise InfeasibleError(f"outlier budget t={t} >= {len(npartition.nodes)} nodes")
@@ -196,10 +185,9 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
 
     def collapse_site(i):
         counter = EvalCounter()
-        graph = build_compressed_graph(
+        demands = build_compressed_graph(
             space, [npartition.nodes[j] for j in npartition.sites[i]],
             collapse_obj, counter)
-        demands = graph.demands()
         return Instance(space, demands, [d.anchor for d in demands],
                         counter=counter, payload_kind="tentacle")
 
@@ -253,7 +241,7 @@ def tau_grid(d_min, d_max):
     return TauGrid(tuple(2.0 ** i * d_min / 18.0 for i in range(top + 1)))
 
 
-def run_center_g(npartition, k, t, epsilon=1.0, seed=0):
+def run_center_g(npartition, k, t, epsilon=1.0):
     """Two-round (k, t)-center under the expected-maximum objective.
 
     No collapse is sound here, so sites keep full node distributions. Round
@@ -267,9 +255,9 @@ def run_center_g(npartition, k, t, epsilon=1.0, seed=0):
     the 2k weighted centers plus the budgeted outliers as whole nodes
     (2 |support| words each); the final threshold sweep keeps k centers and
     excludes floor((1 + epsilon) t) nodes under expected distances. No step
-    draws at random, so ``seed`` is only validated.
+    draws at random, so it takes no seed.
     """
-    _validate_common(k, t, seed, epsilon)
+    _validate_common(k, t, epsilon=epsilon)
     space = npartition.space
     n_nodes = len(npartition.nodes)
     relaxed_t = int((1.0 + epsilon) * t + 1e-9)

@@ -287,8 +287,8 @@ def test_criterion_07_compression_factors(capsys):
                                               max_support=3)
         k = int(rng.integers(1, 3))
         t = int(rng.integers(0, min(3, n_nodes)))
-        graph = build_compressed_graph(space, nodes)
-        ginst = Instance(space, graph.demands(), list(range(space.n)))
+        ginst = Instance(space, build_compressed_graph(space, nodes),
+                         list(range(space.n)))
         gopt = exact_oracle(ginst, k, t, Objective.MEDIAN)
         uopt, _, _ = exact_uncertain_optimum(space, nodes, k, t, "median")
         if gopt.cost > 5.0 * uopt + 1e-9:
@@ -309,7 +309,7 @@ def test_criterion_08_center_g(capsys):
         space, nodes = random_uncertain_nodes(80000 + seed, n_nodes=12,
                                               universe_size=18)
         npart = NodePartition.round_robin(space, nodes, 2)
-        rep = run_center_g(npart, 2, 2, seed=seed)
+        rep = run_center_g(npart, 2, 2)
         ex = rep.extras
         i = ex["tau_hat_index"]
         grid, sums = ex["tau_grid"], ex["tau_sums"]
@@ -329,7 +329,7 @@ def test_criterion_08_center_g(capsys):
         k = int(rng.integers(1, 3))
         t = int(rng.integers(1, 3))
         npart = NodePartition.round_robin(space, nodes, 2)
-        rep = run_center_g(npart, k, t, seed=seed)
+        rep = run_center_g(npart, k, t)
         ex = rep.extras
         if ex["tau_hat_index"] == 0:
             # the grid minimum was never rejected; the lower bound has no

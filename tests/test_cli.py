@@ -181,6 +181,17 @@ def test_solve_uncertain_flow(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["params"]["objective"] == "center"
     assert "tau_hat" in payload["extras"]
+    # center-g takes no seed, yet its report prints the one given, and a
+    # negative seed stays an unusable argument
+    center_g = ["solve", "--input", str(pts_f), "--nodes", str(nodes_f),
+                "--alg", "center-g", "--k", "2", "--t", "2", "--seed"]
+    code, out, _ = run(center_g + ["9"], capsys)
+    assert code == 0
+    seeded = json.loads(out)
+    assert seeded["params"].pop("seed") == 9 and payload["params"].pop("seed") == 0
+    assert seeded == payload
+    code, out, err = run(center_g + ["-1"], capsys)
+    assert code == 2 and out == "" and "seed" in err
 
 
 def test_oracle_matches_solve_scale(tmp_path, capsys):
@@ -279,22 +290,22 @@ _NODE_ARGS = ["--k", "2", "--t", "2", "--seed", "5"]
 _GOLDEN = [
     # (alg and flags, report sha256, transcript sha256 or None)
     (["--alg", "kt-median"],
-     "f2b2d2f33d2c1a2c8dc910f55996d9af9c0d919b6c0a8af3e32659724786e1f7",
+     "9b471c28425eb22a1f64c328840936a96b7c6d7b7b7460c2be5c5fb53ffa603f",
      "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
     (["--alg", "kt-means"],
-     "8fec2566fb49a6170fdd87eda7ecfd5f537b3d77de9390c856c1be1251ffa3cf",
+     "6dc8070e1c8a23793c78bc5a46d262df63bda43740a59bb42ee12861957fccc6",
      "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
     (["--alg", "kt-means", "--format", "csv"],
-     "22fb875aa41364562da66da1d12c4f9878b0a4edfc8f2a609c7947347ee7c3e4",
+     "a407b5586bb924a5dc609f2278d2ac47aa31fd4f702236cf39ce02923d662760",
      "6ceeb0c4481a843f1c8b96bda6a0baf4e8495141cb60453e15695ade36d59f38"),
     (["--alg", "kt-center"],
-     "2fc9de50005225f4cb4e6fd23e0a32dab9c484167e9fa5108ab02fa50ed5350d",
+     "7b55099ef370943663f5bbf7cfad7d39881ecc781733a1eebb910982040cacf1",
      "d2f6b2bfcb19181433dd9785bc29a15902c0eb97b9ffe4df279fb898331b334f"),
     (["--alg", "kt-median-co"],
-     "d42869693cd6f32ca116a40a4302b78f91a84318b571e33292551c9980e13eb7",
+     "72f85727088ede10376264eda9c4d7cca618bb2ff8f2b1abfd98911b150b350b",
      "d08563c65a2535f98dbbf58640e7f90bd02af63d2a8ea62a2d54c7428e4f8679"),
     (["--alg", "one-round", "--jobs", "2"],
-     "1dcf09829289ff692b736f6b3f321c5ce33bdbe1e26f479210651a1f67f2ea14",
+     "56d5fba6bdeb6c4ff562403566e6d5f6a7a4795873f33a6ed83a36ed40857988",
      "e18192d977b7af46b742b66f209acbfafc3a54a44508074c1c0fc94ba4f8b5ad"),
     (["--alg", "subquadratic"],
      "70474b1fa5510253ead84e99a9debe2fb9b8f3371f004059ca389a27aec19ee8",
@@ -323,16 +334,20 @@ def golden_inputs(tmp_path_factory):
     upts_f, nodes_f = root / "upts.jsonl", root / "nodes.jsonl"
     write_points_jsonl(upts_f, universe)
     write_nodes_jsonl(nodes_f, nodes)
-    return root, (["--input", str(pts_f)] + _POINT_ARGS,
-                  ["--input", str(upts_f), "--nodes", str(nodes_f)] + _NODE_ARGS)
+    large_f = root / "large.jsonl"
+    write_points_jsonl(large_f, gen_planted(1500, 5, 10, seed=2))
+    return root, {"points": ["--input", str(pts_f)] + _POINT_ARGS,
+                  "nodes": ["--input", str(upts_f), "--nodes", str(nodes_f)]
+                  + _NODE_ARGS,
+                  "large": ["--input", str(large_f)]}
 
 
 @pytest.mark.parametrize("flags, report_sha, transcript_sha", _GOLDEN,
                          ids=[" ".join(g[0][1:]) for g in _GOLDEN])
 def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
                               capsys):
-    root, (point_args, node_args) = golden_inputs
-    data = node_args if flags[1] in _NODE_ALGS else point_args
+    root, inputs = golden_inputs
+    data = inputs["nodes" if flags[1] in _NODE_ALGS else "points"]
     argv = ["solve"] + flags + data
     tr = root / "transcript.jsonl"
     if transcript_sha is not None:
@@ -344,32 +359,56 @@ def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
         assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha
 
 
-# Pins of the center-protocol reports with their "evals" block removed, so a
-# change to how many distances the center sites evaluate may move the counts
-# but no other byte of these reports.
+# Pins of reports with their "evals" block (the "evals_total" column of a
+# CSV row) removed, so a change to how many distances a run evaluates may
+# move the counts but no other byte of these reports. The last one runs on
+# an input shaped like the median-large benchmark workload.
 _GOLDEN_NO_EVALS = [
-    (["--alg", "kt-center"],
+    # (input, alg and flags, sha256 of the report without its evals)
+    ("points", ["--alg", "kt-center"],
      "7a96c3d01f5c4cbe09b4a400e7d7980672972f12f896f928106d5a0892cf4cba"),
-    (["--alg", "uncertain-center-pp"],
+    ("nodes", ["--alg", "uncertain-center-pp"],
      "3d199c7aab91277fe22f2288381db6e053d089d522a6ad560739bcb923c9bf7c"),
-    (["--alg", "one-round", "--objective", "center"],
+    ("points", ["--alg", "one-round", "--objective", "center"],
      "53831dd72e2ef1366f67b913453d813ffbbe31a5c30aef7a9152acc6f9dc8abe"),
-    (["--alg", "one-round", "--objective", "center", "--jobs", "2"],
+    ("points", ["--alg", "one-round", "--objective", "center", "--jobs", "2"],
      "53831dd72e2ef1366f67b913453d813ffbbe31a5c30aef7a9152acc6f9dc8abe"),
+    ("points", ["--alg", "kt-median"],
+     "fef13a78927711aa567e984b7444668573577968ab08283ef32caa17d78e184b"),
+    ("points", ["--alg", "kt-means"],
+     "9bc6cf1d7b12ff67885c35f9023f8c89824443e1386b6ac23707643d871c36bb"),
+    ("points", ["--alg", "kt-means", "--format", "csv"],
+     "221afbc3ef347897a66a40b90eecd776bcaa64550cd09334e79b984338200483"),
+    ("points", ["--alg", "kt-median-co"],
+     "5d1c6da01f6677950e74bc66c3ea8ab0e0d8f51b7ad8b33f9f74e621f7186809"),
+    ("points", ["--alg", "one-round"],
+     "a4310695accedcff086c957a5f7e06f637bf79eac23977b2472bec042a5e06d0"),
+    ("points", ["--alg", "one-round", "--objective", "means"],
+     "690a2461333750ac8ee7237064d8a4b7633e8cb3c509aa5a5960608c6f307712"),
+    ("large", ["--alg", "kt-median", "--k", "5", "--t", "10", "--sites", "4",
+               "--seed", "2"],
+     "e086d9be19f2825480c39c3b9fb7a6cb3b3ac206e46222c03307902c068a90cf"),
 ]
 
 
-@pytest.mark.parametrize("flags, stripped_sha", _GOLDEN_NO_EVALS,
-                         ids=[" ".join(g[0][1:]) for g in _GOLDEN_NO_EVALS])
-def test_solve_golden_reports_without_evals(golden_inputs, flags, stripped_sha,
-                                            capsys):
-    _, (point_args, node_args) = golden_inputs
-    data = node_args if flags[1] in _NODE_ALGS else point_args
-    code, out, err = run(["solve"] + flags + data, capsys)
-    assert code == 0, err
+def _without_evals(out):
+    if not out.startswith("{"):
+        head, row = (line.split(",") for line in out.splitlines())
+        keep = [i for i, col in enumerate(head) if col != "evals_total"]
+        return "\n".join(",".join(line[i] for i in keep) for line in (head, row))
     report = json.loads(out)
     del report["evals"]
-    blob = json.dumps(report, sort_keys=True).encode()
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("data, flags, stripped_sha", _GOLDEN_NO_EVALS,
+                         ids=[" ".join(g[1][1:]) for g in _GOLDEN_NO_EVALS])
+def test_solve_golden_reports_without_evals(golden_inputs, data, flags,
+                                            stripped_sha, capsys):
+    _, inputs = golden_inputs
+    code, out, err = run(["solve"] + flags + inputs[data], capsys)
+    assert code == 0, err
+    blob = _without_evals(out).encode()
     assert hashlib.sha256(blob).hexdigest() == stripped_sha
 
 
@@ -384,7 +423,7 @@ _BENCH_GOLDEN = [
      "56967322579e256aa4b08572d404eadb67cabd47d2bc7c4d68fda502189c88b5"),
     ("planted", ["--alg", "kt-median", "--k", "5", "--t", "10", "--sites", "4",
                  "--seed", "2"],
-     "4162f0f7fc1b1ce28e517de51b85a22a01603200f22dfdbc6f9420d6768cd9e3",
+     "568db50ac6c2c1d09dd0130fe2caacded42abe89cd96c6a9504124b8043b8420",
      "0d3876b35533e097f0c16a2b66f060e5786e03486dff5eadf25e4ae06c6d2c30"),
 ]
 

@@ -34,6 +34,7 @@ from partialclust.errors import (
     InvalidParameterError,
     PreconditionError,
 )
+from partialclust import protocol
 from partialclust.protocol import _run_sites
 
 from helpers import random_points
@@ -312,6 +313,48 @@ def test_one_round_single_site_is_local_solve():
 
 # ---------------------------------------------------------------------------
 # center protocols on small inputs
+
+
+_POINT_RUNS = {
+    "kt-median": lambda part: run_kt_median(part, 3, 4, seed=1),
+    "kt-means": lambda part: run_kt_median(part, 3, 4, objective=Objective.MEANS,
+                                           seed=1),
+    "kt-median-co": lambda part: run_kt_median_clustering_only(part, 3, 4, seed=1),
+    "kt-center": lambda part: run_kt_center(part, 3, 4),
+    "one-round-center": lambda part: run_one_round(part, 3, 4,
+                                                   objective=Objective.CENTER),
+}
+
+
+@pytest.mark.parametrize("make_partition", [Partition.round_robin,
+                                            Partition.contiguous],
+                         ids=["round-robin", "contiguous"])
+@pytest.mark.parametrize("alg", sorted(_POINT_RUNS))
+def test_point_report_evaluates_each_coordinator_distance_once(
+        alg, make_partition, monkeypatch):
+    # Every point appears twice: contiguous sites merge the two copies into
+    # one demand of weight 2, round-robin sites hold one copy each.
+    pts = np.repeat(gen_planted(40, 3, 4, dim=2, seed=3), 2, axis=0)
+    space = MetricSpace.euclidean(pts)
+    part = make_partition(space, 3)
+    pairs, lifting = [], []
+    block, lift = MetricSpace.block, protocol._lift_solution
+
+    def recorded_block(self, rows, cols):
+        if lifting:
+            pairs.extend((int(r), int(c)) for r in rows for c in cols)
+        return block(self, rows, cols)
+
+    def recorded_lift(*args, **kwargs):
+        lifting.append(True)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(MetricSpace, "block", recorded_block)
+    monkeypatch.setattr(protocol, "_lift_solution", recorded_lift)
+    rep = _POINT_RUNS[alg](part)
+    served = len(rep.solution.assignment)
+    # the lift prices each distinct served point against each center once
+    assert served <= len(pairs) == len(set(pairs)) <= len(pts) * len(rep.solution.centers)
 
 
 @st.composite

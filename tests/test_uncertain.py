@@ -94,8 +94,7 @@ def test_compressed_graph_tentacles(line4):
         UncertainNode(0, (0, 2), (0.5, 0.5)),
         UncertainNode(1, (3,), (1.0,)),
     ]
-    graph = build_compressed_graph(line4, nodes)
-    demands = graph.demands()
+    demands = build_compressed_graph(line4, nodes)
     assert len(demands) == 2
     d0 = demands[0]
     assert d0.support == (0,)            # the node's 1-median anchor
@@ -191,7 +190,7 @@ def test_tau_grid_shape():
 
 def test_center_g_planted():
     space, nodes, part = planted_node_partition()
-    rep = run_center_g(part, 2, 2, epsilon=1.0, seed=1)
+    rep = run_center_g(part, 2, 2, epsilon=1.0)
     assert rep.rounds == 2
     # with epsilon = 1 the final sweep may ignore up to 2t nodes
     assert rep.solution.total_excluded == 4
@@ -207,8 +206,8 @@ def test_center_g_planted():
 
 def test_center_g_deterministic():
     space, nodes, part = planted_node_partition()
-    a = run_center_g(part, 2, 2, seed=3)
-    b = run_center_g(part, 2, 2, seed=3)
+    a = run_center_g(part, 2, 2)
+    b = run_center_g(part, 2, 2)
     assert a.solution == b.solution
     assert a.extras["tau_hat"] == b.extras["tau_hat"]
     assert a.ledger.to_records() == b.ledger.to_records()
@@ -357,7 +356,7 @@ def test_center_g_sites_that_skip_the_search(case, sha, site_evals, coord_evals)
             assert inst.cost_matrix(Objective.MEDIAN, 2.0 * grid.taus[-1]).max() == 0.0
     else:
         assert min(len(ids) for ids in part.sites) <= k
-    rep = run_center_g(part, k, t, seed=4)
+    rep = run_center_g(part, k, t)
     assert (_center_g_digest(rep), rep.site_evals, rep.coord_evals) == (
         sha, site_evals, coord_evals)
 
