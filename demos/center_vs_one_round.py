@@ -32,7 +32,7 @@ B, k = space.word_width, 2
 # Center first, at desk scale, next to the exact optimum.
 
 small = MetricSpace.euclidean(gen_planted(14, 2, 2, seed=3))
-rep = run_kt_center(Partition.round_robin(small, 2), 2, 2, seed=3)
+rep = run_kt_center(Partition.round_robin(small, 2), 2, 2)
 opt = exact_oracle(Instance.from_points(small), 2, 2, Objective.CENTER)
 print(f"(2,2)-center on 14 points: protocol {rep.solution.cost:.3f}, "
       f"optimum {opt.cost:.3f}, ratio {rep.solution.cost / opt.cost:.2f} (<= 9)")
@@ -48,7 +48,7 @@ for s in (2, 4, 8):
     part = Partition.round_robin(space, s)
     for t in (8, 16, 32):
         med = run_kt_median(part, k, t, seed=1).ledger.total_words
-        cen = run_kt_center(part, k, t, seed=1).ledger.total_words
+        cen = run_kt_center(part, k, t).ledger.total_words
         one = run_one_round(part, k, t, seed=1).ledger.total_words
         # the baseline total is exactly s * (2k(B+1) + tB)
         assert one == s * (2 * k * (B + 1) + t * B)

@@ -275,7 +275,7 @@ def _cmd_solve(args):
     # --jobs is checked and otherwise ignored: sites run in site order.
     if args.jobs < 1:
         raise InvalidParameterError("jobs must be a positive integer")
-    # center-g takes no seed, but every report prints one
+    # center-g and kt-center take no seed, but every report prints one
     if args.seed < 0:
         raise InvalidParameterError("seed must be a nonnegative integer")
     space, groups = _load_space(args)
@@ -297,11 +297,7 @@ def _cmd_solve(args):
         inst = Instance.from_points(space)
         sub = subquadratic_solve(inst, args.k, args.t, args.alpha,
                                  seed=args.seed, objective=objective)
-        # the view a distributed run's lift prices with, so points are priced
-        # the same way; its evaluations come after sub.evals is taken
-        view = Instance(space, inst.demands, sub.solution.centers,
-                        counter=inst.counter)
-        solution = _expand_points(view, sub.solution, objective)
+        solution = _expand_points(sub.view, sub.solution, objective)
         payload = {
             "alg": args.alg,
             "params": {"k": args.k, "t": args.t, "alpha": args.alpha,
@@ -327,8 +323,7 @@ def _cmd_solve(args):
                 part, args.k, args.t, delta=args.delta, epsilon=args.epsilon,
                 seed=args.seed)
         elif args.alg == "kt-center":
-            report = run_kt_center(part, args.k, args.t, rho=args.rho,
-                                   seed=args.seed)
+            report = run_kt_center(part, args.k, args.t, rho=args.rho)
         else:
             report = run_one_round(part, args.k, args.t,
                                    objective=Objective.from_string(args.objective),

@@ -213,16 +213,13 @@ class Instance:
 
     Cost matrices are computed lazily and cached per (power, tau); all
     distance evaluations feeding a matrix are tallied once in ``counter``.
-    ``payload_kind`` tells the protocol ledger how many words one forwarded
-    demand costs: ``"point"`` (B), ``"tentacle"`` (B + 1: anchor point plus
-    collapse scalar), or ``"node"`` (2 * support size: the full distribution).
     ``demands`` is a tuple, and the per-demand data read on every probe and
     distance row is computed once: ``weights`` (a read-only float array),
     ``total_weight``, the anchors, the collapse offsets and whether every
     demand is a single point.
     """
 
-    def __init__(self, space, demands, candidates, counter=None, payload_kind="point"):
+    def __init__(self, space, demands, candidates, counter=None):
         if not demands:
             raise InvalidParameterError("instance needs at least one demand")
         self.space = space
@@ -242,7 +239,6 @@ class Instance:
             space._check(c)
         self.candidates = np.asarray(cand, dtype=int)
         self.counter = counter if counter is not None else EvalCounter()
-        self.payload_kind = payload_kind
         self._cost_cache = {}
         self._center_columns = {}
         self._pair_cache = None
@@ -380,10 +376,10 @@ class Instance:
 
     def subset(self, demand_indices):
         """New instance over a subset of demands, with their anchors as the
-        candidates, sharing space, counter and payload kind."""
+        candidates, sharing space and counter."""
         dem = [self.demands[j] for j in demand_indices]
         return Instance(self.space, dem, [d.anchor for d in dem],
-                        counter=self.counter, payload_kind=self.payload_kind)
+                        counter=self.counter)
 
 
 @dataclass

@@ -301,34 +301,35 @@ def _center_attachments(inst, sol, objective, tau=0.0):
     return att
 
 
-def _payload_words(demand, copies, kind, B):
-    if kind == "point":
+def _payload_words(demand, copies, summary, B):
+    if summary == "point":
         return copies * B
-    if kind == "tentacle":
+    if summary == "tentacle":
         return copies * (B + 1)
-    if kind == "node":
+    if summary == "node":
         if demand.weight != 1 or copies != 1:
             raise InternalInvariantError("node demands must carry unit weight")
         return 2 * len(demand.support)
-    raise InvalidParameterError(f"unknown payload kind {kind!r}")
+    raise InternalInvariantError(f"unknown round-2 summary {summary!r}")
 
 
-def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
-                          forward_outliers, ledger, count_word=False, round_no=2,
-                          tau=0.0):
-    """Build the coordinator's weighted instance from round-2 site summaries.
+def _assemble_coordinator(site_instances, site_sols, objective, summary, counter,
+                          ledger, round_no=2, tau=0.0):
+    """Build the coordinator's weighted instance from round-2 site messages.
 
-    Each surviving preclustering center becomes a weighted point demand; each
-    forwarded outlier keeps its own demand (support, collapse, excluded copy
-    count), priced by the sites' payload kind. Provenance records let
-    :func:`_lift_solution` map the coordinator's verdict back onto site
-    demands. ``tau`` picks the truncated cost surface the attachment order
-    (farthest first) is read from. When outliers are whole node
-    distributions rather than points, only the forwarded center points are
-    candidate centers. Returns no instance when the sites keep no copy.
+    A site sends its surviving preclustering centers as weighted point
+    demands (B + 1 words each), then its excluded copies as ``summary``
+    says: ``"point"`` B words a copy, ``"tentacle"`` B + 1 (anchor plus
+    collapse offset), ``"node"`` 2 per support point, or ``"count"`` one
+    count word, keeping the copies. A forwarded copy keeps its own demand;
+    provenance records let :func:`_lift_solution` map the coordinator's
+    verdict back onto site demands. ``tau`` picks the truncated cost surface
+    the attachment order (farthest first) is read from. Under ``"node"``
+    only the forwarded centers are candidates. Returns no instance when the
+    sites keep no copy.
     """
+    space = site_instances[0].space
     B = space.word_width
-    payload_kind = site_instances[0].payload_kind
     demands, prov = [], []
     center_anchors = set()
     for i, (inst, sol) in enumerate(zip(site_instances, site_sols)):
@@ -342,34 +343,34 @@ def _assemble_coordinator(space, site_instances, site_sols, objective, counter,
             prov.append(_CenterProv(i, c, tuple(sorted(att[c], key=lambda x: (-x[2], x[0])))))
             center_anchors.add(int(c))
             words += B + 1
-        if forward_outliers:
+        if summary == "count":
+            words += 1
+        else:
             for j in sorted(sol.outliers):
                 copies = sol.outliers[j]
                 d = inst.demands[j]
                 demands.append(Demand(d.support, d.probs, d.collapse, copies))
                 prov.append(_ForwardProv(i, j, copies))
-                words += _payload_words(d, copies, payload_kind, B)
-        elif count_word:
-            words += 1
+                words += _payload_words(d, copies, summary, B)
         if ledger is not None:
             ledger.add(round_no, "site->coord", i, "summary", words)
     if not demands:
         return None, prov
-    if payload_kind == "node" and center_anchors:
+    if summary == "node" and center_anchors:
         anchors = sorted(center_anchors)
     else:
         anchors = sorted({d.anchor for d in demands})
-    coord = Instance(space, demands, anchors, counter=counter, payload_kind=payload_kind)
-    return coord, prov
+    return Instance(space, demands, anchors, counter=counter), prov
 
 
-def _lift_solution(space, site_instances, prov, final, objective, counter,
+def _lift_solution(site_instances, prov, final, objective, counter,
                    site_excluded=None):
     """Map the coordinator's solution back onto the concatenated site demands.
 
     A copy excluded from a weighted center demand takes out the attached site
     copy farthest from that center; an excluded forwarded copy takes out the
-    copy it stands for; everything surviving is served at its nearest final
+    copy it stands for; a copy a site kept (``site_excluded``, per site
+    {local demand: copies}) stays out; everything surviving is served at its nearest final
     center (:func:`~partialclust.solvers.serve_nearest`). Exclusion counts are
     preserved exactly. Returns the solution and its view: the instance of
     the site demands with the final centers as candidates, whose cached
@@ -408,8 +409,8 @@ def _lift_solution(space, site_instances, prov, final, objective, counter,
         else:
             exclude(p.site, p.local, e)
 
-    view = Instance(space, all_demands, final.centers, counter=counter,
-                    payload_kind="point")
+    view = Instance(site_instances[0].space, all_demands, final.centers,
+                    counter=counter)
     C = view.cost_matrix(objective)
     nearest = np.argmin(C, axis=1)
     sol = serve_nearest(tuple(int(c) for c in view.candidates), nearest,
@@ -550,28 +551,31 @@ def _center_round(site_insts, k, t, rho, seconds, ledger):
     return alloc, _run_sites(answer, len(site_insts), seconds)
 
 
-def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
-                allocation, budgets, site_seconds, rounds=2, epsilon=1.0,
-                seed=0, site_excluded=None, score=None, **assemble):
+def _coordinate(site_insts, site_sols, objective, k, t, ledger, summary, *,
+                allocation, site_seconds, epsilon=1.0, seed=0, score=None,
+                tau=0.0):
     """The coordinator's tail, shared by every distributed runner.
 
-    Assembles the sites' summaries (``assemble`` goes to
+    Assembles the sites' round-2 messages (``summary`` and ``tau`` go to
     :func:`_assemble_coordinator`), solves them (threshold sweep for the
     center objective, bicriteria with floor((1 + epsilon) t) excluded copies
     otherwise), lifts the verdict onto the site demands, pricing each
     distinct site point against each final center once, and reports it
-    point-level (each point's cost read from that pricing), or node-level
-    for node payloads. ``score(solution,
+    point-level for ``"point"`` and ``"count"`` (each point's cost read from
+    that pricing; under ``"count"`` the copies sites kept stay excluded),
+    node-level otherwise. Without an ``allocation`` the run took one round
+    and a site's budget is the copies it excluded. ``score(solution,
     counter)`` returns extras measured on the final solution, with its
     distance evaluations counted as the coordinator's. Sites that keep their
     outliers may leave it t copies or fewer: its budget then stays below the
     copies it holds, as a site's does, and holding none it ignores every
     point around one lone center.
     """
+    rounds = 1 if allocation is None else 2
     coord_counter = EvalCounter()
     coord_inst, prov = _assemble_coordinator(
-        space, site_insts, site_sols, objective, coord_counter, ledger=ledger,
-        round_no=rounds, **assemble)
+        site_insts, site_sols, objective, summary, coord_counter, ledger,
+        round_no=rounds, tau=tau)
     if coord_inst is None:
         final = ClusteringSolution((int(site_insts[0].candidates[0]),), {}, {}, 0.0)
     else:
@@ -582,18 +586,21 @@ def _coordinate(space, site_insts, site_sols, objective, k, t, ledger, *,
             cfg = BicriteriaConfig(epsilon=epsilon, relax="outliers")
             final = bicriteria_median(coord_inst, k, t, cfg, objective,
                                       seed=(seed, 3))
-    demand_sol, view = _lift_solution(space, site_insts, prov, final, objective,
-                                      coord_counter, site_excluded=site_excluded)
+    held = [dict(s.outliers) for s in site_sols] if summary == "count" else None
+    demand_sol, view = _lift_solution(site_insts, prov, final, objective,
+                                      coord_counter, site_excluded=held)
     extras = {"coordinator_excluded": final.total_excluded}
-    if site_insts[0].payload_kind == "point":
+    if summary in ("point", "count"):
         solution = _expand_points(view, demand_sol, objective)
     else:
         solution = _node_solution(view.demands, demand_sol)
     if score is not None:
         extras.update(score(solution, coord_counter))
+    budgets = (tuple(s.total_excluded for s in site_sols) if allocation is None
+               else allocation.t_by_site)
     return ProtocolReport(
-        solution=solution, ledger=ledger, rounds=rounds,
-        allocation=allocation, budgets=budgets,
+        solution=solution, ledger=ledger, rounds=rounds, allocation=allocation,
+        budgets=budgets,
         site_evals=tuple(inst.counter.count for inst in site_insts),
         coord_evals=coord_counter.count, site_seconds=tuple(site_seconds),
         extras=extras,
@@ -624,9 +631,8 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
         site_insts, k, t, rho, objective, secs, ledger)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
     report = _coordinate(
-        partition.space, site_insts, site_sols, objective, k, t, ledger,
-        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
-        epsilon=epsilon, seed=seed, forward_outliers=True)
+        site_insts, site_sols, objective, k, t, ledger, "point",
+        allocation=alloc, site_seconds=secs, epsilon=epsilon, seed=seed)
     report.extras.update(curves=curves, site_excluded=tuple(
         s.total_excluded for s in site_sols))
     return report
@@ -666,11 +672,8 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
         site_sols.append(merge_two_solutions(inst, sols[lo], sols[hi], ti,
                                              objective))
     report = _coordinate(
-        partition.space, site_insts, site_sols, objective, k, t, ledger,
-        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
-        epsilon=epsilon, seed=seed,
-        site_excluded=[dict(s.outliers) for s in site_sols],
-        forward_outliers=False, count_word=True)
+        site_insts, site_sols, objective, k, t, ledger, "count",
+        allocation=alloc, site_seconds=secs, epsilon=epsilon, seed=seed)
     site_excluded = tuple(s.total_excluded for s in site_sols)
     report.extras.update(
         curves=curves, site_excluded=site_excluded,
@@ -678,23 +681,24 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     return report
 
 
-def run_kt_center(partition, k, t, rho=2.0, seed=0):
+def run_kt_center(partition, k, t, rho=2.0):
     """Two-round (k, t)-center.
 
     Round 1: each site sends its farthest-first insertion radii and the same
     pivot allocation as the median protocol splits the budget (see
     :func:`_center_round`). Round 2: the first k + t_i traversal points with
-    attached counts. The coordinator's threshold sweep keeps k centers and
-    excludes exactly t copies.
+    attached counts; a site excludes no copy, so it forwards no outlier.
+    The coordinator's threshold sweep keeps k centers and excludes exactly
+    t copies. The traversal and the sweep are deterministic, so it takes no
+    seed.
     """
-    _validate_common(k, t, rho=rho, seed=seed)
+    _validate_common(k, t, rho=rho)
     site_insts = _site_instances(partition, t)
     ledger, secs = CommLedger(), [0.0] * partition.n_sites
     alloc, site_sols = _center_round(site_insts, k, t, rho, secs, ledger)
     return _coordinate(
-        partition.space, site_insts, site_sols, Objective.CENTER, k, t, ledger,
-        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
-        forward_outliers=False)
+        site_insts, site_sols, Objective.CENTER, k, t, ledger, "point",
+        allocation=alloc, site_seconds=secs)
 
 
 def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
@@ -714,10 +718,8 @@ def run_one_round(partition, k, t, objective=Objective.MEDIAN, epsilon=1.0,
         lambda i: _local_solution(site_insts[i], k, t, objective),
         partition.n_sites, secs)
     return _coordinate(
-        partition.space, site_insts, site_sols, objective, k, t, CommLedger(),
-        rounds=1, allocation=None,
-        budgets=tuple(s.total_excluded for s in site_sols), site_seconds=secs,
-        epsilon=epsilon, seed=seed, forward_outliers=True)
+        site_insts, site_sols, objective, k, t, CommLedger(), "point",
+        allocation=None, site_seconds=secs, epsilon=epsilon, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +732,7 @@ class SubquadraticReport:
     depth: int
     evals: int
     levels: tuple       # (demands, simulated sites or 0 when solved directly)
+    view: Instance      # the instance whose cost matrix priced ``solution``
 
 
 def subquadratic_solve(instance, k, t, alpha, seed=0, objective=Objective.MEDIAN):
@@ -755,28 +758,30 @@ def subquadratic_solve(instance, k, t, alpha, seed=0, objective=Objective.MEDIAN
     levels = []
     # the caller's counter may carry earlier work; report only this run's
     start = instance.counter.count
-    sol = _subquadratic_level(instance, k, t, depth, objective, seed, levels)
+    sol, view = _subquadratic_level(instance, k, t, depth, objective, seed,
+                                    levels)
     return SubquadraticReport(sol, depth, instance.counter.count - start,
-                              tuple(levels))
+                              tuple(levels), view)
 
 
 def _subquadratic_level(inst, k, t, depth, objective, seed, levels):
+    """Solve one level; returns the solution over ``inst``'s demands and the
+    instance it was priced on: ``inst`` itself at a leaf, else the lift's
+    view."""
     n = inst.n
     s = max(2, min(int(round(n ** (2.0 / 3.0))), n // (k + t + 1)))
     if depth <= 0 or n <= 64 or n // (k + t + 1) < 2:
         levels.append((n, 0))
         cfg = BicriteriaConfig(epsilon=1.0, relax="outliers")
-        return bicriteria_median(inst, k, t, cfg, objective, seed=(seed, 7, depth))
+        return bicriteria_median(inst, k, t, cfg, objective,
+                                 seed=(seed, 7, depth)), inst
     levels.append((n, s))
     parts = np.array_split(np.arange(n), s)
     subinsts = [inst.subset([int(j) for j in p]) for p in parts]
     sols_by_q, _, alloc = _curve_round(
         subinsts, k, t, 2.0, objective, [0.0] * s, None)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, alloc.t_by_site)]
-    coord, prov = _assemble_coordinator(
-        inst.space, subinsts, site_sols, objective, inst.counter,
-        forward_outliers=True, ledger=None)
-    sub = _subquadratic_level(coord, k, t, depth - 1, objective, seed, levels)
-    lifted, _ = _lift_solution(inst.space, subinsts, prov, sub, objective,
-                               inst.counter)
-    return lifted
+    coord, prov = _assemble_coordinator(subinsts, site_sols, objective, "point",
+                                        inst.counter, None)
+    sub, _ = _subquadratic_level(coord, k, t, depth - 1, objective, seed, levels)
+    return _lift_solution(subinsts, prov, sub, objective, inst.counter)

@@ -168,10 +168,12 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
     Phase 0 is communication-free: every site collapses its own nodes onto
     their 1-medians (1-means for the squared objective). The deterministic
     two-round machinery then runs on the tentacle demands; a forwarded
-    outlier costs B + 1 words (anchor plus collapse offset). The report's
-    solution is node-level; its cost is the compressed-graph cost, and the
-    expected-distance cost of the same assignment on the universe (recorded
-    in ``extras``) is asserted to be at most 2x that (4x for means).
+    outlier costs B + 1 words (anchor plus collapse offset); center-pp sites
+    answer with traversal prefixes that exclude nothing, so forward none.
+    The report's solution is node-level; its cost is the compressed-graph
+    cost, and the expected-distance cost of the same assignment on the
+    universe (recorded in ``extras``) is asserted to be at most 2x that (4x
+    for means).
     """
     if objective not in _UNCERTAIN_OBJECTIVES:
         raise InvalidParameterError(
@@ -189,7 +191,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
             space, [npartition.nodes[j] for j in npartition.sites[i]],
             collapse_obj, counter)
         return Instance(space, demands, [d.anchor for d in demands],
-                        counter=counter, payload_kind="tentacle")
+                        counter=counter)
 
     ledger, secs = CommLedger(), [0.0] * npartition.n_sites
     site_insts = _run_sites(collapse_site, npartition.n_sites, secs)
@@ -217,10 +219,9 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
                 "mapping_factor": factor}
 
     return _coordinate(
-        space, site_insts, site_sols, obj, k, t, ledger,
-        allocation=alloc, budgets=alloc.t_by_site, site_seconds=secs,
-        epsilon=epsilon, seed=seed, score=universe_check,
-        forward_outliers=obj is not Objective.CENTER)
+        site_insts, site_sols, obj, k, t, ledger, "tentacle",
+        allocation=alloc, site_seconds=secs, epsilon=epsilon, seed=seed,
+        score=universe_check)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +277,7 @@ def run_center_g(npartition, k, t, epsilon=1.0):
                    for nd in nodes]
         cands = [one_median(space, nd, Objective.MEDIAN, counter).point
                  for nd in nodes]
-        return Instance(space, demands, cands, counter=counter,
-                        payload_kind="node")
+        return Instance(space, demands, cands, counter=counter)
 
     site_insts = _run_sites(site_instance, npartition.n_sites, secs)
     # (site solutions by q, curves, allocation) per threshold
@@ -297,9 +297,6 @@ def run_center_g(npartition, k, t, epsilon=1.0):
         raise InternalInvariantError(
             "no grid threshold satisfied the 12 tau budget rule")
     tau_hat = grid.taus[tau_hat_idx]
-    # the selection rule itself, re-checked on the chosen level
-    if tau_sums[tau_hat_idx] > 12.0 * tau_hat * (1.0 + 1e-12) + 1e-12:
-        raise InternalInvariantError("chosen threshold violates its own rule")
     _broadcast_pivot(ledger, npartition.n_sites, words=4)
     sols_by_q, _, chosen_alloc = levels[tau_hat_idx]
     site_sols = [sols[q] for sols, q in zip(sols_by_q, chosen_alloc.t_by_site)]
@@ -322,9 +319,8 @@ def run_center_g(npartition, k, t, epsilon=1.0):
     # at 6 tau-hat; the sweep opens only forwarded centers and excludes the
     # relaxed budget
     return _coordinate(
-        space, site_insts, site_sols, Objective.CENTER, k, relaxed_t, ledger,
-        allocation=chosen_alloc, budgets=chosen_alloc.t_by_site,
-        site_seconds=secs, score=truncated_costs, forward_outliers=True,
+        site_insts, site_sols, Objective.CENTER, k, relaxed_t, ledger, "node",
+        allocation=chosen_alloc, site_seconds=secs, score=truncated_costs,
         tau=6.0 * tau_hat)
 
 

@@ -181,7 +181,7 @@ def test_criterion_05_center_pipeline(capsys):
         t = int(rng.integers(1, 3))
         space = MetricSpace.euclidean(random_points(50000 + seed, n))
         part = Partition.round_robin(space, 2)
-        rep = run_kt_center(part, k, t, seed=seed)
+        rep = run_kt_center(part, k, t)
         if rep.rounds != 2:
             ok = False
         opt = exact_oracle(Instance.from_points(space), k, t, Objective.CENTER)
@@ -235,7 +235,7 @@ def test_criterion_06_word_accounting(capsys):
             formulas_ok = False
         one_total[(s, t)] = one.ledger.total_words
     part = Partition.round_robin(space, 4)
-    cen = run_kt_center(part, k, 8, seed=1)
+    cen = run_kt_center(part, k, 8)
     if (cen.ledger.words(round_no=1) != 4 * 8 + 3 * 4
             or cen.ledger.words(round_no=2)
             != sum((k + ti) * (B + 1) for ti in cen.budgets)):

@@ -141,6 +141,33 @@ def test_subquadratic_payload_and_transcript_refusal(planted_file, capsys):
     assert code == 2 and "transcript" in err
 
 
+@pytest.mark.parametrize("n, k, t", [(120, 3, 5), (50, 2, 3)],
+                         ids=["recursive", "leaf"])
+def test_subquadratic_report_counts_every_distance(n, k, t, tmp_path,
+                                                    monkeypatch, capsys):
+    """Every distance the solve evaluates, point-level pricing included, is
+    in the report's ``evals.total``: the points are expanded on the view the
+    solution was priced on, so no distance is evaluated twice."""
+    from partialclust.metric import MetricSpace
+    path = tmp_path / "pts.jsonl"
+    write_points_jsonl(path, gen_planted(n, k, t, seed=1))
+    entries = []
+    block = MetricSpace.block
+
+    def counted(self, rows, cols):
+        D = block(self, rows, cols)
+        entries.append(D.size)
+        return D
+
+    monkeypatch.setattr(MetricSpace, "block", counted)
+    code, out, _ = run(["solve", "--input", str(path), "--alg", "subquadratic",
+                        "--k", str(k), "--t", str(t), "--alpha", "1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["levels"][0][1] > 0) == (n > 64)
+    assert sum(entries) == payload["evals"]["total"]
+
+
 def test_solve_timings_flag(planted_file, capsys):
     code, out, _ = run(["solve", "--input", str(planted_file),
                         "--alg", "kt-median", "--k", "2", "--t", "3",

@@ -252,7 +252,7 @@ def test_clustering_only_exercises_merge():
 
 def test_center_recovers_planted_outliers():
     space, part = planted_partition()
-    rep = run_kt_center(part, 3, 4, seed=3)
+    rep = run_kt_center(part, 3, 4)
     assert rep.rounds == 2
     assert sorted(rep.solution.outliers) == [56, 57, 58, 59]
     assert solution_cost(space, rep.solution, Objective.CENTER) == pytest.approx(
@@ -263,7 +263,7 @@ def test_center_word_formula_exact():
     space, part = planted_partition()
     B = space.word_width
     for k, t in [(2, 3), (3, 4)]:
-        rep = run_kt_center(part, k, t, seed=1)
+        rep = run_kt_center(part, k, t)
         s = part.n_sites
         assert rep.ledger.words(round_no=1) == s * t + 3 * s
         round2 = sum((k + ti) * (B + 1) for ti in rep.budgets)
@@ -275,10 +275,40 @@ def test_center_nine_approx_spot():
         pts = random_points(900 + seed, 14)
         space = MetricSpace.euclidean(pts)
         part = Partition.round_robin(space, 2)
-        rep = run_kt_center(part, 2, 2, seed=seed)
+        rep = run_kt_center(part, 2, 2)
         opt = exact_oracle(Instance.from_points(space), 2, 2, Objective.CENTER)
         assert rep.solution.cost <= 9.0 * opt.cost + 1e-9
         assert rep.solution.total_excluded == 2
+
+
+@pytest.mark.parametrize("alg", ["kt-center", "uncertain-center-pp"])
+@pytest.mark.parametrize("seed", range(4))
+def test_center_site_answers_exclude_nothing(alg, seed, monkeypatch):
+    """Every round-2 answer of a center site is a traversal prefix that
+    excludes no copy, so these runs forward no outlier."""
+    from partialclust import run_uncertain, uncertain
+    from helpers import random_uncertain_nodes
+    answers = []
+    center_round = protocol._center_round
+
+    def recorded(*args):
+        alloc, sols = center_round(*args)
+        answers.extend(sols)
+        return alloc, sols
+
+    monkeypatch.setattr(protocol, "_center_round", recorded)
+    monkeypatch.setattr(uncertain, "_center_round", recorded)
+    if alg == "kt-center":
+        # duplicates give weighted demands
+        pts = np.repeat(random_points(300 + seed, 20), [1, 2] * 10, axis=0)
+        rep = run_kt_center(Partition.round_robin(MetricSpace.euclidean(pts), 3),
+                            2, 5)
+    else:
+        space, nodes = random_uncertain_nodes(seed, 18, 25)
+        rep = run_uncertain(NodePartition.round_robin(space, nodes, 3), 2, 5,
+                            objective="center-pp", seed=seed)
+    assert len(answers) == 3 and sum(rep.budgets) >= 5
+    assert all(sol.outliers == {} for sol in answers)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +408,7 @@ def test_center_protocol_properties(protocol, case):
 
     def run():
         if protocol == "kt-center":
-            return run_kt_center(part, k, t, seed=4)
+            return run_kt_center(part, k, t)
         return run_one_round(part, k, t, objective=Objective.CENTER, seed=4)
 
     rep = run()
@@ -487,12 +517,12 @@ def test_center_sites_at_the_extremes(case, k, t, kt_sha, one_sha):
     part = Partition.round_robin(space, s)
     if not isinstance(kt_sha, str):
         with pytest.raises(kt_sha):
-            run_kt_center(part, k, t, seed=2)
+            run_kt_center(part, k, t)
         with pytest.raises(one_sha):
             run_one_round(part, k, t, objective=Objective.CENTER, seed=2)
         return
     sizes = [Instance.from_points(space, pts).n for pts in part.sites]
-    rep = run_kt_center(part, k, t, seed=2)
+    rep = run_kt_center(part, k, t)
     assert _sha_without_evals(rep) == kt_sha
     assert rep.site_evals == tuple(_kt_center_site_evals(n, k, t, ti, space.mode)
                                    for n, ti in zip(sizes, rep.budgets))

@@ -173,8 +173,7 @@ def _gonzalez_cases(draw):
                           draw(st.integers(1, 3))) for a in anchors]
 
         def build():
-            return Instance(MetricSpace.euclidean(pts), demands, anchors,
-                            payload_kind="tentacle")
+            return Instance(MetricSpace.euclidean(pts), demands, anchors)
     else:
         def build():
             return Instance.from_points(MetricSpace.euclidean(pts))

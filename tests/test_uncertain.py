@@ -165,6 +165,37 @@ def test_uncertain_word_accounting():
     assert rep.ledger.words(kind="pivot") == 3 * s
 
 
+def _distinct_anchor_nodes(seed, n_nodes, universe_size):
+    """Two-point nodes whose heavier point (0.7) is its 1-median, on a
+    distinct point per node, so no two tentacles share an anchor."""
+    rng = np.random.default_rng(seed)
+    space = MetricSpace.euclidean(rng.uniform(-6.0, 6.0, size=(universe_size, 2)))
+    heavy = rng.choice(universe_size, size=n_nodes, replace=False)
+    nodes = []
+    for j, u in enumerate(heavy):
+        v = int(rng.choice([p for p in range(universe_size) if p != u]))
+        nodes.append(UncertainNode(j, (int(u), v), (0.7, 0.3)))
+    return space, nodes
+
+
+@pytest.mark.parametrize("seed, sites, k, t", [(1, 3, 2, 2), (2, 2, 3, 5),
+                                               (3, 4, 1, 6)])
+def test_uncertain_center_pp_word_formula_exact(seed, sites, k, t):
+    """Round 1: t insertion radii per site and a three-word pivot to each.
+    Round 2: the first k + t_i traversal tentacles at B + 1 words each, and
+    no outlier words, since a traversal prefix excludes nothing."""
+    space, nodes = _distinct_anchor_nodes(seed, 24, 40)
+    part = NodePartition.round_robin(space, nodes, sites)
+    assert len({one_median(space, nd).point for nd in nodes}) == len(nodes)
+    rep = run_uncertain(part, k, t, objective="center-pp", seed=seed)
+    B, s = space.word_width, part.n_sites
+    assert rep.ledger.words(kind="marginals") == t * s
+    assert rep.ledger.words(round_no=1) == t * s + 3 * s
+    sent = sum(min(k + ti, len(site)) for ti, site in zip(rep.budgets, part.sites))
+    assert rep.ledger.words(round_no=2) == sent * (B + 1)
+    assert rep.rounds == 2
+
+
 def test_uncertain_rejects_unknown_objective():
     space, nodes, part = planted_node_partition()
     with pytest.raises(InvalidParameterError):
@@ -376,8 +407,7 @@ def test_local_solution_on_the_truncated_surrogate(seed, n_nodes, k, q, level):
     def site():
         return Instance(space, [Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,))
                                 for nd in nodes],
-                        [one_median(space, nd).point for nd in nodes],
-                        payload_kind="node")
+                        [one_median(space, nd).point for nd in nodes])
 
     inst = site()
     sol = _local_solution(inst, k, q, Objective.MEDIAN, tau=tau)
