@@ -38,11 +38,7 @@ from .metric import (
     Instance,
     MetricSpace,
     Objective,
-    dedupe_demands,
     extremes,
-    instance_cost,
-    point_demand,
-    solution_cost,
 )
 from .protocol import (
     CommLedger,
@@ -95,13 +91,13 @@ __all__ = [
     "OracleSizeLimitError", "ParseError", "Partition", "PreconditionError",
     "ProtocolReport", "SubquadraticReport", "TauGrid", "UncertainNode",
     "allocate", "bicriteria_median", "build_compressed_graph",
-    "dedupe_demands", "eval_center_g_objective",
+    "eval_center_g_objective",
     "exact_oracle", "exceptional_adjust", "extremes", "geometric_index_set",
-    "gonzalez_order", "insertion_marginals", "instance_cost",
+    "gonzalez_order", "insertion_marginals",
     "jv_facility_location", "kt_center_outliers", "lower_hull",
     "merge_two_solutions", "node_universe_cost", "one_median", "pad_centers",
-    "point_demand", "run_center_g", "run_kt_center", "run_kt_median",
+    "run_center_g", "run_kt_center", "run_kt_median",
     "run_kt_median_clustering_only", "run_one_round", "run_uncertain",
-    "site_budget_from_pivot", "solution_cost", "solution_from_centers",
+    "site_budget_from_pivot", "solution_from_centers",
     "sort_marginals", "subquadratic_solve", "tau_grid",
 ]

@@ -254,9 +254,8 @@ def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.ME
         parts[j][center] = parts[j].get(center, 0) + copies
 
     both_total = 0
-    for j, d in enumerate(instance.demands):
+    for j, w in enumerate(instance.counts.tolist()):
         ea, eb = sol_a.excluded_copies(j), sol_b.excluded_copies(j)
-        w = d.weight
         both = w - max(ea, eb)
         only_a = max(0, eb - ea)
         only_b = max(0, ea - eb)
@@ -303,11 +302,11 @@ def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.ME
     excluded = {}
     total = 0.0
     worst = 0.0
-    for j, d in enumerate(instance.demands):
+    for j, w in enumerate(instance.counts.tolist()):
         served = parts.get(j, {})
         n_served = sum(served.values())
-        if n_served < d.weight:
-            excluded[j] = d.weight - n_served
+        if n_served < w:
+            excluded[j] = w - n_served
         if not served:
             continue
         items = sorted(served.items())

@@ -354,10 +354,8 @@ def _cmd_oracle(args):
     objective = Objective.from_string(args.objective)
     if args.nodes:
         nodes, _ = read_nodes_files(args.nodes, space)
-        demands = [
-            # full distributions; any universe point may host a center
-            _node_demand(nd) for nd in nodes
-        ]
+        # full distributions; any universe point may host a center
+        demands = [Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,)) for nd in nodes]
         inst = Instance(space, demands, list(range(space.n)))
         label, n_items = "n_nodes", len(nodes)
     else:
@@ -375,10 +373,6 @@ def _cmd_oracle(args):
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _node_demand(nd):
-    return Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,))
 
 
 # ---------------------------------------------------------------------------

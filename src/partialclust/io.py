@@ -11,6 +11,7 @@ support entries index a companion point universe. Floats serialize via
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -20,22 +21,83 @@ from .metric import MetricSpace
 from .uncertain import UncertainNode
 
 
+_decode = json.JSONDecoder().raw_decode
+_NUMBER = {int, float}      # JSON booleans are neither
+
+
 def _parse_jsonl(path):
-    rows = []
+    """[(line number, value)] for the nonblank lines of ``path``, numbered as
+    file iteration numbers them. Each line must hold one JSON value whole."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ParseError(str(exc), path=path) from None
+    rows = []
     with fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
+        for ln, line in enumerate(fh, start=1):
+            line = line.strip()
             if not line:
                 continue
             try:
-                rows.append((ln, json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"bad JSON: {exc.msg}", path=path, line=ln) from None
+                value, end = _decode(line)
+                if end != len(line):
+                    raise ValueError("Extra data")
+            except ValueError:
+                try:    # for json.loads's own message
+                    value = json.loads(line)
+                except ValueError as exc:
+                    raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}",
+                                     path=path, line=ln) from None
+            rows.append((ln, value))
     return rows
+
+
+def _id_error(row, keys, seen):
+    """The message of the first check a line fails among: an object with
+    ``keys``, an integer id >= 0, an id not in ``seen``; else None."""
+    if type(row) is not dict or not all(k in row for k in keys):
+        return "expected {" + ", ".join(f'"{k}"' for k in keys) + "}"
+    rid = row["id"]
+    if type(rid) is not int or rid < 0:
+        return f"bad id {rid!r}"
+    return f"duplicate id {rid}" if rid in seen else None
+
+
+def _point_row_error(row, seen, dim):
+    """The message of the first check a point line fails, or None."""
+    msg = _id_error(row, ("id", "coords"), seen)
+    if msg is not None:
+        return msg
+    coords = row["coords"]
+    if (type(coords) is not list or not coords
+            or not set(map(type, coords)) <= _NUMBER):
+        return "coords must be a nonempty number list"
+    if dim is not None and len(coords) != dim:
+        return f"dimension {len(coords)} != {dim}"
+    try:
+        [float(x) for x in coords]
+    except OverflowError:
+        return "coordinates must fit a float"
+    return None
+
+
+def _point_arrays(rows, seen, dim):
+    """(ids, coords) of a file's rows if all pass :func:`_point_row_error`, else None."""
+    try:
+        ids = [v["id"] for _, v in rows]
+        coords = [v["coords"] for _, v in rows]
+    except (TypeError, KeyError):
+        return None
+    d = len(coords[0]) if dim is None and type(coords[0]) is list else dim
+    if (set(map(type, ids)) != {int} or min(ids) < 0 or len(set(ids)) < len(ids)
+            or not seen.isdisjoint(ids) or set(map(type, coords)) != {list}
+            or set(map(len, coords)) != {d} or not d
+            or not set(map(type, itertools.chain.from_iterable(coords))) <= _NUMBER):
+        return None
+    try:
+        return ids, np.array(coords, dtype=float)
+    except OverflowError:
+        return None
 
 
 def read_points_files(paths):
@@ -44,42 +106,37 @@ def read_points_files(paths):
     Returns (space, groups) where ``groups[i]`` lists the point ids that came
     from ``paths[i]``.
     """
-    seen = {}
-    groups = []
-    dim = None
+    seen, groups, blocks, dim = set(), [], [], None
     for path in paths:
-        group = []
-        for ln, row in _parse_jsonl(path):
-            if not isinstance(row, dict) or "id" not in row or "coords" not in row:
-                raise ParseError("expected {\"id\", \"coords\"}", path=path, line=ln)
-            pid = row["id"]
-            if not isinstance(pid, int) or pid < 0:
-                raise ParseError(f"bad id {pid!r}", path=path, line=ln)
-            if pid in seen:
-                raise ParseError(f"duplicate id {pid}", path=path, line=ln)
-            coords = row["coords"]
-            if (not isinstance(coords, list) or not coords
-                    or not all(isinstance(x, (int, float)) for x in coords)):
-                raise ParseError("coords must be a nonempty number list",
-                                 path=path, line=ln)
-            if dim is None:
-                dim = len(coords)
-            elif len(coords) != dim:
-                raise ParseError(f"dimension {len(coords)} != {dim}",
-                                 path=path, line=ln)
-            seen[pid] = [float(x) for x in coords]
-            group.append(pid)
-        if not group:
+        rows = _parse_jsonl(path)
+        if not rows:
             raise ParseError("file holds no points", path=path)
-        groups.append(group)
-    n = len(seen)
-    missing = set(range(n)) - set(seen)
-    if missing:
-        raise ParseError(
-            f"ids must cover 0..{n - 1}; missing {sorted(missing)[:5]}",
-            path=paths[-1])
-    coords = np.array([seen[i] for i in range(n)], dtype=float)
+        got = _point_arrays(rows, seen, dim)
+        for ln, row in rows if got is None else ():     # name the first bad line
+            msg = _point_row_error(row, seen, dim)
+            if msg is not None:
+                raise ParseError(msg, path=path, line=ln)
+            seen.add(row["id"])
+            dim = len(row["coords"])
+        ids, coords = got
+        seen.update(ids)
+        dim = coords.shape[1]
+        groups.append(ids)
+        blocks.append(coords)
+    _check_coverage(seen, paths, "")
+    coords = np.empty((len(seen), dim or 0))
+    if groups:
+        coords[np.concatenate(groups)] = np.concatenate(blocks)
     return MetricSpace.euclidean(coords), groups
+
+
+def _check_coverage(seen, paths, what):
+    """Distinct ids >= 0 cover 0..n-1 exactly when the largest is n - 1."""
+    n = len(seen)
+    if seen and max(seen) != n - 1:
+        missing = sorted(set(range(n)) - seen)
+        raise ParseError(f"{what}ids must cover 0..{n - 1}; missing {missing[:5]}",
+                         path=paths[-1])
 
 
 def read_points_jsonl(path):
@@ -149,31 +206,23 @@ def read_nodes_files(paths, space):
 
     Returns (nodes, groups); node ids must cover 0..m-1 across all files.
     """
-    seen = {}
-    groups = []
+    seen, groups = {}, []
     for path in paths:
         group = []
         for ln, row in _parse_jsonl(path):
-            if (not isinstance(row, dict) or "id" not in row
-                    or "support" not in row or "probs" not in row):
-                raise ParseError("expected {\"id\", \"support\", \"probs\"}",
-                                 path=path, line=ln)
-            nid = row["id"]
-            if not isinstance(nid, int) or nid < 0:
-                raise ParseError(f"bad id {nid!r}", path=path, line=ln)
-            if nid in seen:
-                raise ParseError(f"duplicate id {nid}", path=path, line=ln)
-            support = row["support"]
-            probs = row["probs"]
-            if (not isinstance(support, list) or not isinstance(probs, list)
-                    or not all(isinstance(p, int) for p in support)
-                    or not all(isinstance(p, (int, float)) for p in probs)):
+            msg = _id_error(row, ("id", "support", "probs"), seen)
+            if msg is not None:
+                raise ParseError(msg, path=path, line=ln)
+            nid, support, probs = row["id"], row["support"], row["probs"]
+            if (type(support) is not list or type(probs) is not list
+                    or not set(map(type, support)) <= {int}
+                    or not set(map(type, probs)) <= _NUMBER):
                 raise ParseError("support must be int ids, probs numbers",
                                  path=path, line=ln)
-            for p in support:
-                if not 0 <= p < space.n:
-                    raise ParseError(f"support point {p} outside universe",
-                                     path=path, line=ln)
+            outside = [p for p in support if not 0 <= p < space.n]
+            if outside:
+                raise ParseError(f"support point {outside[0]} outside universe",
+                                 path=path, line=ln)
             try:
                 node = UncertainNode(nid, tuple(support),
                                      tuple(float(p) for p in probs))
@@ -184,14 +233,8 @@ def read_nodes_files(paths, space):
         if not group:
             raise ParseError("file holds no nodes", path=path)
         groups.append(group)
-    m = len(seen)
-    missing = set(range(m)) - set(seen)
-    if missing:
-        raise ParseError(
-            f"node ids must cover 0..{m - 1}; missing {sorted(missing)[:5]}",
-            path=paths[-1])
-    nodes = [seen[i] for i in range(m)]
-    return nodes, groups
+    _check_coverage(seen.keys(), paths, "node ")
+    return [seen[i] for i in range(len(seen))], groups
 
 
 def write_nodes_jsonl(path, nodes):

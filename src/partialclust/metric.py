@@ -14,15 +14,15 @@ weight (multiplicity after duplicate merging or preclustering aggregation).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
     DegenerateInstanceError,
-    InconsistentSolutionError,
     InvalidParameterError,
     InvalidPointError,
 )
@@ -127,7 +127,7 @@ def extremes(space):
     """(d_min, d_max, spread) over the distinct point pairs of the space.
 
     Raises if it holds fewer than two points or if two of them coincide;
-    merge duplicates into weights first (see :func:`dedupe_demands`).
+    merge duplicates into weights first (see :meth:`Instance.from_points`).
     """
     if space.n < 2:
         raise DegenerateInstanceError("extremes need at least two points")
@@ -181,82 +181,151 @@ class Demand:
         return self.support[0]
 
 
-def point_demand(p, weight=1):
-    return Demand((int(p),), (1.0,), 0.0, int(weight), (int(p),))
+def _positions(lens, idx):
+    """Flat positions of the rows ``idx`` of a ragged array of row lengths ``lens``."""
+    sel = lens[idx]
+    return (np.arange(sel.sum())
+            + np.repeat((np.cumsum(lens) - lens)[idx] - (np.cumsum(sel) - sel), sel))
 
 
-def dedupe_demands(space, indices):
-    """Merge exactly coinciding points into weighted demands.
+@dataclass(frozen=True)
+class DemandArrays:
+    """Demands as arrays, the form an :class:`Instance` keeps them in.
 
-    Returns demands sorted by representative point index; each demand's tag
-    tuple lists the merged point indices in ascending order.
+    Supports and tags are ragged: demand j's support is the next ``slen[j]``
+    entries of ``support`` (``probs`` aligned with it) and its tag the next
+    ``tlen[j]`` entries of ``tags``. ``counts`` are the integer weights.
     """
-    rows = space.coords if space.mode == "euclidean" else space.matrix
-    groups = {}
-    for i in indices:
-        i = int(i)
-        # Python floats compare and hash as the numpy scalars do (-0.0 ==
-        # 0.0), and a row at a time keeps a matrix space's keys small.
-        groups.setdefault(tuple(rows[i].tolist()), []).append(i)
-    demands = []
-    for members in groups.values():
-        members.sort()
-        demands.append(
-            Demand((members[0],), (1.0,), 0.0, len(members), tuple(members))
-        )
-    demands.sort(key=lambda d: d.anchor)
-    return demands
+
+    support: np.ndarray
+    slen: np.ndarray
+    probs: np.ndarray
+    collapse: np.ndarray
+    counts: np.ndarray
+    tags: np.ndarray
+    tlen: np.ndarray
+
+    @classmethod
+    def of(cls, demands):
+        def flat(seqs, dtype=np.int64):
+            return np.array(list(itertools.chain.from_iterable(seqs)), dtype=dtype)
+
+        sup, tags = [d.support for d in demands], [d.tag for d in demands]
+        return cls(flat(sup), flat([map(len, sup)]),
+                   flat((d.probs for d in demands), float),
+                   np.array([d.collapse for d in demands], dtype=float),
+                   np.array([d.weight for d in demands], dtype=np.int64),
+                   flat(tags), flat([map(len, tags)]))
+
+    @classmethod
+    def points(cls, anchors, counts, tags, tlen):
+        """Single-point demands at ``anchors``."""
+        ones = np.ones(len(anchors), dtype=np.int64)
+        return cls(anchors, ones, ones.astype(float), np.zeros(len(anchors)),
+                   counts, tags, tlen)
+
+    @classmethod
+    def stack(cls, parts):
+        """The demands of ``parts`` one after another."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts])
+                     for f in fields(cls)))
+
+    def take(self, idx, counts=None):
+        """Demands ``idx`` in that order, weighted ``counts`` if given."""
+        sp, tp = _positions(self.slen, idx), _positions(self.tlen, idx)
+        return DemandArrays(self.support[sp], self.slen[idx], self.probs[sp],
+                            self.collapse[idx],
+                            self.counts[idx] if counts is None else counts,
+                            self.tags[tp], self.tlen[idx])
+
+    @property
+    def anchors(self):
+        """Each demand's first support point."""
+        return self.support[np.cumsum(self.slen) - self.slen]
 
 
 class Instance:
     """Weighted demands plus candidate centers over a shared metric space.
 
+    The demands live in ``arrays`` (given, or built from a :class:`Demand`
+    list), with the data read on every probe and distance row derived once,
+    read-only: ``counts`` (integer weights), ``weights`` (as floats),
+    ``total_weight``, ``anchors``, the collapse offsets and whether every
+    demand is one point. ``demands`` is built from the arrays on first use.
     Cost matrices are computed lazily and cached per (power, tau); all
     distance evaluations feeding a matrix are tallied once in ``counter``.
-    ``demands`` is a tuple, and the per-demand data read on every probe and
-    distance row is computed once: ``weights`` (a read-only float array),
-    ``total_weight``, the anchors, the collapse offsets and whether every
-    demand is a single point.
     """
 
     def __init__(self, space, demands, candidates, counter=None):
-        if not demands:
+        self._demands = None if isinstance(demands, DemandArrays) else tuple(demands)
+        if self._demands is not None:
+            demands = DemandArrays.of(self._demands)
+        if not len(demands.counts):
             raise InvalidParameterError("instance needs at least one demand")
         self.space = space
-        self.demands = tuple(demands)
-        self.weights = np.array([d.weight for d in self.demands], dtype=float)
-        self.weights.flags.writeable = False
-        self.total_weight = sum(d.weight for d in self.demands)
-        self._anchors = np.array([d.anchor for d in self.demands], dtype=int)
-        self._anchors.flags.writeable = False
-        self._collapse = np.array([d.collapse for d in self.demands])
-        self._collapse.flags.writeable = False
-        self._single_support = all(len(d.support) == 1 for d in self.demands)
-        cand = sorted({int(c) for c in candidates})
-        if not cand:
+        self.arrays = demands
+        self.counts, self.anchors = demands.counts, demands.anchors
+        self.weights, self._collapse = self.counts.astype(float), demands.collapse
+        for a in (self.counts, self.anchors, self.weights, self._collapse):
+            a.flags.writeable = False
+        self.total_weight = int(self.counts.sum())
+        self._single_support = len(demands.support) == len(demands.counts)
+        # sort and drop repeats; np.unique would import numpy.ma here
+        cand = np.sort(np.asarray(candidates, dtype=np.int64))
+        cand = cand[np.diff(cand, prepend=cand[:1] - 1) != 0]
+        if not cand.size:
             raise InvalidParameterError("instance needs at least one candidate center")
-        for c in cand:
-            space._check(c)
-        self.candidates = np.asarray(cand, dtype=int)
+        bad = cand[(cand < 0) | (cand >= space.n)]
+        if bad.size:
+            space._check(int(bad[0]))
+        self.candidates = cand
         self.counter = counter if counter is not None else EvalCounter()
         self._cost_cache = {}
         self._center_columns = {}
         self._pair_cache = None
-        self._cand_pos = {int(c): j for j, c in enumerate(self.candidates)}
+        self._cand_pos = {c: j for j, c in enumerate(cand.tolist())}
 
     @classmethod
     def from_points(cls, space, indices=None, counter=None, merge_duplicates=True):
-        idx = list(range(space.n)) if indices is None else sorted(int(i) for i in indices)
-        if merge_duplicates:
-            demands = dedupe_demands(space, idx)
-        else:
-            demands = [point_demand(i) for i in idx]
-        cands = [d.anchor for d in demands]
-        return cls(space, demands, cands, counter=counter)
+        """The points ``indices`` (all by default) as demands, every anchor a
+        candidate. Coinciding points merge into one demand weighted by their
+        number and tagged with their ids in ascending order; demands are in
+        order of their least id, which anchors them. Without
+        ``merge_duplicates`` each point is its own demand."""
+        idx = (np.arange(space.n) if indices is None
+               else np.sort(np.asarray(indices, dtype=np.int64)))
+        anchors, counts, tags = idx, np.ones(len(idx), dtype=np.int64), idx
+        if merge_duplicates and len(idx):
+            # + 0.0 turns -0.0 into 0.0, so rows group as equal floats do; the
+            # stable sort behind return_index makes ``first`` a group's least
+            rows = (space.coords if space.mode == "euclidean" else space.matrix)[idx] + 0.0
+            _, first, inverse, counts = np.unique(
+                rows, axis=0, return_index=True, return_inverse=True,
+                return_counts=True)
+            by_id = np.argsort(first)
+            anchors, counts = idx[first[by_id]], counts[by_id]
+            rank = np.argsort(by_id)[inverse.reshape(-1)]
+            tags = idx[np.argsort(rank, kind="stable")]
+        return cls(space, DemandArrays.points(anchors, counts, tags, counts),
+                   anchors, counter=counter)
 
     @property
     def n(self):
-        return len(self.demands)
+        return len(self.counts)
+
+    @property
+    def demands(self):
+        if self._demands is None:
+            a = self.arrays
+
+            def rows(flat, lens):
+                it = iter(flat.tolist())
+                return [tuple(itertools.islice(it, k)) for k in lens.tolist()]
+
+            self._demands = tuple(map(
+                Demand, rows(a.support, a.slen), rows(a.probs, a.slen),
+                a.collapse.tolist(), a.counts.tolist(), rows(a.tags, a.tlen)))
+        return self._demands
 
     def candidate_column(self, point):
         try:
@@ -268,8 +337,9 @@ class Instance:
         """n_demands x n_candidates assignment costs under the objective.
 
         Entry (j, u) = collapse_j + E_{a ~ D_j} [ max(d(a, u) - tau, 0) ^ p ]
-        with p = 2 for means and 1 otherwise. Cached; the distance block is
-        evaluated (and counted) once per (power, tau).
+        with p = 2 for means and 1 otherwise. Cached; the distance block of
+        the distinct support points is evaluated (and counted) once per
+        (power, tau).
         """
         if tau < 0:
             raise InvalidParameterError("tau must be >= 0")
@@ -277,8 +347,8 @@ class Instance:
         cached = self._cost_cache.get(key)
         if cached is not None:
             return cached
-        pts = sorted({p for d in self.demands for p in d.support})
-        pos = {p: i for i, p in enumerate(pts)}
+        a = self.arrays
+        pts, pos = np.unique(a.support, return_inverse=True)
         base = self.space.block(pts, self.candidates)
         self.counter.add(base.size)
         if tau > 0:
@@ -291,12 +361,11 @@ class Instance:
                     "squared distances overflow the float range; scale the "
                     "input down")
         if self._single_support:
-            rows = base[[pos[d.support[0]] for d in self.demands]]
+            rows = base[pos]
         else:
             W = np.zeros((self.n, len(pts)))
-            for j, d in enumerate(self.demands):
-                for p, pr in zip(d.support, d.probs):
-                    W[j, pos[p]] += pr
+            # unbuffered, in support order: the sums a loop over demands makes
+            np.add.at(W, (np.repeat(np.arange(self.n), a.slen), pos), a.probs)
             rows = W @ base
         M = rows + self._collapse[:, None]
         self._cost_cache[key] = M
@@ -322,7 +391,7 @@ class Instance:
             return M[:, cols]
         missing = [u for u in cols if u not in self._center_columns]
         if missing:
-            D = self.space.block(self._anchors, self.candidates[missing])
+            D = self.space.block(self.anchors, self.candidates[missing])
             self.counter.add(D.size)
             D += self._collapse[:, None]
             self._center_columns.update(zip(missing, D.T))
@@ -339,7 +408,7 @@ class Instance:
         """
         if not self._single_support:
             raise InvalidParameterError("pair rows need single-support demands")
-        anchors = self._anchors
+        anchors = self.anchors
         row = self.space.block(anchors[j:j + 1], anchors)[0]
         self.counter.add(row.size)
         ell = self._collapse
@@ -365,7 +434,7 @@ class Instance:
             return self._pair_cache
         if not self._single_support:
             raise InvalidParameterError("pair_matrix needs single-support demands")
-        anchors = self._anchors
+        anchors = self.anchors
         D = self.space.block(anchors, anchors).copy()
         self.counter.add(D.size)
         ell = self._collapse
@@ -377,8 +446,8 @@ class Instance:
     def subset(self, demand_indices):
         """New instance over a subset of demands, with their anchors as the
         candidates, sharing space and counter."""
-        dem = [self.demands[j] for j in demand_indices]
-        return Instance(self.space, dem, [d.anchor for d in dem],
+        idx = np.asarray(demand_indices, dtype=np.int64)
+        return Instance(self.space, self.arrays.take(idx), self.anchors[idx],
                         counter=self.counter)
 
 
@@ -407,75 +476,3 @@ class ClusteringSolution:
 
     def excluded_copies(self, j):
         return self.outliers.get(j, 0)
-
-
-def instance_cost(instance, solution, objective, tau=0.0):
-    """Re-evaluate a solution's cost on its instance.
-
-    Accumulates in ascending demand order so repeated evaluation is
-    bit-for-bit reproducible. Raises if a surviving demand is unassigned,
-    an assignment target is not a center, or copy counts are inconsistent.
-    """
-    M = instance.cost_matrix(objective, tau)
-    centers = set(solution.centers)
-    total = 0.0
-    worst = 0.0
-    for j, d in enumerate(instance.demands):
-        excl = solution.excluded_copies(j)
-        if excl < 0 or excl > d.weight:
-            raise InconsistentSolutionError(f"demand {j}: bad excluded copies {excl}")
-        live = d.weight - excl
-        if live == 0:
-            continue
-        if solution.copy_assignment and j in solution.copy_assignment:
-            parts = solution.copy_assignment[j]
-            if sum(c for _, c in parts) != live:
-                raise InconsistentSolutionError(f"demand {j}: split copies do not cover")
-            for ctr, copies in parts:
-                if ctr not in centers:
-                    raise InconsistentSolutionError(f"demand {j}: {ctr} is not a center")
-                c = M[j, instance.candidate_column(ctr)]
-                total += copies * c
-                worst = max(worst, c)
-            continue
-        ctr = solution.assignment.get(j)
-        if ctr is None:
-            raise InconsistentSolutionError(f"demand {j} is neither assigned nor excluded")
-        if ctr not in centers:
-            raise InconsistentSolutionError(f"demand {j}: {ctr} is not a center")
-        c = M[j, instance.candidate_column(ctr)]
-        total += live * c
-        worst = max(worst, c)
-    return worst if objective is Objective.CENTER else total
-
-
-def solution_cost(space, solution, objective, weights=None):
-    """Evaluate a point-level solution directly on a metric space.
-
-    ``assignment`` maps point index -> center point index; ``weights`` is an
-    optional per-point multiplicity map/array (default all 1). Outlier copies
-    contribute nothing. Accumulation runs in ascending point order.
-    """
-    centers = set(solution.centers)
-    for c in centers:
-        space._check(c)
-    points = sorted(set(solution.assignment) | set(solution.outliers))
-    total = 0.0
-    worst = 0.0
-    for p in points:
-        w = 1 if weights is None else int(weights[p])
-        excl = solution.excluded_copies(p)
-        if excl < 0 or excl > w:
-            raise InconsistentSolutionError(f"point {p}: bad excluded copies {excl}")
-        live = w - excl
-        if live == 0:
-            continue
-        ctr = solution.assignment.get(p)
-        if ctr is None:
-            raise InconsistentSolutionError(f"point {p} is neither assigned nor excluded")
-        if ctr not in centers:
-            raise InconsistentSolutionError(f"point {p}: {ctr} is not a center")
-        c = space.distance(p, ctr) ** objective.power
-        total += live * c
-        worst = max(worst, c)
-    return worst if objective is Objective.CENTER else total

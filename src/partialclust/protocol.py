@@ -39,11 +39,10 @@ from .errors import (
 )
 from .metric import (
     ClusteringSolution,
-    Demand,
+    DemandArrays,
     EvalCounter,
     Instance,
     Objective,
-    point_demand,
 )
 from .solvers import (
     BicriteriaConfig,
@@ -254,8 +253,8 @@ def _local_solution(inst, k, q, objective, table=None, tau=0.0):
         return solution_from_centers(inst, lone, objective, qq, measure)
     if objective is Objective.CENTER:
         gorder = gonzalez_order(inst, target)
-        prefix = [inst.demands[j].anchor for j in gorder.order]
-        return solution_from_centers(inst, prefix, objective, qq)
+        return solution_from_centers(inst, inst.anchors[list(gorder.order)],
+                                     objective, qq)
     cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
     sol = bicriteria_median(inst, k, qq, cfg, objective, tau=2.0 * tau,
                             report_tau=measure, table=table)
@@ -266,51 +265,24 @@ def _local_solution(inst, k, q, objective, table=None, tau=0.0):
 # Coordinator assembly, lifting, and point-level expansion
 
 
-@dataclass(frozen=True)
-class _CenterProv:
-    """Coordinator demand that is a site preclustering center."""
-
-    site: int
-    center: int
-    attached: tuple     # (local demand, copies, cost) sorted cost-descending
-
-
-@dataclass(frozen=True)
-class _ForwardProv:
-    """Coordinator demand that is a forwarded site outlier."""
-
-    site: int
-    local: int
-    copies: int
-
-
 def _center_attachments(inst, sol, objective, tau=0.0):
-    att = {c: [] for c in sol.centers}
-    M = inst.cost_columns(objective, sol.centers, tau)
-    col = {c: i for i, c in enumerate(sol.centers)}
-    for j in range(inst.n):
-        live = inst.demands[j].weight - sol.excluded_copies(j)
-        if live <= 0:
-            continue
-        if sol.copy_assignment and j in sol.copy_assignment:
-            parts = sol.copy_assignment[j]
-        else:
-            parts = ((sol.assignment[j], live),)
-        for ctr, copies in parts:
-            att[ctr].append((j, int(copies), float(M[j, col[ctr]])))
-    return att
-
-
-def _payload_words(demand, copies, summary, B):
-    if summary == "point":
-        return copies * B
-    if summary == "tentacle":
-        return copies * (B + 1)
-    if summary == "node":
-        if demand.weight != 1 or copies != 1:
-            raise InternalInvariantError("node demands must carry unit weight")
-        return 2 * len(demand.support)
-    raise InternalInvariantError(f"unknown round-2 summary {summary!r}")
+    """Every group of copies ``sol`` serves, as arrays (local demand, center,
+    copies) sorted by center, then farthest from it first, then by demand: a
+    demand's surviving copies at its center, or each part of a split one."""
+    live = inst.counts.copy()
+    live[list(sol.outliers)] -= np.fromiter(sol.outliers.values(), np.int64,
+                                            len(sol.outliers))
+    split = sol.copy_assignment or {}
+    whole = [j for j in np.flatnonzero(live > 0).tolist() if j not in split]
+    parts = [(j, c, k) for j in split if live[j] > 0 for c, k in split[j]]
+    js = np.array(whole + [p[0] for p in parts], dtype=np.int64)
+    ctrs = np.array([sol.assignment[j] for j in whole] + [p[1] for p in parts],
+                    dtype=np.int64)
+    copies = np.r_[live[whole], np.array([p[2] for p in parts], dtype=np.int64)]
+    centers = sorted(set(sol.centers))
+    costs = inst.cost_columns(objective, centers, tau)[js, np.searchsorted(centers, ctrs)]
+    order = np.lexsort((js, -costs, ctrs))
+    return js[order], ctrs[order], copies[order]
 
 
 def _assemble_coordinator(site_instances, site_sols, objective, summary, counter,
@@ -321,66 +293,68 @@ def _assemble_coordinator(site_instances, site_sols, objective, summary, counter
     demands (B + 1 words each), then its excluded copies as ``summary``
     says: ``"point"`` B words a copy, ``"tentacle"`` B + 1 (anchor plus
     collapse offset), ``"node"`` 2 per support point, or ``"count"`` one
-    count word, keeping the copies. A forwarded copy keeps its own demand;
-    provenance records let :func:`_lift_solution` map the coordinator's
-    verdict back onto site demands. ``tau`` picks the truncated cost surface
-    the attachment order (farthest first) is read from. Under ``"node"``
-    only the forwarded centers are candidates. Returns no instance when the
-    sites keep no copy.
+    count word, keeping the copies. A forwarded copy keeps its own demand.
+    Each coordinator demand has a provenance record (site, local demands,
+    their copies): the site copies it stands for, those of a center
+    farthest from it first (on the cost surface truncated at ``tau``), so
+    :func:`_lift_solution` can map the coordinator's verdict back. Under
+    ``"node"`` only the forwarded centers are candidates. Returns no
+    instance when the sites keep no copy.
     """
-    space = site_instances[0].space
-    B = space.word_width
-    demands, prov = [], []
-    center_anchors = set()
+    B = site_instances[0].space.word_width
+    per_copy = {"point": B, "tentacle": B + 1}
+    parts, prov, center_pts = [], [], []
     for i, (inst, sol) in enumerate(zip(site_instances, site_sols)):
-        words = 0
-        att = _center_attachments(inst, sol, objective, tau)
-        for c in sorted(att):
-            weight = sum(x[1] for x in att[c])
-            if weight == 0:
-                continue
-            demands.append(point_demand(c, weight))
-            prov.append(_CenterProv(i, c, tuple(sorted(att[c], key=lambda x: (-x[2], x[0])))))
-            center_anchors.add(int(c))
-            words += B + 1
+        js, ctrs, copies = _center_attachments(inst, sol, objective, tau)
+        centers, first = np.unique(ctrs, return_index=True)
+        bounds = np.r_[first, len(js)]
+        held = np.r_[0, np.cumsum(copies)]
+        parts.append(DemandArrays.points(centers, held[bounds[1:]] - held[first],
+                                         centers, np.ones_like(centers)))
+        prov += [(i, js[lo:hi], copies[lo:hi]) for lo, hi in zip(first, bounds[1:])]
+        center_pts.append(centers)
+        words = (B + 1) * len(centers)
         if summary == "count":
             words += 1
-        else:
-            for j in sorted(sol.outliers):
-                copies = sol.outliers[j]
-                d = inst.demands[j]
-                demands.append(Demand(d.support, d.probs, d.collapse, copies))
-                prov.append(_ForwardProv(i, j, copies))
-                words += _payload_words(d, copies, summary, B)
+        elif sol.outliers:
+            out = np.array(sorted(sol.outliers), dtype=np.int64)
+            sent = np.array([sol.outliers[j] for j in out.tolist()], dtype=np.int64)
+            parts.append(inst.arrays.take(out, sent))
+            prov += [(i, out[k:k + 1], sent[k:k + 1]) for k in range(len(out))]
+            if summary == "node":
+                if ((inst.counts[out] != 1) | (sent != 1)).any():
+                    raise InternalInvariantError("node demands must carry unit weight")
+                words += 2 * int(inst.arrays.slen[out].sum())
+            elif summary in per_copy:
+                words += per_copy[summary] * int(sent.sum())
+            else:
+                raise InternalInvariantError(f"unknown round-2 summary {summary!r}")
         if ledger is not None:
             ledger.add(round_no, "site->coord", i, "summary", words)
-    if not demands:
+    arrays = DemandArrays.stack(parts)
+    if not len(arrays.counts):
         return None, prov
-    if summary == "node" and center_anchors:
-        anchors = sorted(center_anchors)
-    else:
-        anchors = sorted({d.anchor for d in demands})
-    return Instance(space, demands, anchors, counter=counter), prov
+    cands = np.concatenate(center_pts)
+    if summary != "node" or not cands.size:
+        cands = arrays.anchors
+    return Instance(site_instances[0].space, arrays, cands, counter=counter), prov
 
 
 def _lift_solution(site_instances, prov, final, objective, counter,
                    site_excluded=None):
     """Map the coordinator's solution back onto the concatenated site demands.
 
-    A copy excluded from a weighted center demand takes out the attached site
-    copy farthest from that center; an excluded forwarded copy takes out the
-    copy it stands for; a copy a site kept (``site_excluded``, per site
-    {local demand: copies}) stays out; everything surviving is served at its nearest final
-    center (:func:`~partialclust.solvers.serve_nearest`). Exclusion counts are
+    A copy excluded from a coordinator demand takes out the first site copy
+    it stands for (of a center, the attached copy farthest from it); a copy
+    a site kept (``site_excluded``, per site {local demand: copies}) stays
+    out; everything surviving is served at its nearest final center
+    (:func:`~partialclust.solvers.serve_nearest`). Exclusion counts are
     preserved exactly. Returns the solution and its view: the instance of
     the site demands with the final centers as candidates, whose cached
     ``cost_matrix(objective)`` priced it, each distinct point against each
     center once.
     """
-    offsets, all_demands = [], []
-    for inst in site_instances:
-        offsets.append(len(all_demands))
-        all_demands.extend(inst.demands)
+    offsets = np.cumsum([0] + [inst.n for inst in site_instances]).tolist()
     excluded = {}
 
     def exclude(site, local, copies):
@@ -388,29 +362,22 @@ def _lift_solution(site_instances, prov, final, objective, counter,
             g = offsets[site] + local
             excluded[g] = excluded.get(g, 0) + copies
 
-    if site_excluded is not None:
-        for i, held in enumerate(site_excluded):
-            for j, copies in held.items():
-                exclude(i, j, copies)
-    for dj, p in enumerate(prov):
+    for i, held in enumerate(site_excluded or ()):
+        for j, copies in held.items():
+            exclude(i, j, copies)
+    for dj, (site, local, copies) in enumerate(prov):
         e = final.excluded_copies(dj)
         if e == 0:
             continue
-        if isinstance(p, _CenterProv):
-            rem = e
-            for j, copies, _ in p.attached:
-                take = min(copies, rem)
-                exclude(p.site, j, take)
-                rem -= take
-                if rem == 0:
-                    break
-            if rem:
-                raise InternalInvariantError("excluded more copies than attached")
-        else:
-            exclude(p.site, p.local, e)
+        take = np.minimum(copies, np.maximum(e - np.cumsum(copies) + copies, 0))
+        if take.sum() != e:
+            raise InternalInvariantError("excluded more copies than attached")
+        for j, c in zip(local.tolist(), take.tolist()):
+            exclude(site, j, c)
 
-    view = Instance(site_instances[0].space, all_demands, final.centers,
-                    counter=counter)
+    view = Instance(site_instances[0].space,
+                    DemandArrays.stack([inst.arrays for inst in site_instances]),
+                    final.centers, counter=counter)
     C = view.cost_matrix(objective)
     nearest = np.argmin(C, axis=1)
     sol = serve_nearest(tuple(int(c) for c in view.candidates), nearest,
@@ -428,35 +395,36 @@ def _expand_points(view, demand_sol, objective):
     the matrix the lift already priced with, so no distance is evaluated
     here; the reported cost is priced point by point in ascending id order.
     """
-    C = view.cost_matrix(objective)
-    assigned, cost_of, out_ids = {}, {}, []
-    for g, d in enumerate(view.demands):
-        live = d.weight - demand_sol.excluded_copies(g)
-        out_ids.extend(d.tag[live:])
-        if live > 0:
-            ctr = demand_sol.assignment[g]
-            c = C[g, view.candidate_column(ctr)]
-            for p in d.tag[:live]:
-                assigned[int(p)] = ctr
-                cost_of[int(p)] = c
-    costs = np.array([cost_of[p] for p in sorted(assigned)])
-    outliers = {int(p): 1 for p in sorted(int(x) for x in out_ids)}
-    return ClusteringSolution(demand_sol.centers, outliers, assigned,
-                              price(costs, 1, objective))
+    live = view.counts.copy()
+    out = demand_sol.outliers
+    live[list(out)] -= np.fromiter(out.values(), np.int64, len(out))
+    served = np.flatnonzero(live > 0)
+    ctrs = np.zeros(view.n, dtype=np.int64)
+    ctrs[served] = np.fromiter(map(demand_sol.assignment.__getitem__,
+                                   served.tolist()), np.int64, len(served))
+    costs = view.cost_matrix(objective)[np.arange(view.n),
+                                        np.searchsorted(view.candidates, ctrs)]
+    # each tag id's demand, and its rank among that demand's ids
+    tlen = view.arrays.tlen
+    owner = np.repeat(np.arange(view.n), tlen)
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(tlen) - tlen, tlen)
+    keep = rank < live[owner]
+    ids = view.arrays.tags
+    order = np.argsort(ids[keep])
+    pts, owners = ids[keep][order], owner[keep][order]
+    return ClusteringSolution(
+        demand_sol.centers, dict.fromkeys(np.sort(ids[~keep]).tolist(), 1),
+        dict(zip(pts.tolist(), ctrs[owners].tolist())),
+        price(costs[owners], 1, objective))
 
 
-def _node_solution(all_demands, demand_sol):
-    """Demand-level solution -> node-level via node-id tags."""
-    assignment = {}
-    outliers = {}
-    for g, d in enumerate(all_demands):
-        nid = int(d.tag[0])
-        if demand_sol.excluded_copies(g) > 0:
-            outliers[nid] = 1
-        else:
-            assignment[nid] = demand_sol.assignment[g]
-    return ClusteringSolution(demand_sol.centers, outliers, assignment,
-                              demand_sol.cost)
+def _node_solution(view, demand_sol):
+    """Demand-level solution over unit-weight node demands -> node-level via
+    node-id tags."""
+    nids = view.arrays.tags[np.cumsum(view.arrays.tlen) - view.arrays.tlen].tolist()
+    return ClusteringSolution(
+        demand_sol.centers, dict.fromkeys([nids[g] for g in sorted(demand_sol.outliers)], 1),
+        {nids[g]: c for g, c in demand_sol.assignment.items()}, demand_sol.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +513,8 @@ def _center_round(site_insts, k, t, rho, seconds, ledger):
     def answer(i):
         inst, (gorder, _) = site_insts[i], results[i]
         size = min(k + alloc.t_by_site[i], inst.n)
-        prefix = [inst.demands[j].anchor for j in gorder.order[:size]]
-        return solution_from_centers(inst, prefix, Objective.CENTER, 0)
+        return solution_from_centers(inst, inst.anchors[list(gorder.order[:size])],
+                                     Objective.CENTER, 0)
 
     return alloc, _run_sites(answer, len(site_insts), seconds)
 
@@ -593,7 +561,7 @@ def _coordinate(site_insts, site_sols, objective, k, t, ledger, summary, *,
     if summary in ("point", "count"):
         solution = _expand_points(view, demand_sol, objective)
     else:
-        solution = _node_solution(view.demands, demand_sol)
+        solution = _node_solution(view, demand_sol)
     if score is not None:
         extras.update(score(solution, coord_counter))
     budgets = (tuple(s.total_excluded for s in site_sols) if allocation is None

@@ -732,8 +732,8 @@ def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
     Costs are >= 0, so that holds when every dual is within the tolerance,
     as at ``z = 0``: a frozen demand's dual is its cheapest open cost, and
     an active one's level is at most that."""
-    for j in np.where(active)[0]:
-        unprocessed[int(j)] = instance.demands[j].weight
+    act = np.flatnonzero(active)
+    unprocessed.update(zip(act.tolist(), instance.counts[act].tolist()))
     alpha = np.where(np.isinf(freeze), theta, freeze)
     temp = np.array(open_seq, dtype=int)
     kept = range(len(temp))

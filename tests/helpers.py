@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from partialclust import (
+    Demand,
     Instance,
     MetricSpace,
     Objective,
@@ -20,7 +21,7 @@ from partialclust import (
     node_universe_cost,
     solution_from_centers,
 )
-from partialclust.errors import InvalidParameterError
+from partialclust.errors import InconsistentSolutionError, InvalidParameterError
 from partialclust.solvers import DualCertificate, GonzalezOrder, JVResult, SortedCosts
 
 
@@ -374,3 +375,99 @@ def lazy_heap_jv_facility_location(instance, z, objective, tau=0.0, stop_weight=
         centers = ()
     cert = DualCertificate(alpha, unprocessed, float(theta))
     return JVResult(centers, tuple(int(instance.candidates[u]) for u in open_seq), cert)
+
+
+def instance_cost(instance, solution, objective, tau=0.0):
+    """Re-evaluate a solution's cost on its instance.
+
+    Accumulates in ascending demand order so repeated evaluation is
+    bit-for-bit reproducible. Raises if a surviving demand is unassigned,
+    an assignment target is not a center, or copy counts are inconsistent.
+    """
+    M = instance.cost_matrix(objective, tau)
+    centers = set(solution.centers)
+    total = 0.0
+    worst = 0.0
+    for j, d in enumerate(instance.demands):
+        excl = solution.excluded_copies(j)
+        if excl < 0 or excl > d.weight:
+            raise InconsistentSolutionError(f"demand {j}: bad excluded copies {excl}")
+        live = d.weight - excl
+        if live == 0:
+            continue
+        if solution.copy_assignment and j in solution.copy_assignment:
+            parts = solution.copy_assignment[j]
+            if sum(c for _, c in parts) != live:
+                raise InconsistentSolutionError(f"demand {j}: split copies do not cover")
+            for ctr, copies in parts:
+                if ctr not in centers:
+                    raise InconsistentSolutionError(f"demand {j}: {ctr} is not a center")
+                c = M[j, instance.candidate_column(ctr)]
+                total += copies * c
+                worst = max(worst, c)
+            continue
+        ctr = solution.assignment.get(j)
+        if ctr is None:
+            raise InconsistentSolutionError(f"demand {j} is neither assigned nor excluded")
+        if ctr not in centers:
+            raise InconsistentSolutionError(f"demand {j}: {ctr} is not a center")
+        c = M[j, instance.candidate_column(ctr)]
+        total += live * c
+        worst = max(worst, c)
+    return worst if objective is Objective.CENTER else total
+
+
+def solution_cost(space, solution, objective, weights=None):
+    """Evaluate a point-level solution directly on a metric space.
+
+    ``assignment`` maps point index -> center point index; ``weights`` is an
+    optional per-point multiplicity map/array (default all 1). Outlier copies
+    contribute nothing. Accumulation runs in ascending point order.
+    """
+    centers = set(solution.centers)
+    for c in centers:
+        space._check(c)
+    points = sorted(set(solution.assignment) | set(solution.outliers))
+    total = 0.0
+    worst = 0.0
+    for p in points:
+        w = 1 if weights is None else int(weights[p])
+        excl = solution.excluded_copies(p)
+        if excl < 0 or excl > w:
+            raise InconsistentSolutionError(f"point {p}: bad excluded copies {excl}")
+        live = w - excl
+        if live == 0:
+            continue
+        ctr = solution.assignment.get(p)
+        if ctr is None:
+            raise InconsistentSolutionError(f"point {p} is neither assigned nor excluded")
+        if ctr not in centers:
+            raise InconsistentSolutionError(f"point {p}: {ctr} is not a center")
+        c = space.distance(p, ctr) ** objective.power
+        total += live * c
+        worst = max(worst, c)
+    return worst if objective is Objective.CENTER else total
+
+
+def dedupe_demands(space, indices):
+    """Merge exactly coinciding points into weighted demands: the dict-based
+    grouping :meth:`Instance.from_points` replaced, kept as its reference.
+
+    Returns demands sorted by representative point index; each demand's tag
+    tuple lists the merged point indices in ascending order.
+    """
+    rows = space.coords if space.mode == "euclidean" else space.matrix
+    groups = {}
+    for i in indices:
+        i = int(i)
+        # Python floats compare and hash as the numpy scalars do (-0.0 ==
+        # 0.0), and a row at a time keeps a matrix space's keys small.
+        groups.setdefault(tuple(rows[i].tolist()), []).append(i)
+    demands = []
+    for members in groups.values():
+        members.sort()
+        demands.append(
+            Demand((members[0],), (1.0,), 0.0, len(members), tuple(members))
+        )
+    demands.sort(key=lambda d: d.anchor)
+    return demands

@@ -13,7 +13,6 @@ from partialclust import (
     bicriteria_median,
     exceptional_adjust,
     geometric_index_set,
-    instance_cost,
     lower_hull,
     merge_two_solutions,
     site_budget_from_pivot,
@@ -25,6 +24,7 @@ from partialclust.solvers import BicriteriaConfig
 from helpers import (
     dp_min_curve_sum,
     hull_value_exact,
+    instance_cost,
     random_curve_points,
     random_points,
     solution_cost_exact,

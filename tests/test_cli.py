@@ -472,3 +472,64 @@ def test_solve_bench_shaped_golden_reports(tmp_path, kind, flags, report_sha,
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha
+
+
+# Pins on a points file whose points coincide: 209 draws from a 120-point
+# planted input, with its outliers repeated and (0.0, 7.0) written once as
+# (-0.0, 7.0), so sites hold merged weights, multi-id tags and excluded
+# copies that take a demand's highest ids. Recorded before the point path
+# kept its demands as arrays.
+_DUPLICATE_ARGS = ["--k", "3", "--t", "5", "--sites", "3", "--seed", "4"]
+_DUPLICATE_GOLDEN = [
+    # (alg and flags, report sha256)
+    (["--alg", "one-round", "--objective", "center"],
+     "24edb1477be5e46a0937315ad8c5780cadd2cf8ccd5f5b1d3e781415706b82f6"),
+    (["--alg", "kt-median"],
+     "5e5ff4d222e180dc38b07c16daf5768499336080f4d74cc22c9855c5149755aa"),
+    (["--alg", "kt-median-co"],
+     "9b525d23213d1438f6035f34b820c387b277a989309f69b5e298424284433f8d"),
+    (["--alg", "subquadratic", "--alpha", "1"],
+     "e6b9c0fbc10b9bddac7d09765bc973fba0cfdec5fecd23445f8bde76ac5e55f1"),
+    (["--alg", "kt-center"],
+     "5b2b632affc91c0ec85f12aedcdd8e7e8c1670e1859945c2fcadc14ba720128c"),
+    (["--alg", "kt-means"],
+     "f653ca04fa46fec74680babdfd0dd840a39065f2450bda71f1b8788c6e0ab3ad"),
+    (["--alg", "one-round"],
+     "1e2e2ded617dc3367da43388a8de3094e2d98779ffea04bf2472522f674c9d35"),
+]
+
+
+@pytest.fixture(scope="module")
+def duplicate_points_file(tmp_path_factory):
+    base = gen_planted(120, 3, 6, seed=11)
+    rng = np.random.default_rng(3)
+    pts = np.vstack([base[rng.integers(0, 120, size=200)], base[114:], base[117:]])
+    pts[10] = [0.0, 7.0]
+    pts[150] = [-0.0, 7.0]
+    path = tmp_path_factory.mktemp("duplicates") / "pts.jsonl"
+    write_points_jsonl(path, pts)
+    return path
+
+
+@pytest.mark.parametrize("flags, report_sha", _DUPLICATE_GOLDEN,
+                         ids=[" ".join(g[0][1:]) for g in _DUPLICATE_GOLDEN])
+def test_solve_duplicate_points_golden_reports(duplicate_points_file, flags,
+                                               report_sha, capsys):
+    code, out, err = run(["solve", "--input", str(duplicate_points_file)] + flags
+                         + _DUPLICATE_ARGS, capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+
+
+def test_solve_rejects_booleans_and_huge_numbers(tmp_path, capsys):
+    """A boolean id or coordinate and a coordinate beyond the float range
+    exit 2 with the file and line, not a traceback."""
+    head = '{"id": 0, "coords": [1.0, 2.0]}\n'
+    for row in ('{"id": true, "coords": [2.0, 3.0]}',
+                '{"id": 1, "coords": [2.0, false]}',
+                '{"id": 1, "coords": [2.0, 1' + "0" * 400 + ']}'):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(head + row + "\n")
+        code, out, err = run(["solve", "--input", str(path), "--alg", "kt-center",
+                              "--k", "1", "--t", "0"], capsys)
+        assert code == 2 and out == "" and f"{path}:2:" in err

@@ -136,3 +136,66 @@ def test_nodes_bad_probs(tmp_path):
     p.write_text('{"id": 0, "support": [0, 1], "probs": [0.9, 0.9]}\n')
     with pytest.raises(ParseError):
         read_nodes_files([p], space)
+
+
+@pytest.mark.parametrize("text,line,fragment", [
+    # a value split over two lines does not parse as one
+    pytest.param('{"id": 0, "coords": [1\n2]}\n', 1,
+                 "bad JSON: Expecting ',' delimiter", id="split-value"),
+    pytest.param('{"id": 0, "coords": [1.0]} {"id": 1, "coords": [2.0]}\n', 1,
+                 "bad JSON: Extra data", id="extra-data"),
+    # a form feed ends no line, so the bad line stays line 3
+    pytest.param('{"id": 0, "coords": [1.0]}\x0c\n{"id": 1, "coords": [2.0]}\n'
+                 'not json\n', 3, "bad JSON: Expecting value", id="form-feed"),
+    pytest.param('{"id": 0, "coords": [1.0]}\r\n\r\n{"id": 1, "coords": [2.0]}\r\n{\r\n',
+                 4, "bad JSON", id="crlf"),
+    # JSON booleans are neither ids nor coordinates
+    pytest.param('{"id": 0, "coords": [1.0]}\n{"id": true, "coords": [2.0]}\n', 2,
+                 "bad id True", id="boolean-id"),
+    pytest.param('{"id": 0, "coords": [1.0]}\n{"id": 1, "coords": [false]}\n', 2,
+                 "coords must be a nonempty number list", id="boolean-coordinate"),
+    pytest.param('{"id": 0, "coords": [1.0]}\n{"id": 1, "coords": [1' + "0" * 400
+                 + ']}\n', 2, "coordinates must fit a float", id="huge-coordinate"),
+    pytest.param('{"id": 0, "coords": [1' + "0" * 5000 + ']}\n', 1,
+                 "bad JSON: Exceeds the limit", id="too-many-digits"),
+    # the first bad line wins, whatever the checks on later lines
+    pytest.param('{"id": 0, "coords": [1.0]}\n{"id": 0, "coords": [true]}\n'
+                 '{"id": -1}\n', 2, "duplicate id 0", id="first-bad-line"),
+])
+def test_points_reader_names_the_first_bad_line(tmp_path, text, line, fragment):
+    p = tmp_path / "bad.jsonl"
+    p.write_bytes(text.encode())
+    with pytest.raises(ParseError) as ei:
+        read_points_jsonl(p)
+    assert ei.value.line == line
+    assert fragment in str(ei.value)
+
+
+def test_points_reader_checks_across_files(tmp_path):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text('{"id": 1, "coords": [1.0, 2.0]}\n')
+    b.write_text('{"id": 0, "coords": [3.0, -0.0]}\n{"id": 1, "coords": [0, 0]}\n')
+    with pytest.raises(ParseError, match="duplicate id 1") as ei:
+        read_points_files([a, b])
+    assert ei.value.path == b and ei.value.line == 2
+    b.write_text('{"id": 0, "coords": [3.0]}\n')
+    with pytest.raises(ParseError, match="dimension 1 != 2"):
+        read_points_files([a, b])
+    b.write_text('\n  {"id": 0, "coords": [3, -0.0]}  \n')
+    space, groups = read_points_files([a, b])
+    assert groups == [[1], [0]]
+    assert space.coords.tolist() == [[3.0, -0.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("row", [
+    '{"id": 0, "support": [true], "probs": [1.0]}',
+    '{"id": 0, "support": [1], "probs": [true]}',
+    '{"id": false, "support": [1], "probs": [1.0]}',
+])
+def test_nodes_reject_booleans(tmp_path, row):
+    space = MetricSpace.euclidean(random_points(7, 4))
+    p = tmp_path / "nodes.jsonl"
+    p.write_text(row + "\n")
+    with pytest.raises(ParseError) as ei:
+        read_nodes_files([p], space)
+    assert ei.value.line == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partialclust import (
     ClusteringSolution,
@@ -8,11 +10,7 @@ from partialclust import (
     Instance,
     MetricSpace,
     Objective,
-    dedupe_demands,
     extremes,
-    instance_cost,
-    point_demand,
-    solution_cost,
 )
 from partialclust.errors import (
     DegenerateInstanceError,
@@ -21,7 +19,7 @@ from partialclust.errors import (
     InvalidPointError,
 )
 
-from helpers import random_points
+from helpers import dedupe_demands, instance_cost, random_points, solution_cost
 
 
 def test_objective_powers_and_sums():
@@ -124,21 +122,59 @@ def test_demand_validation():
 def test_dedupe_merges_coincident_points():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     space = MetricSpace.euclidean(pts)
-    demands = dedupe_demands(space, range(5))
+    demands = Instance.from_points(space, range(5)).demands
     assert [d.anchor for d in demands] == [0, 1, 4]
     assert [d.weight for d in demands] == [2, 2, 1]
     assert demands[0].tag == (0, 2)
     assert demands[1].tag == (1, 3)
 
 
+@st.composite
+def _spaces_with_duplicates(draw):
+    """A euclidean or matrix space whose points repeat, with -0.0 among the
+    coordinates (or matrix zeros), and a subset of its points."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 7.0]),
+                                  min_size=dim, max_size=dim),
+                         min_size=1, max_size=6))
+    pts = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40)))
+    space = MetricSpace.euclidean(pts)
+    if draw(st.booleans()):
+        diff = pts[:, None, :] - pts[None, :, :]
+        D = np.sqrt((diff * diff).sum(axis=2))
+        D[D == 0.0] = draw(st.sampled_from([0.0, -0.0]))
+        space = MetricSpace.from_matrix(D)
+    keep = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)))
+    idx = [i for i, k in enumerate(keep) if k] or [0]
+    return space, draw(st.permutations(idx))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_spaces_with_duplicates())
+def test_from_points_groups_as_the_dict_reference(case):
+    """One np.unique grouping gives the demands, anchors, weights and tags
+    of the dict-based reference, with -0.0 folded into 0.0."""
+    space, idx = case
+    inst = Instance.from_points(space, idx)
+    ref = dedupe_demands(space, sorted(idx))
+    assert inst.demands == tuple(ref)
+    assert inst.anchors.tolist() == [d.anchor for d in ref]
+    assert inst.counts.tolist() == [d.weight for d in ref]
+    assert inst.candidates.tolist() == sorted(d.anchor for d in ref)
+    # a subset reads the same arrays
+    sub = inst.subset(range(inst.n - 1, -1, -2))
+    assert sub.demands == tuple(ref[inst.n - 1::-2])
+
+
 def test_instance_per_demand_data_is_read_only(square_space):
-    inst = Instance(square_space, [point_demand(0, 2), point_demand(3)], [0, 3])
+    inst = Instance(square_space, [Demand((0,), (1.0,), weight=2), Demand((3,), (1.0,))],
+                    [0, 3])
     assert inst.weights.tolist() == [2.0, 1.0]
     assert inst.total_weight == 3
     with pytest.raises(ValueError):
         inst.weights[0] = 5.0
     with pytest.raises(TypeError):
-        inst.demands[0] = point_demand(1)
+        inst.demands[0] = Demand((1,), (1.0,))
 
 
 def test_instance_counts_distance_evaluations(square_space):

@@ -20,12 +20,10 @@ from partialclust import (
     UncertainNode,
     exact_oracle,
     geometric_index_set,
-    instance_cost,
     run_kt_center,
     run_kt_median,
     run_kt_median_clustering_only,
     run_one_round,
-    solution_cost,
     subquadratic_solve,
 )
 from partialclust.cli import gen_planted
@@ -37,7 +35,7 @@ from partialclust.errors import (
 from partialclust import protocol
 from partialclust.protocol import _run_sites
 
-from helpers import random_points
+from helpers import instance_cost, random_points, solution_cost
 
 
 def planted_partition(n=60, k=3, t=4, sites=4, seed=5):

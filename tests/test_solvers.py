@@ -19,7 +19,6 @@ from partialclust import (
     exact_oracle,
     gonzalez_order,
     insertion_marginals,
-    instance_cost,
     jv_facility_location,
     kt_center_outliers,
     pad_centers,
@@ -38,6 +37,7 @@ from partialclust.uncertain import one_median, tau_grid
 
 from helpers import (
     full_gonzalez_order,
+    instance_cost,
     lazy_heap_jv_facility_location,
     loop_solution_from_centers,
     naive_kt_center_outliers,

@@ -18,7 +18,6 @@ from partialclust import (
     UncertainNode,
     build_compressed_graph,
     eval_center_g_objective,
-    instance_cost,
     node_universe_cost,
     one_median,
     run_center_g,
@@ -34,7 +33,7 @@ from partialclust.metric import ClusteringSolution, extremes
 from partialclust.protocol import _local_solution
 from partialclust.solvers import SortedCosts
 
-from helpers import random_uncertain_nodes
+from helpers import instance_cost, random_uncertain_nodes
 
 
 @pytest.fixture
