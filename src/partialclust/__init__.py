@@ -17,7 +17,6 @@ from .allocation import (
     lower_hull,
     merge_two_solutions,
     site_budget_from_pivot,
-    sort_marginals,
 )
 from .errors import (
     ClusteringError,
@@ -99,5 +98,5 @@ __all__ = [
     "run_center_g", "run_kt_center", "run_kt_median",
     "run_kt_median_clustering_only", "run_one_round", "run_uncertain",
     "site_budget_from_pivot", "solution_from_centers",
-    "sort_marginals", "subquadratic_solve", "tau_grid",
+    "subquadratic_solve", "tau_grid",
 ]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .metric import ClusteringSolution, Objective
+from .metric import Objective
+from .solvers import solution_from_centers
 
 
 def geometric_index_set(t, rho):
@@ -122,16 +123,6 @@ def lower_hull(site, points):
 
 
 @dataclass(frozen=True)
-class MarginalTable:
-    """Flattened per-site marginals in the coordinator's stable sort order."""
-
-    values: tuple
-    sites: tuple
-    qs: tuple
-    order: tuple
-
-
-@dataclass(frozen=True)
 class Allocation:
     """Per-site outlier budgets plus the broadcast pivot entry."""
 
@@ -146,57 +137,40 @@ class Allocation:
         return sum(self.t_by_site)
 
 
-def sort_marginals(marginals_per_site):
-    """Stable order: value descending, then (site, q) ascending."""
-    values, sites, qs = [], [], []
-    for i, arr in enumerate(marginals_per_site):
-        for qi, v in enumerate(arr):
-            values.append(float(v))
-            sites.append(i)
-            qs.append(qi + 1)
-    values = np.array(values)
-    sites_a = np.array(sites)
-    qs_a = np.array(qs)
-    order = np.lexsort((qs_a, sites_a, -values)) if len(values) else np.array([], dtype=int)
-    return MarginalTable(tuple(values), tuple(sites), tuple(qs), tuple(int(o) for o in order))
-
-
 def allocate(marginals_per_site, t, rho):
     """Keep the floor(rho * t) largest marginals; t_i counts site i's share.
 
-    The pivot is the entry at that rank (the last entry when fewer exist);
-    within equal values the (site, q) lexicographic order decides, which
-    makes per-site shares reconstructible from the pivot alone.
+    The pivot is the entry at that rank (the last entry when fewer exist)
+    in the stable order: value descending, then (site, q) ascending. So
+    each site's share is what it reads off the broadcast pivot
+    (:func:`site_budget_from_pivot`).
     """
     if rho <= 1:
         raise InvalidParameterError("rho must be > 1")
     s = len(marginals_per_site)
     rank = int(math.floor(rho * t + 1e-9))
-    if t == 0 or rank < 1:
+    lens = [len(m) for m in marginals_per_site]
+    if t == 0 or rank < 1 or not sum(lens):
         return Allocation((0,) * s, None, None, None, rank)
-    table = sort_marginals(marginals_per_site)
-    if not table.order:
-        return Allocation((0,) * s, None, None, None, rank)
-    take = min(rank, len(table.order))
-    chosen = table.order[:take]
-    counts = [0] * s
-    for idx in chosen:
-        counts[table.sites[idx]] += 1
-    p = table.order[take - 1]
-    return Allocation(tuple(counts), table.sites[p], table.qs[p], table.values[p], rank)
+    values = np.concatenate(marginals_per_site).astype(float)
+    sites = np.repeat(np.arange(s), lens)
+    qs = np.concatenate([np.arange(1, m + 1) for m in lens])
+    p = np.lexsort((qs, sites, -values))[min(rank, len(values)) - 1]
+    pivot = (int(sites[p]), int(qs[p]), float(values[p]))
+    return Allocation(tuple(site_budget_from_pivot(m, i, *pivot)
+                            for i, m in enumerate(marginals_per_site)),
+                      *pivot, rank)
 
 
 def site_budget_from_pivot(marginals_i, site, pivot_site, pivot_q, pivot_value):
     """What site i can deduce from the broadcast pivot: the count of its own
-    marginals ranking at or before the pivot in the stable order."""
-    n = 0
-    for qi, v in enumerate(marginals_i):
-        q = qi + 1
-        if v > pivot_value:
-            n += 1
-        elif v == pivot_value and (site, q) <= (pivot_site, pivot_q):
-            n += 1
-    return n
+    marginals ranking at or before the pivot in the stable order, i.e. those
+    above the pivot value plus the equal ones whose (site, q) is at or
+    before the pivot's."""
+    v = np.asarray(marginals_i, dtype=float)
+    ties = len(v) if site < pivot_site else pivot_q if site == pivot_site else 0
+    return int(np.count_nonzero(v > pivot_value)
+               + np.count_nonzero(v[:ties] == pivot_value))
 
 
 def exceptional_adjust(allocation, curve):
@@ -217,21 +191,17 @@ def exceptional_adjust(allocation, curve):
 
 
 def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.MEDIAN):
-    """Interpolate two solutions into one with exactly ``target_t`` outliers.
+    """Serve the union of two solutions' centers with exactly ``target_t``
+    outliers, ``target_t`` between their outlier counts.
 
-    Write theta = (target_t - t1) / (t2 - t1). Copies served by both inputs
-    go to the nearer of their two centers;
-    copies served by exactly one input enter a pairing pass that serves the
-    globally nearest single-side copy and discards one copy from the
-    opposite side, until the second-only pool empties; the nearest remaining
-    first-only copies fill up to exactly n - target_t served, everything
-    else is an outlier. Serving the nearest copy (rather than the one with
-    the smallest convex share) is what makes the per-step charge
-    d(x) <= (1-theta) d_a + theta d_b valid for every theta, so the total
-    cost is at most (1 - theta) * cost_a + theta * cost_b.
+    Every copy goes to its nearest union center and the ``target_t``
+    dearest copies are excluded (:func:`~partialclust.solvers.solution_from_centers`).
+    That is the cheapest service of those centers with ``target_t``
+    outliers, so with theta = (target_t - t1) / (t2 - t1) its cost is at
+    most (1 - theta) * cost_a + theta * cost_b: pairing each copy only one
+    input serves with an opposite copy to discard is one such service. At
+    an endpoint the input itself comes back.
     """
-    if sol_a.copy_assignment or sol_b.copy_assignment:
-        raise InvalidParameterError("merge inputs must have single-center assignments")
     t1, t2 = sol_a.total_excluded, sol_b.total_excluded
     if t1 > t2:
         sol_a, sol_b = sol_b, sol_a
@@ -242,81 +212,7 @@ def merge_two_solutions(instance, sol_a, sol_b, target_t, objective=Objective.ME
         return sol_a
     if target_t == t2:
         return sol_b
-    M = instance.cost_matrix(objective)
-    W = instance.total_weight
-
-    parts = {}          # demand -> {center: copies}
-    outliers = {}
-    q1, q2 = [], []     # [demand, center, cost, copies]
-
-    def attach(j, center, copies=1):
-        parts.setdefault(j, {})
-        parts[j][center] = parts[j].get(center, 0) + copies
-
-    both_total = 0
-    for j, w in enumerate(instance.counts.tolist()):
-        ea, eb = sol_a.excluded_copies(j), sol_b.excluded_copies(j)
-        both = w - max(ea, eb)
-        only_a = max(0, eb - ea)
-        only_b = max(0, ea - eb)
-        if both > 0:
-            ca = M[j, instance.candidate_column(sol_a.assignment[j])]
-            cb = M[j, instance.candidate_column(sol_b.assignment[j])]
-            if ca <= cb:
-                attach(j, sol_a.assignment[j], both)
-            else:
-                attach(j, sol_b.assignment[j], both)
-            both_total += both
-        if only_a > 0:
-            ctr = sol_a.assignment[j]
-            q1.append([j, ctr, float(M[j, instance.candidate_column(ctr)]), only_a])
-        if only_b > 0:
-            ctr = sol_b.assignment[j]
-            q2.append([j, ctr, float(M[j, instance.candidate_column(ctr)]), only_b])
-
-    r2 = sum(e[3] for e in q2)
-    for _ in range(r2):
-        pool = [e for e in (q1 + q2) if e[3] > 0]
-        x = min(pool, key=lambda e: (e[2], e[0]))
-        other = q2 if any(x is e for e in q1) else q1
-        # any opposite copy validates the charge; drop the farthest
-        u = min((e for e in other if e[3] > 0), key=lambda e: (-e[2], e[0]))
-        attach(x[0], x[1])
-        x[3] -= 1
-        u[3] -= 1
-        outliers[u[0]] = outliers.get(u[0], 0) + 1
-
-    keep = W - target_t - both_total - r2
-    q1.sort(key=lambda e: (e[2], e[0]))
-    for e in q1:
-        take = min(e[3], keep)
-        if take > 0:
-            attach(e[0], e[1], take)
-            keep -= take
-        if e[3] - take > 0:
-            outliers[e[0]] = outliers.get(e[0], 0) + (e[3] - take)
-
-    centers = tuple(sorted(set(sol_a.centers) | set(sol_b.centers)))
-    assignment = {}
-    copy_assignment = {}
-    excluded = {}
-    total = 0.0
-    worst = 0.0
-    for j, w in enumerate(instance.counts.tolist()):
-        served = parts.get(j, {})
-        n_served = sum(served.values())
-        if n_served < w:
-            excluded[j] = w - n_served
-        if not served:
-            continue
-        items = sorted(served.items())
-        assignment[j] = items[0][0]
-        if len(items) > 1:
-            copy_assignment[j] = tuple(items)
-        for ctr, copies in items:
-            c = float(M[j, instance.candidate_column(ctr)])
-            total += copies * c
-            worst = max(worst, c)
-    cost = worst if objective is Objective.CENTER else total
-    return ClusteringSolution(centers, excluded, assignment, float(cost),
-                              copy_assignment or None, note="merged")
+    merged = solution_from_centers(instance, set(sol_a.centers) | set(sol_b.centers),
+                                   objective, target_t)
+    merged.note = "merged"
+    return merged

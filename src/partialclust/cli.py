@@ -392,8 +392,7 @@ def gen_planted(n, k, t, dim=2, sep=30.0, seed=0):
     centers = np.zeros((k, dim))
     centers[:, 0] = sep * np.arange(k)
     pts = np.empty((n, dim))
-    for i in range(n - t):
-        pts[i] = centers[i % k] + rng.normal(size=dim)
+    pts[:n - t] = centers[np.arange(n - t) % k] + rng.normal(size=(n - t, dim))
     far = sep * (k + 4)
     for j in range(t):
         direction = rng.normal(size=dim)

@@ -28,27 +28,28 @@ _NUMBER = {int, float}      # JSON booleans are neither
 def _parse_jsonl(path):
     """[(line number, value)] for the nonblank lines of ``path``, numbered as
     file iteration numbers them. Each line must hold one JSON value whole."""
+    rows = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            for ln, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    value, end = _decode(line)
+                    if end != len(line):
+                        raise ValueError("Extra data")
+                except ValueError:
+                    try:    # for json.loads's own message
+                        value = json.loads(line)
+                    except ValueError as exc:
+                        raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}",
+                                         path=path, line=ln) from None
+                rows.append((ln, value))
     except OSError as exc:
         raise ParseError(str(exc), path=path) from None
-    rows = []
-    with fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value, end = _decode(line)
-                if end != len(line):
-                    raise ValueError("Extra data")
-            except ValueError:
-                try:    # for json.loads's own message
-                    value = json.loads(line)
-                except ValueError as exc:
-                    raise ParseError(f"bad JSON: {getattr(exc, 'msg', exc)}",
-                                     path=path, line=ln) from None
-            rows.append((ln, value))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     return rows
 
 
@@ -161,6 +162,8 @@ def read_matrix(path):
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ParseError(str(exc), path=path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     body = [(ln, l) for ln, l in enumerate(lines, start=1) if l.strip()]
     if not body:
         raise ParseError("empty matrix file", path=path)

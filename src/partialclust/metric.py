@@ -457,17 +457,13 @@ class ClusteringSolution:
 
     ``outliers`` maps demand index -> excluded copies (weights may split).
     ``assignment`` maps demand index -> center point for demands with at
-    least one surviving copy. ``copy_assignment``, when present, overrides
-    ``assignment`` for demands whose copies are split across centers
-    (produced only by the two-solution merge); it maps demand index ->
-    tuple of (center point, copies).
+    least one surviving copy; all of them go to that one center.
     """
 
     centers: tuple
     outliers: dict
     assignment: dict
     cost: float
-    copy_assignment: dict | None = None
     note: str | None = None
 
     @property

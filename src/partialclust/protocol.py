@@ -17,6 +17,7 @@ back onto the sites' points and reports (:func:`_coordinate`).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -97,19 +98,27 @@ def _check_site_count(n, s, unit):
 
 def _check_cover(sites, n, unit):
     """Every one of the ``n`` items (``unit``s) sits on exactly one of the
-    nonempty ``sites``."""
+    nonempty ``sites``. A failure names what a scan site by site meets
+    first: an empty site or an item seen before."""
     if not sites:
         raise InvalidParameterError("partition needs at least one site")
-    seen = set()
-    for i, items in enumerate(sites):
-        if len(items) == 0:
-            raise InvalidParameterError(f"site {i} holds no {unit}s")
-        for p in items:
-            if p in seen:
-                raise InvalidParameterError(f"{unit} {p} placed on two sites")
-            seen.add(p)
-    if seen != set(range(n)):
-        raise InvalidParameterError(f"sites must cover every {unit} exactly once")
+    sizes = np.fromiter(map(len, sites), np.int64, len(sites))
+    try:
+        items = np.fromiter(itertools.chain.from_iterable(sites), np.int64, sizes.sum())
+    except OverflowError:       # an id beyond int64 stays a Python int
+        items = np.array(list(itertools.chain.from_iterable(sites)), dtype=object)
+    empty = np.flatnonzero(sizes == 0)
+    if (not empty.size and len(items) == n and 0 <= items.min()
+            and items.max() < n and (np.bincount(items, minlength=n) == 1).all()):
+        return
+    seen_before = np.ones(len(items), bool)
+    seen_before[np.unique(items, return_index=True)[1]] = False
+    repeat = np.flatnonzero(seen_before)
+    if repeat.size and (not empty.size or repeat[0] < sizes[:empty[0]].sum()):
+        raise InvalidParameterError(f"{unit} {items[repeat[0]]} placed on two sites")
+    if empty.size:
+        raise InvalidParameterError(f"site {empty[0]} holds no {unit}s")
+    raise InvalidParameterError(f"sites must cover every {unit} exactly once")
 
 
 @dataclass(frozen=True)
@@ -266,19 +275,15 @@ def _local_solution(inst, k, q, objective, table=None, tau=0.0):
 
 
 def _center_attachments(inst, sol, objective, tau=0.0):
-    """Every group of copies ``sol`` serves, as arrays (local demand, center,
-    copies) sorted by center, then farthest from it first, then by demand: a
-    demand's surviving copies at its center, or each part of a split one."""
+    """Every demand ``sol`` serves, as arrays (local demand, its center, its
+    surviving copies) sorted by center, then farthest from it first, then by
+    demand."""
     live = inst.counts.copy()
     live[list(sol.outliers)] -= np.fromiter(sol.outliers.values(), np.int64,
                                             len(sol.outliers))
-    split = sol.copy_assignment or {}
-    whole = [j for j in np.flatnonzero(live > 0).tolist() if j not in split]
-    parts = [(j, c, k) for j in split if live[j] > 0 for c, k in split[j]]
-    js = np.array(whole + [p[0] for p in parts], dtype=np.int64)
-    ctrs = np.array([sol.assignment[j] for j in whole] + [p[1] for p in parts],
-                    dtype=np.int64)
-    copies = np.r_[live[whole], np.array([p[2] for p in parts], dtype=np.int64)]
+    js = np.flatnonzero(live > 0)
+    ctrs = np.array([sol.assignment[j] for j in js.tolist()], dtype=np.int64)
+    copies = live[js]
     centers = sorted(set(sol.centers))
     costs = inst.cost_columns(objective, centers, tau)[js, np.searchsorted(centers, ctrs)]
     order = np.lexsort((js, -costs, ctrs))
@@ -612,10 +617,10 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
 
     Runs the curve round with rho = 1 + delta and no budget adjustment, so
     the total site budget is at most (1 + delta) t. The pivot site's budget
-    usually falls between two hull vertices; that site merges the two
-    bracketing local solutions (see
-    :func:`~partialclust.allocation.merge_two_solutions`) into one with
-    exactly the allocated outlier count and at most 4k centers. Sites report
+    usually falls between two hull vertices; that site serves the union of
+    the two bracketing local solutions' centers (at most 4k) with exactly
+    the allocated outlier count, the dearest copies excluded (see
+    :func:`~partialclust.allocation.merge_two_solutions`). Sites report
     only their outlier counts (one word); excluded points stay hidden, so
     the final solution ignores at most (2 + epsilon + delta) t points.
     """

@@ -94,12 +94,8 @@ def solution_cost_exact(instance, solution, objective, tau=0.0):
         kept = d.weight - excl
         if kept == 0:
             continue
-        if solution.copy_assignment and j in solution.copy_assignment:
-            for ctr, copies in solution.copy_assignment[j]:
-                terms.append(Fraction(float(M[j, instance.candidate_column(ctr)])) * copies)
-        else:
-            ctr = solution.assignment[j]
-            terms.append(Fraction(float(M[j, instance.candidate_column(ctr)])) * kept)
+        ctr = solution.assignment[j]
+        terms.append(Fraction(float(M[j, instance.candidate_column(ctr)])) * kept)
     if not terms:
         return Fraction(0)
     if objective is Objective.CENTER:
@@ -382,7 +378,8 @@ def instance_cost(instance, solution, objective, tau=0.0):
 
     Accumulates in ascending demand order so repeated evaluation is
     bit-for-bit reproducible. Raises if a surviving demand is unassigned,
-    an assignment target is not a center, or copy counts are inconsistent.
+    an assignment target is not a center, or an excluded-copy count is out
+    of range.
     """
     M = instance.cost_matrix(objective, tau)
     centers = set(solution.centers)
@@ -394,17 +391,6 @@ def instance_cost(instance, solution, objective, tau=0.0):
             raise InconsistentSolutionError(f"demand {j}: bad excluded copies {excl}")
         live = d.weight - excl
         if live == 0:
-            continue
-        if solution.copy_assignment and j in solution.copy_assignment:
-            parts = solution.copy_assignment[j]
-            if sum(c for _, c in parts) != live:
-                raise InconsistentSolutionError(f"demand {j}: split copies do not cover")
-            for ctr, copies in parts:
-                if ctr not in centers:
-                    raise InconsistentSolutionError(f"demand {j}: {ctr} is not a center")
-                c = M[j, instance.candidate_column(ctr)]
-                total += copies * c
-                worst = max(worst, c)
             continue
         ctr = solution.assignment.get(j)
         if ctr is None:

@@ -16,7 +16,6 @@ from partialclust import (
     lower_hull,
     merge_two_solutions,
     site_budget_from_pivot,
-    sort_marginals,
 )
 from partialclust.errors import InvalidParameterError
 from partialclust.solvers import BicriteriaConfig
@@ -130,10 +129,17 @@ def test_interpolation_matches_exact_rationals():
 # marginal pooling and allocation
 
 
-def test_sort_marginals_stable_order():
-    table = sort_marginals([np.array([5.0, 3.0]), np.array([5.0, 4.0])])
-    ranked = [(table.sites[i], table.qs[i], table.values[i]) for i in table.order]
-    assert ranked == [(0, 1, 5.0), (1, 1, 5.0), (1, 2, 4.0), (0, 2, 3.0)]
+def test_allocate_tie_order():
+    """Value descending, then (site, q) ascending: the pivot walks the
+    stable order (0,1,5) (1,1,5) (1,2,4) (0,2,3) as the rank grows."""
+    margs = [np.array([5.0, 3.0]), np.array([5.0, 4.0])]
+    walk = [(1, (0, 1, 5.0), (1, 0)), (2, (1, 1, 5.0), (1, 1)),
+            (3, (1, 2, 4.0), (1, 2)), (4, (0, 2, 3.0), (2, 2))]
+    for rank, pivot, budgets in walk:
+        alloc = allocate(margs, t=1, rho=rank + 0.5)
+        assert alloc.rank == rank
+        assert (alloc.pivot_site, alloc.pivot_q, alloc.pivot_value) == pivot
+        assert alloc.t_by_site == budgets
 
 
 def test_allocate_counts_and_pivot():
@@ -165,6 +171,9 @@ def test_allocate_rank_capped_by_available_marginals():
 
 
 def test_sites_reconstruct_budgets_from_pivot():
+    """The budgets and pivot equal those of the first floor(rho * t) entries
+    of a plain sort of (-value, site, q), and each site rebuilds its own
+    budget from the pivot alone."""
     rng = np.random.default_rng(23)
     for trial in range(300):
         s = int(rng.integers(1, 5))
@@ -172,8 +181,14 @@ def test_sites_reconstruct_budgets_from_pivot():
         curves = [lower_hull(i, random_curve_points(rng, t)) for i in range(s)]
         margs = [c.marginals() for c in curves]
         alloc = allocate(margs, t, rho=2.0)
-        if alloc.pivot_site is None:
+        ranked = sorted((-v, i, q) for i, m in enumerate(margs)
+                        for q, v in enumerate(m.tolist(), start=1))[:alloc.rank]
+        if not ranked:
+            assert alloc.pivot_site is None
             continue
+        assert alloc.t_by_site == tuple(sum(e[1] == i for e in ranked) for i in range(s))
+        v, i, q = ranked[-1]
+        assert (alloc.pivot_site, alloc.pivot_q, alloc.pivot_value) == (i, q, -v)
         rebuilt = tuple(
             site_budget_from_pivot(margs[i], i, alloc.pivot_site,
                                    alloc.pivot_q, alloc.pivot_value)
@@ -281,6 +296,40 @@ def test_merge_cost_within_convex_bound():
         assert merged.cost == pytest.approx(float(got), rel=1e-9)
 
 
+@pytest.mark.parametrize("objective", [Objective.MEDIAN, Objective.MEANS],
+                         ids=["median", "means"])
+def test_merge_serves_union_cheapest(objective):
+    """A merge strictly between the two outlier counts excludes exactly the
+    target copies, keeps its centers within the union (at most 4k), serves
+    every kept copy at a nearest union center, and excludes no copy that
+    costs less than a served one (exact rationals). Rounded coordinates
+    repeat points, so demands carry several copies."""
+    rng = np.random.default_rng(1717)
+    cfg = BicriteriaConfig(epsilon=1.0, relax="centers")
+    k, merges = 2, 0
+    for trial in range(60):
+        pts = np.round(random_points(500 + trial, int(rng.integers(10, 18)), scale=4.0))
+        inst = Instance.from_points(MetricSpace.euclidean(pts))
+        a = bicriteria_median(inst, k, 1, cfg, objective, seed=trial)
+        b = bicriteria_median(inst, k, int(rng.integers(3, 7)), cfg, objective,
+                              seed=trial + 1)
+        union = set(a.centers) | set(b.centers)
+        M = inst.cost_matrix(objective)
+        near = [min(Fraction(float(M[j, inst.candidate_column(c)])) for c in union)
+                for j in range(inst.n)]
+        lo, hi = sorted((a.total_excluded, b.total_excluded))
+        for target in range(lo + 1, hi):
+            merged = merge_two_solutions(inst, a, b, target, objective)
+            assert merged.total_excluded == target
+            assert set(merged.centers) <= union and len(merged.centers) <= 4 * k
+            for j, ctr in merged.assignment.items():
+                assert Fraction(float(M[j, inst.candidate_column(ctr)])) == near[j]
+            served = max(near[j] for j in merged.assignment)
+            assert all(near[j] >= served for j in merged.outliers)
+            merges += 1
+    assert merges >= 100
+
+
 def test_merge_at_endpoint_returns_input():
     inst, a, b = _two_solutions(9, 14, 2, 2, 5)
     assert merge_two_solutions(inst, a, b, a.total_excluded) is a
@@ -295,6 +344,6 @@ def test_merge_rejects_target_outside_range():
 def test_merged_solution_is_consistent():
     inst, a, b = _two_solutions(21, 15, 2, 1, 5)
     merged = merge_two_solutions(inst, a, b, 3)
-    # instance_cost validates budgets and copy splits while recomputing
+    # instance_cost validates budgets and assignments while recomputing
     assert instance_cost(inst, merged, Objective.MEDIAN) == pytest.approx(merged.cost)
     assert merged.note == "merged"

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from partialclust import MetricSpace, Partition, run_kt_median_clustering_only
 from partialclust.cli import _NODE_ALGS, gen_planted, gen_uncertain_planted, main
 from partialclust.io import write_matrix, write_nodes_jsonl, write_points_jsonl
 
@@ -297,6 +298,19 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("flag, first", [
+    ("--input", b'{"id": 0, "coords": [1.0]}\n'),
+    ("--matrix", b"2\n"),
+], ids=["points", "matrix"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, flag, first):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(first + b"0.0 \xff\n")
+    code, out, err = run(["solve", flag, str(p), "--alg", "kt-center",
+                          "--k", "1", "--t", "0", "--sites", "1"], capsys)
+    assert code == 2 and out == ""
+    assert f"{p}:?: not UTF-8 text" in err
+
+
 def test_gen_validation(tmp_path, capsys):
     code, _, err = run(["gen", "--kind", "planted", "--n", "4", "--k", "3",
                         "--t", "2", "--out", str(tmp_path / "x.jsonl")], capsys)
@@ -384,6 +398,29 @@ def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
     if transcript_sha is not None:
         assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha
+
+
+def test_clustering_only_pivot_merge_golden(tmp_path, capsys):
+    """A kt-median-co report whose pivot site merges: site 0's budget of 6
+    falls between its hull vertices 4 and 15, so it serves the union of
+    those two solutions' centers with exactly 6 copies excluded."""
+    coords = gen_planted(40, 3, 4, seed=1)
+    curves = run_kt_median_clustering_only(
+        Partition.round_robin(MetricSpace.euclidean(coords), 4), 3, 15).extras["curves"]
+    assert curves[0].hull_q == (0, 3, 4, 15)
+    pts, tr = tmp_path / "pts.jsonl", tmp_path / "transcript.jsonl"
+    write_points_jsonl(pts, coords)
+    code, out, err = run(["solve", "--input", str(pts), "--alg", "kt-median-co",
+                          "--k", "3", "--t", "15", "--sites", "4",
+                          "--transcript", str(tr)], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["allocation"]["pivot_site"] == 0 and report["budgets"][0] == 6
+    assert (report["cost"], report["n_outliers"]) == (1.8017870523957937, 33)
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "297f4f782b522637c3aff9ea8ec2d681b00661c377e116a35129f26002b0bcde"
+    assert hashlib.sha256(tr.read_bytes()).hexdigest() == \
+        "2384b2c088816a64c10be4968455799bc2d9937425f8ccbd16712f6f13ad6b92"
 
 
 # Pins of reports with their "evals" block (the "evals_total" column of a

@@ -199,3 +199,21 @@ def test_nodes_reject_booleans(tmp_path, row):
     with pytest.raises(ParseError) as ei:
         read_nodes_files([p], space)
     assert ei.value.line == 1
+
+
+@pytest.mark.parametrize("first, read", [
+    pytest.param(b'{"id": 0, "coords": [1.0]}\n',
+                 lambda p: read_points_files([p]), id="points"),
+    pytest.param(b"2\n", read_matrix, id="matrix"),
+    pytest.param(b'{"id": 0, "support": [0], "probs": [1.0]}\n',
+                 lambda p: read_nodes_files([p], MetricSpace.euclidean(random_points(8, 4))),
+                 id="nodes"),
+])
+def test_non_utf8_file_is_parse_error(tmp_path, first, read):
+    """A byte that is not UTF-8 (here on line 2) is unusable input naming
+    the file, not a decode traceback."""
+    p = tmp_path / "bad.txt"
+    p.write_bytes(first + b'{"id": 1, \xff}\n')
+    with pytest.raises(ParseError, match=r"not UTF-8 text \(invalid start byte\)") as ei:
+        read(p)
+    assert ei.value.path == p and str(p) in str(ei.value)

@@ -240,20 +240,6 @@ def test_instance_cost_recomputes_and_validates(square_space):
         instance_cost(inst, bad, Objective.MEDIAN)
 
 
-def test_instance_cost_honors_copy_assignment():
-    pts = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 0.0]])
-    space = MetricSpace.euclidean(pts)
-    d = Demand((2,), (1.0,), weight=4, tag=(0, 1, 2, 3))
-    inst = Instance(space, (d,), (0, 1, 2))
-    split = ClusteringSolution(
-        centers=(0, 1), outliers={0: 1},
-        assignment={0: 0},
-        copy_assignment={0: ((0, 2), (1, 1))},
-        cost=0.0)
-    got = instance_cost(inst, split, Objective.MEDIAN)
-    assert got == pytest.approx(2 * 5.0 + 1 * 5.0)
-
-
 def test_solution_cost_center_takes_max(square_space):
     sol = ClusteringSolution(
         centers=(0,), outliers={4: 1},

@@ -70,6 +70,66 @@ def test_partition_validates_cover():
         Partition.round_robin(space, 7)  # more sites than points
 
 
+@pytest.mark.parametrize("lists, message", [
+    ([], "partition needs at least one site"),
+    ([[0, 1, 2, 3, 4, 5], []], "site 1 holds no {unit}s"),
+    # the scan meets the repeated 1 on site 1 before the empty site 2
+    ([[0, 1], [2, 1], [], [3, 4, 5]], "{unit} 1 placed on two sites"),
+    ([[0, 1], [], [2, 1], [3, 4, 5]], "site 1 holds no {unit}s"),
+    ([[0, 1], [2, 3]], "sites must cover every {unit} exactly once"),
+    ([[0, 1, 2], [3, 4, 6]], "sites must cover every {unit} exactly once"),
+    ([[0, 1, 2], [3, 4, -1]], "sites must cover every {unit} exactly once"),
+    ([[0, 1, 2], [3, 4, 2 ** 70]], "sites must cover every {unit} exactly once"),
+], ids=["no site", "empty", "repeat first", "empty first", "short",
+        "out of range", "negative", "beyond int64"])
+@pytest.mark.parametrize("unit", ["point", "node"])
+def test_partition_cover_messages(lists, message, unit):
+    """Each way a partition fails to cover its items has its own message,
+    naming the first site or item a scan site by site meets."""
+    space = MetricSpace.euclidean(random_points(1, 6))
+    nodes = [UncertainNode(i, (i,), (1.0,)) for i in range(6)]
+    with pytest.raises(InvalidParameterError) as ei:
+        if unit == "point":
+            Partition.from_lists(space, lists)
+        else:
+            NodePartition.from_lists(space, nodes, lists)
+    assert str(ei.value) == message.format(unit=unit)
+
+
+def _scan_cover_error(sites, n):
+    """Reference for the cover check: the message of a scan site by site and
+    item by item, or None for a partition of 0..n-1."""
+    if not sites:
+        return "partition needs at least one site"
+    seen = set()
+    for i, items in enumerate(sites):
+        if len(items) == 0:
+            return f"site {i} holds no points"
+        for p in items:
+            if p in seen:
+                return f"point {p} placed on two sites"
+            seen.add(p)
+    return None if seen == set(range(n)) else "sites must cover every point exactly once"
+
+
+def test_partition_cover_matches_scan():
+    rng = np.random.default_rng(98)
+    space = MetricSpace.euclidean(random_points(1, 6))
+    for trial in range(1500):
+        if trial % 3:
+            lists = [rng.integers(-1, 8, size=rng.integers(0, 5)).tolist()
+                     for _ in range(rng.integers(0, 5))]
+        else:       # a partition of 0..5, perhaps with an empty site
+            cuts = np.sort(rng.integers(0, 7, size=rng.integers(0, 4)))
+            lists = [p.tolist() for p in np.split(rng.permutation(6), cuts)]
+        try:
+            Partition.from_lists(space, lists)
+            got = None
+        except InvalidParameterError as exc:
+            got = str(exc)
+        assert got == _scan_cover_error(lists, 6), lists
+
+
 @pytest.mark.parametrize("cls", [Partition, NodePartition])
 def test_partitions_reject_bad_site_counts(cls):
     space = MetricSpace.euclidean(random_points(1, 6))
