@@ -333,7 +333,6 @@ class JVResult:
 
 
 _BLOCK_ENTRIES = 1 << 15
-_ESTIMATE_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -522,10 +521,12 @@ def _next_opening(key, estimate, estimates, batch_size):
 
     Most searches end at their first candidate, so the least key is
     re-estimated alone (``estimate(u)``). When it is stale, the next keys in
-    (K, index) order are estimated ``batch_size`` at a time
-    (``estimates(us)``), until the least key not yet estimated comes after
-    the best (K', index) found. Returns that (K', index) and updates
-    ``key`` as the heap would; (inf, None) when every key is inf.
+    (K, index) order are estimated in batches (``estimates(us)``): a batch
+    is every key not yet estimated up to the best (K', index) found so far,
+    at most ``batch_size`` of them, so no key past that best is estimated.
+    Batches go on until the least key not yet estimated comes after the
+    best. Returns that (K', index) and updates ``key`` as the heap would;
+    (inf, None) when every key is inf.
     """
     u = int(key.argmin())
     tu = float(key[u])
@@ -540,11 +541,13 @@ def _next_opening(key, estimate, estimates, batch_size):
     finite = int(sorted_keys.searchsorted(np.inf))
     key[u] = best
     examined = []
-    for lo in range(1, finite, batch_size):
+    lo = 1
+    while lo < finite:
         low = sorted_keys[lo]
         if low > best or (low == best and by_key[lo] > u):
             break
-        hi = min(lo + batch_size, finite)
+        # low <= best, so the gap holds at least this row.
+        hi = min(int(sorted_keys.searchsorted(best, side="right")), lo + batch_size, finite)
         us, ks = by_key[lo:hi], sorted_keys[lo:hi]
         es = estimates(us)
         stale = es > ks + 1e-12 * (1.0 + np.abs(ks))
@@ -554,6 +557,7 @@ def _next_opening(key, estimate, estimates, batch_size):
         if low < best or (low == best and v < u):
             best, u = float(low), v
         examined.append((us, ks, es, stale))
+        lo = hi
     for us, ks, es, stale in examined:
         stale &= (ks < best) | ((ks == best) & (us < u))
         key[us[stale]] = es[stale]
@@ -569,9 +573,15 @@ def _event_run(instance, table, z, stop_weight):
     opening, and :func:`_next_opening` picks the next opening from them as
     a lazy heap would. It re-estimates a candidate on its own sorted row
     (:func:`_opening_estimate`) and several at once on theirs
-    (:func:`_opening_estimates`). A batch row does the float operations of
-    the one-row estimate, so every pick, every stored key, and the run, is
-    bit for bit that of the heap.
+    (:func:`_opening_estimates`), as many per batch as the block budget
+    allows. A batch row does the float operations of the one-row estimate,
+    so every pick, every stored key, and the run, is bit for bit that of
+    the heap.
+
+    ``t_freeze``, the least cost to an open candidate over the active
+    demands, changes only when a candidate opens or demands freeze, and is
+    recomputed only then. Most openings freeze nothing: such a step records
+    its level and goes on to the next search.
     """
     C = table.matrix
     n, m = C.shape
@@ -586,12 +596,14 @@ def _event_run(instance, table, z, stop_weight):
     open_seq = []
     opened_at = []
     minopen = np.full(n, np.inf)
+    t_freeze = np.inf
     frozen, times, steps, thetas = [], [], [], []
     remaining = int(wi.sum())
     theta = 0.0
 
     key = table.initial_opening_times(z)
     freeze_rows = max(1, _BLOCK_ENTRIES // m)
+    estimate_rows = max(1, _BLOCK_ENTRIES // n)
 
     def estimate(u):
         return _opening_estimate(order[u], Csort[u], live_w, z - frozen_base[u], theta)
@@ -601,8 +613,7 @@ def _event_run(instance, table, z, stop_weight):
 
     # ``remaining`` is the weight of the active demands, so some are active.
     while remaining > stop_weight:
-        t_freeze = float(minopen[active].min()) if open_seq else np.inf
-        t_open, u_next = _next_opening(key, estimate, estimates, _ESTIMATE_BATCH)
+        t_open, u_next = _next_opening(key, estimate, estimates, estimate_rows)
         t_open = max(t_open, theta)
         if math.isinf(t_open) and math.isinf(t_freeze):
             break  # pragma: no cover - no facility can ever open
@@ -613,9 +624,14 @@ def _event_run(instance, table, z, stop_weight):
             open_seq.append(u_next)
             opened_at.append(len(thetas))
             np.minimum(minopen, C[:, u_next], out=minopen)
+            t_freeze = float(minopen.min(where=active, initial=np.inf))
         else:
             theta = t_freeze
-        batch = np.where(active & (minopen <= theta + 1e-12 * (1.0 + theta)))[0]
+        level = theta + 1e-12 * (1.0 + theta)
+        if t_freeze > level:   # an opening that freezes nothing
+            thetas.append(theta)
+            continue
+        batch = np.flatnonzero(active & (minopen <= level))
         cols = np.array(open_seq, dtype=int)
         connect = np.maximum(open_time[cols], C[batch[:, None], cols]).min(axis=1)
         active[batch] = False
@@ -639,6 +655,7 @@ def _event_run(instance, table, z, stop_weight):
         steps.extend([len(thetas)] * len(batch))
         thetas.append(theta)
         remaining -= int(wi[batch].sum())
+        t_freeze = float(minopen.min(where=active, initial=np.inf))
 
     return _Run(np.array(frozen, dtype=int), np.array(times), np.array(steps, dtype=int),
                 np.array(thetas), np.array(open_seq, dtype=int),
@@ -748,13 +765,14 @@ def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
             pos = pos.astype(np.float32)
             conflict = (pos.T @ pos) > 0
             kept = []
+            blocked = np.zeros(len(temp), dtype=bool)   # conflicts with a kept one
             for i in range(len(temp)):
-                if not conflict[i, kept].any():
+                if not blocked[i]:
                     kept.append(i)
-    cands = instance.candidates
+                    blocked |= conflict[i]
+    ids = instance.candidates[temp].tolist()
     cert = DualCertificate(alpha, unprocessed, float(theta))
-    return JVResult(tuple(int(cands[temp[i]]) for i in kept),
-                    tuple(int(cands[u]) for u in temp), cert)
+    return JVResult(tuple(ids[i] for i in kept), tuple(ids), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +805,26 @@ class BicriteriaConfig:
 
 # Bisection steps of the facility-cost search, at most.
 _FACILITY_COST_SEARCH_ITERS = 64
+
+
+def _padding_costs(instance, centers, pool, objective, budget, tau):
+    """``solution_from_centers(instance, centers + [c], objective, budget,
+    tau).cost`` for every ``c`` in ``pool``, bit for bit, one column per
+    trial: the nearest cost is the least of the current one and ``c``'s,
+    the greedy exclusion drops ``min(budget, W)`` copies in the same order,
+    and the rest is priced as :func:`price` prices it (a served copy count
+    of 0 adds 0.0 to the sum)."""
+    near = instance.cost_columns(objective, centers, tau).min(axis=1)
+    costs = np.minimum(near[:, None], instance.cost_columns(objective, pool, tau))
+    by_cost = np.argsort(-costs, axis=0, kind="stable")
+    w = instance.counts[by_cost]
+    budget = min(int(budget), instance.total_weight)
+    before = np.cumsum(w, axis=0) - w
+    live = np.empty_like(w)
+    np.put_along_axis(live, by_cost, w - np.clip(budget - before, 0, w), axis=0)
+    if objective is Objective.CENTER:
+        return np.where(live > 0, costs, 0.0).max(axis=0, initial=0.0)
+    return np.cumsum(np.vstack([np.zeros(len(pool)), live * costs]), axis=0)[-1]
 
 
 def _rank_key(sol):
@@ -876,13 +914,12 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
         centers = list(K1)
         pool = sorted(set(K2) - set(K1))
         while len(centers) < cap and pool:
-            best = None
-            for c2 in pool:
-                trial = finish(centers + [c2], t)
-                if best is None or _rank_key(trial) < _rank_key(best[0]):
-                    best = (trial, c2)
-            centers.append(best[1])
-            pool.remove(best[1])
+            # Trials differ in one center, so the least (cost, id) is the
+            # least _rank_key; the pool is sorted and argmin takes the first.
+            best = pool[int(np.argmin(_padding_costs(instance, centers, pool, objective,
+                                                     t, measure)))]
+            centers.append(best)
+            pool.remove(best)
             candidates.append(finish(centers, t, "padded"))
         return min(candidates, key=_rank_key)
 

@@ -115,6 +115,60 @@ def test_pad_centers_adds_and_never_hurts(line_space):
     assert padded.cost <= base.cost + 1e-12
 
 
+@st.composite
+def _padding_cases(draw):
+    """(instance, centers, pool, objective, budget, tau) for one round of
+    the relax="centers" padding: at least 16 demands, enough for a pairwise
+    sum to round otherwise. Either integer-grid points, some repeated so
+    that they merge into weights (many costs tie), or weighted multi-support
+    demands with collapse offsets at tau > 0. Budgets from 0 past the total
+    weight."""
+    coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=16, max_size=24, unique=True))
+    n = len(coords)
+    tau = 0.0
+    if draw(st.booleans()):
+        repeats = draw(st.lists(st.integers(0, n - 1), max_size=12))
+        pts = np.array(coords + [coords[i] for i in repeats], dtype=float)
+        inst = Instance.from_points(MetricSpace.euclidean(pts))
+    else:
+        demands = []
+        for _ in range(draw(st.integers(16, 24))):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                    unique=True))
+            raw = draw(st.lists(st.integers(1, 4), min_size=len(support),
+                                max_size=len(support)))
+            demands.append(Demand(tuple(support), tuple(r / sum(raw) for r in raw),
+                                  draw(st.sampled_from([0.0, 0.5, 1.25])),
+                                  draw(st.integers(1, 4))))
+        cands = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        inst = Instance(MetricSpace.euclidean(np.array(coords, dtype=float)), demands, cands)
+        tau = draw(st.sampled_from([0.5, 1.5]))
+    cands = inst.candidates.tolist()
+    centers = draw(st.lists(st.sampled_from(cands), min_size=1, max_size=len(cands) - 1,
+                            unique=True))
+    rest = [c for c in cands if c not in centers]
+    pool = sorted(draw(st.lists(st.sampled_from(rest), min_size=1, unique=True)))
+    W = inst.total_weight
+    budget = draw(st.one_of(st.sampled_from([0, W, W + 3]), st.integers(0, W)))
+    return inst, centers, pool, draw(st.sampled_from(list(Objective))), budget, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_padding_cases())
+def test_padding_costs_match_solution_from_centers(case):
+    """Every trial the padding prices at once costs, bit for bit, what
+    solution_from_centers makes of it, and the pick is the least
+    (cost, id): the least rank of the solutions built one at a time."""
+    inst, centers, pool, objective, budget, tau = case
+    costs = solvers._padding_costs(inst, centers, pool, objective, budget, tau)
+    trials = [solution_from_centers(inst, centers + [c], objective, budget, tau)
+              for c in pool]
+    assert [float(c).hex() for c in costs] == [sol.cost.hex() for sol in trials]
+    best = min(zip(pool, trials), key=lambda pair: solvers._rank_key(pair[1]))[0]
+    assert pool[int(np.argmin(costs))] == best
+
+
 # ---------------------------------------------------------------------------
 # farthest-first traversal
 
@@ -710,14 +764,16 @@ def test_jv_zero_matches_lazy_heap_probe(case):
     _assert_matches_lazy_heap(*case)
 
 
-@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("entries", [1, 64])
 @settings(max_examples=100, deadline=None)
 @given(case=_jv_cases())
-def test_jv_short_batches_match_lazy_heap(batch, case):
-    """Batches of one or two estimates make every search that re-estimates
-    more than one candidate cross batch boundaries, with the answer, a tie
-    on its key or the last stale candidate on either side of one."""
-    with mock.patch.object(solvers, "_ESTIMATE_BATCH", batch):
+def test_jv_short_batches_match_lazy_heap(entries, case):
+    """A block budget of 1 or 64 entries caps each batch of estimates at
+    one row or 64 // n (one or two past 21 demands), so a search that
+    re-estimates more than one candidate crosses batch boundaries, with the
+    answer, a tie on its key or the last stale candidate on either side of
+    one; the freeze and opening-time blocks split too."""
+    with mock.patch.object(solvers, "_BLOCK_ENTRIES", entries):
         _assert_matches_lazy_heap(*case)
 
 
@@ -743,7 +799,8 @@ def test_next_opening_matches_heap_search(batch, data):
     """Keys and estimates from a few values, so that keys and estimates tie
     across candidates, and estimates within or just past the staleness
     tolerance of their key: the same answer and the same stored keys as
-    the heap."""
+    the heap. No batch holds more than ``batch`` rows, nor a row whose key
+    lies above the best (K', index) known when the batch was cut."""
     m = data.draw(st.integers(1, 40))
     values = [0.0, 1.0, 1.0 + 1e-13, 2.0, 2.0 + 5e-12, 3.0, np.inf]
     key = np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
@@ -754,12 +811,23 @@ def test_next_opening_matches_heap_search(batch, data):
         est[u] = key[u] * (1.0 + b[1]) if isinstance(b, tuple) else max(b, key[u] - 1e-13)
     fast_key, slow_key = key.copy(), key.copy()
     calls = []
+    seen = []   # K' of every candidate estimated so far
+
+    def known(us):
+        stale = est[us] > key[us] + 1e-12 * (1.0 + np.abs(key[us]))
+        seen.extend(np.where(stale, est[us], key[us]).tolist())
+
+    def estimate(u):
+        known(np.array([u]))
+        return float(est[u])
 
     def estimates(us):
         calls.append(len(us))
+        assert key[us].max() <= min(seen)
+        known(us)
         return est[us]
 
-    fast = solvers._next_opening(fast_key, lambda u: float(est[u]), estimates, batch)
+    fast = solvers._next_opening(fast_key, estimate, estimates, batch)
     slow = _heap_next_opening(slow_key, est)
     assert fast[0] == slow[0]
     if fast[0] < np.inf:
