@@ -358,6 +358,9 @@ class SortedCosts:
 
     @classmethod
     def build(cls, instance, objective, tau=0.0):
+        """The table of the ``(objective, tau)`` cost matrix. Only rows with
+        two equal costs are sorted stably: any other has one sorted order.
+        Either order gives the same sorted costs."""
         C = instance.cost_matrix(objective, tau)
         cmax = float(C.max())
         # The facility-cost search adds facility costs up to W * cmax to cost
@@ -366,8 +369,10 @@ class SortedCosts:
             raise InvalidPointError(
                 f"costs overflow: {instance.total_weight} copies at cost up to "
                 f"{cmax:.3g} sum past the float range; scale the input down")
-        order = np.argsort(C.T, axis=1, kind="stable")
+        order = np.argsort(C.T, axis=1)
         costs = np.take_along_axis(C.T, order, axis=1)
+        tied = (costs[:, 1:] == costs[:, :-1]).any(axis=1)
+        order[tied] = np.argsort(C.T[tied], axis=1, kind="stable")
         w_sorted = instance.weights[order]
         cum_w = np.cumsum(w_sorted, axis=1)
         w_sorted *= costs
@@ -490,7 +495,11 @@ def _opening_estimate(order, costs, live_w, req, theta):
 def _opening_estimates(order, costs, live_w, req, theta):
     """:func:`_opening_estimate` of several candidates, one row each of
     ``order`` and ``costs`` per entry of ``req``. Each row does the same
-    float operations, so each estimate has the same bits."""
+    float operations, so each estimate has the same bits. Rows may omit
+    frozen demands, order kept, with the same bits: a frozen entry adds +0.0
+    to both sums, so it repeats its predecessor's value, and its window
+    [c - 1e-12, c_next + 1e-12] stretches that entry's to the next active
+    one; frozen entries before the first active one have no weight."""
     wa = live_w[order]
     cw = wa.cumsum(axis=1)
     wa *= costs
@@ -576,7 +585,9 @@ def _event_run(instance, table, z, stop_weight):
     (:func:`_opening_estimates`), as many per batch as the block budget
     allows. A batch row does the float operations of the one-row estimate,
     so every pick, every stored key, and the run, is bit for bit that of
-    the heap.
+    the heap. Once fewer than half of a row's entries are active, every row
+    drops its frozen demands (bit for bit, see :func:`_opening_estimates`)
+    and the batch cap counts the narrowed width, which no answer depends on.
 
     ``t_freeze``, the least cost to an open candidate over the active
     demands, changes only when a candidate opens or demands freeze, and is
@@ -599,6 +610,7 @@ def _event_run(instance, table, z, stop_weight):
     t_freeze = np.inf
     frozen, times, steps, thetas = [], [], [], []
     remaining = int(wi.sum())
+    n_active = n
     theta = 0.0
 
     key = table.initial_opening_times(z)
@@ -613,6 +625,11 @@ def _event_run(instance, table, z, stop_weight):
 
     # ``remaining`` is the weight of the active demands, so some are active.
     while remaining > stop_weight:
+        if 2 * n_active < order.shape[1]:
+            keep = active[order]   # n_active in each row: it holds every demand once
+            order = order[keep].reshape(m, n_active)
+            Csort = Csort[keep].reshape(m, n_active)
+            estimate_rows = max(1, _BLOCK_ENTRIES // n_active)
         t_open, u_next = _next_opening(key, estimate, estimates, estimate_rows)
         t_open = max(t_open, theta)
         if math.isinf(t_open) and math.isinf(t_freeze):
@@ -655,6 +672,7 @@ def _event_run(instance, table, z, stop_weight):
         steps.extend([len(thetas)] * len(batch))
         thetas.append(theta)
         remaining -= int(wi[batch].sum())
+        n_active -= len(batch)
         t_freeze = float(minopen.min(where=active, initial=np.inf))
 
     return _Run(np.array(frozen, dtype=int), np.array(times), np.array(steps, dtype=int),

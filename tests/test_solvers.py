@@ -874,6 +874,70 @@ def test_one_row_estimate_matches_batch_row(rows):
             assert one == np.inf
 
 
+@settings(max_examples=300, deadline=None)
+@given(rows=_estimate_rows(), data=st.data())
+def test_estimates_on_rows_without_frozen_demands(rows, data):
+    """Dropping frozen (zero-weight) entries from the sorted rows, order
+    kept, leaves every estimate's bits: the same demands from every row for
+    the batch, any entries of its own row for the one-row estimate."""
+    order, costs, live_w, req, theta = rows
+    m, n = order.shape
+    full = solvers._opening_estimates(order, costs, live_w, req, theta)
+    drop = (live_w == 0) & np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                                       max_size=n)))
+    if not drop.all():
+        keep = ~drop[order]
+        narrow = solvers._opening_estimates(order[keep].reshape(m, -1),
+                                            costs[keep].reshape(m, -1), live_w, req, theta)
+        assert narrow.tobytes() == full.tobytes()
+    for u in range(m):
+        keep = ~((live_w[order[u]] == 0) & np.array(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        if keep.any():
+            one = solvers._opening_estimate(order[u][keep], costs[u][keep], live_w, req[u],
+                                            theta)
+            assert np.float64(one).tobytes() == full[u].tobytes()
+
+
+@pytest.mark.parametrize("e", [4, 6, 8])
+@pytest.mark.parametrize("stop_weight", [0, 5])
+def test_jv_narrowed_rows_match_lazy_heap(e, stop_weight):
+    """A run on 60 demands whose rows narrow at least twice, with a block
+    budget of 64 entries so that a narrowed batch fills its cap and the
+    search goes on in another: the same probe as the heap reference."""
+    inst = random_instance(3, 60)
+    z = (inst.total_weight * float(inst.cost_matrix(Objective.MEDIAN).max()) + 1.0) * 2.0 ** -e
+    shapes = []
+    real = solvers._opening_estimates
+
+    def spy(order, *rest):
+        shapes.append(order.shape)
+        return real(order, *rest)
+
+    with mock.patch.object(solvers, "_BLOCK_ENTRIES", 64), \
+            mock.patch.object(solvers, "_opening_estimates", spy):
+        _assert_matches_lazy_heap(inst, z, Objective.MEDIAN, 0.0, stop_weight)
+    assert len({w for _, w in shapes if w < 60}) >= 2
+    assert any(w < 60 and rows == max(1, 64 // w) for rows, w in shapes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_jv_cases(), tau=st.sampled_from([None, 0.5, 1.5]))
+def test_sorted_costs_match_stable_argsort(case, tau):
+    """The table's order and costs are those of a stable argsort of every
+    row, bit for bit, on integer-grid points with weighted duplicates,
+    matrix-mode spaces with equal entries and multi-support demands, each
+    also truncated at tau so that many costs tie at 0. The heap reference
+    shares the table, so the JV properties cannot see a wrong sort."""
+    inst, _, objective, tau0, _ = case
+    tau = tau0 if tau is None else tau
+    table = SortedCosts.build(inst, objective, tau)
+    CT = inst.cost_matrix(objective, tau).T
+    order = np.argsort(CT, axis=1, kind="stable")
+    assert table.order.tobytes() == order.tobytes()
+    assert table.costs.tobytes() == np.take_along_axis(CT, order, axis=1).tobytes()
+
+
 def test_jv_rejects_table_of_another_matrix():
     inst = random_instance(7, 8)
     table = SortedCosts.build(inst, Objective.MEANS)
