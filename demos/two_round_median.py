@@ -33,7 +33,7 @@ print()
 # vertex; a handful of vertices summarize the whole tradeoff curve.
 
 print("round 1: per-site cost-curve hulls")
-for curve in report.extras["curves"]:
+for curve in report.curves:
     pairs = ", ".join(f"({int(q)}, {c:.1f})"
                       for q, c in zip(curve.hull_q, curve.hull_cost))
     print(f"  site {curve.site}: {pairs}")
@@ -56,7 +56,7 @@ print()
 # equal the closed form word for word.
 
 B = space.word_width
-round1 = sum(2 * c.n_vertices for c in report.extras["curves"]) + 3 * sites
+round1 = sum(2 * c.n_vertices for c in report.curves) + 3 * sites
 round2 = sum(2 * k * (B + 1) + ti * B for ti in report.budgets)
 assert report.ledger.words(round_no=1) == round1
 assert report.ledger.words(round_no=2) == round2

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 unusable input or arguments, 3 infeasible budget,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -25,7 +26,6 @@ from .errors import (
     InfeasibleError,
     InvalidParameterError,
     OracleSizeLimitError,
-    ParseError,
 )
 from .io import (
     read_matrix,
@@ -38,6 +38,7 @@ from .metric import Demand, Instance, Objective
 from .protocol import (
     Partition,
     _expand_points,
+    _node_solution,
     run_kt_center,
     run_kt_median,
     run_kt_median_clustering_only,
@@ -47,10 +48,20 @@ from .protocol import (
 from .solvers import exact_oracle
 from .uncertain import NodePartition, UncertainNode, run_center_g, run_uncertain
 
-_POINT_ALGS = ("kt-median", "kt-means", "kt-center", "kt-median-co",
-               "one-round", "subquadratic")
-_NODE_ALGS = ("uncertain-median", "uncertain-means", "uncertain-center-pp",
-              "center-g")
+# --alg -> (input kind, objective its report names; None reads --objective)
+_ALGS = {
+    "kt-median": ("points", "median"),
+    "kt-means": ("points", "means"),
+    "kt-center": ("points", "center"),
+    "kt-median-co": ("points", "median"),
+    "one-round": ("points", None),
+    "subquadratic": ("points", None),
+    "uncertain-median": ("nodes", "median"),
+    "uncertain-means": ("nodes", "means"),
+    "uncertain-center-pp": ("nodes", "center-pp"),
+    "center-g": ("nodes", "center"),
+}
+_NODE_ALGS = tuple(alg for alg, (kind, _) in _ALGS.items() if kind == "nodes")
 
 
 def build_parser():
@@ -66,7 +77,7 @@ def build_parser():
     solve.add_argument("--matrix", help="distance-matrix file instead of points")
     solve.add_argument("--nodes", action="append", default=[],
                        help="uncertain-node file; repeat for by-file sites")
-    solve.add_argument("--alg", required=True, choices=_POINT_ALGS + _NODE_ALGS)
+    solve.add_argument("--alg", required=True, choices=tuple(_ALGS))
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--t", type=int, required=True)
     solve.add_argument("--sites", type=int, default=2)
@@ -125,18 +136,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except ClusteringError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OracleSizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (InvalidParameterError, ClusteringError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, OracleSizeLimitError):
+            return 4
+        return 3 if isinstance(exc, InfeasibleError) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +157,17 @@ def _load_space(args):
     return space, groups
 
 
-def _make_partition(space, args, groups):
+def _make_partition(args, groups, space, *nodes):
+    """``args.partition`` of the points of ``space``, or of the ``nodes``
+    over it; ``groups`` holds the items of each input file."""
+    cls = NodePartition if nodes else Partition
     if args.partition == "round-robin":
-        return Partition.round_robin(space, args.sites)
+        return cls.round_robin(space, *nodes, args.sites)
     if args.partition == "contiguous":
-        return Partition.contiguous(space, args.sites)
+        return cls.contiguous(space, *nodes, args.sites)
     if groups is None or len(groups) < 1:
         raise InvalidParameterError("by-file partition needs --input files")
-    return Partition.from_lists(space, groups)
-
-
-def _make_node_partition(space, nodes, args, groups):
-    if args.partition == "round-robin":
-        return NodePartition.round_robin(space, nodes, args.sites)
-    if args.partition == "contiguous":
-        return NodePartition.contiguous(space, nodes, args.sites)
-    return NodePartition.from_lists(space, nodes, groups)
+    return cls.from_lists(space, *nodes, groups)
 
 
 def _emit(text, out):
@@ -177,29 +176,6 @@ def _emit(text, out):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _extras_payload(extras):
-    out = {}
-    for key, val in extras.items():
-        if isinstance(val, (int, float, str)):
-            out[key] = val
-        elif isinstance(val, tuple) and all(
-                isinstance(x, (int, float)) for x in val):
-            out[key] = list(val)
-    return out
-
-
-_OBJECTIVE_OF_ALG = {
-    "kt-median": "median", "kt-means": "means", "kt-center": "center",
-    "kt-median-co": "median", "uncertain-median": "median",
-    "uncertain-means": "means", "uncertain-center-pp": "center-pp",
-    "center-g": "center",
-}
-
-
-def _effective_objective(alg, args):
-    return _OBJECTIVE_OF_ALG.get(alg, args.objective)
 
 
 def _solution_fields(sol):
@@ -211,15 +187,15 @@ def _solution_fields(sol):
     }
 
 
-def _report_payload(alg, args, report, n_items, label):
+def _report_payload(args, objective, report, n_items, label):
     ledger = report.ledger
-    payload = {
-        "alg": alg,
+    alloc = report.allocation
+    return {
+        "alg": args.alg,
         "params": {
             "k": args.k, "t": args.t, "sites": len(report.site_evals),
             "partition": args.partition, "rho": args.rho, "delta": args.delta,
-            "epsilon": args.epsilon, "seed": args.seed,
-            "objective": _effective_objective(alg, args),
+            "epsilon": args.epsilon, "seed": args.seed, "objective": objective,
         },
         label: n_items,
         **_solution_fields(report.solution),
@@ -235,17 +211,9 @@ def _report_payload(alg, args, report, n_items, label):
             "total": report.total_evals,
         },
         "budgets": list(report.budgets) if report.budgets is not None else None,
-        "allocation": None,
-        "extras": _extras_payload(report.extras),
+        "allocation": dataclasses.asdict(alloc) if alloc is not None else None,
+        "extras": report.extras,
     }
-    alloc = report.allocation
-    if alloc is not None:
-        payload["allocation"] = {
-            "pivot_site": alloc.pivot_site, "pivot_q": alloc.pivot_q,
-            "pivot_value": alloc.pivot_value, "rank": alloc.rank,
-            "t_by_site": list(alloc.t_by_site),
-        }
-    return payload
 
 
 def _csv_row(payload):
@@ -278,30 +246,33 @@ def _cmd_solve(args):
     # center-g and kt-center take no seed, but every report prints one
     if args.seed < 0:
         raise InvalidParameterError("seed must be a nonnegative integer")
+    if args.transcript and args.alg == "subquadratic":
+        raise InvalidParameterError(
+            "subquadratic runs on one machine; no transcript exists")
+    kind, objective = _ALGS[args.alg]
+    objective = objective or args.objective
     space, groups = _load_space(args)
-    if args.alg in _NODE_ALGS:
+    if kind == "nodes":
         if not args.nodes:
             raise InvalidParameterError(f"--alg {args.alg} needs --nodes")
         nodes, node_groups = read_nodes_files(args.nodes, space)
-        npart = _make_node_partition(space, nodes, args, node_groups)
+        npart = _make_partition(args, node_groups, space, nodes)
         if args.alg == "center-g":
             report = run_center_g(npart, args.k, args.t, epsilon=args.epsilon)
         else:
-            obj = args.alg.split("uncertain-", 1)[1]
-            report = run_uncertain(npart, args.k, args.t, objective=obj,
+            report = run_uncertain(npart, args.k, args.t, objective=objective,
                                    epsilon=args.epsilon, seed=args.seed,
                                    rho=args.rho)
-        payload = _report_payload(args.alg, args, report, len(nodes), "n_nodes")
+        payload = _report_payload(args, objective, report, len(nodes), "n_nodes")
     elif args.alg == "subquadratic":
-        objective = Objective.from_string(args.objective)
-        inst = Instance.from_points(space)
-        sub = subquadratic_solve(inst, args.k, args.t, args.alpha,
-                                 seed=args.seed, objective=objective)
-        solution = _expand_points(sub.view, sub.solution, objective)
+        sub = subquadratic_solve(Instance.from_points(space), args.k, args.t,
+                                 args.alpha, seed=args.seed, objective=objective)
+        solution = _expand_points(sub.view, sub.solution,
+                                  Objective.from_string(objective))
         payload = {
             "alg": args.alg,
             "params": {"k": args.k, "t": args.t, "alpha": args.alpha,
-                       "seed": args.seed, "objective": args.objective},
+                       "seed": args.seed, "objective": objective},
             "n_points": space.n,
             **_solution_fields(solution),
             "depth": sub.depth,
@@ -310,14 +281,11 @@ def _cmd_solve(args):
         }
         report = None
     else:
-        part = _make_partition(space, args, groups)
-        if args.alg == "kt-median":
+        part = _make_partition(args, groups, space)
+        if args.alg in ("kt-median", "kt-means"):
             report = run_kt_median(part, args.k, args.t, rho=args.rho,
-                                   epsilon=args.epsilon, seed=args.seed)
-        elif args.alg == "kt-means":
-            report = run_kt_median(part, args.k, args.t, rho=args.rho,
-                                   epsilon=args.epsilon,
-                                   objective=Objective.MEANS, seed=args.seed)
+                                   epsilon=args.epsilon, objective=objective,
+                                   seed=args.seed)
         elif args.alg == "kt-median-co":
             report = run_kt_median_clustering_only(
                 part, args.k, args.t, delta=args.delta, epsilon=args.epsilon,
@@ -325,10 +293,9 @@ def _cmd_solve(args):
         elif args.alg == "kt-center":
             report = run_kt_center(part, args.k, args.t, rho=args.rho)
         else:
-            report = run_one_round(part, args.k, args.t,
-                                   objective=Objective.from_string(args.objective),
+            report = run_one_round(part, args.k, args.t, objective=objective,
                                    epsilon=args.epsilon, seed=args.seed)
-        payload = _report_payload(args.alg, args, report, space.n, "n_points")
+        payload = _report_payload(args, objective, report, space.n, "n_points")
 
     if args.timings:
         payload["timings"] = {
@@ -336,9 +303,6 @@ def _cmd_solve(args):
             "site_seconds": list(report.site_seconds) if report else None,
         }
     if args.transcript:
-        if report is None:
-            raise InvalidParameterError(
-                "subquadratic runs on one machine; no transcript exists")
         lines = [json.dumps(r, sort_keys=True) for r in report.ledger.to_records()]
         with open(args.transcript, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
@@ -362,14 +326,13 @@ def _cmd_oracle(args):
         inst = Instance.from_points(space)
         label, n_items = "n_points", space.n
     sol = exact_oracle(inst, args.k, args.t, objective)
-    out_ids = []
-    for j, copies in sol.outliers.items():
-        out_ids.extend(int(x) for x in inst.demands[j].tag[-copies:])
+    named = (_node_solution(inst, sol) if args.nodes
+             else _expand_points(inst, sol, objective))
     payload = {
         "objective": args.objective, "k": args.k, "t": args.t, label: n_items,
         "cost": sol.cost,
         "centers": [int(c) for c in sol.centers],
-        "outliers": sorted(out_ids),
+        "outliers": sorted(named.outliers),
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -155,11 +155,7 @@ class CommLedger:
         )
 
     def to_records(self):
-        return [
-            {"round": m.round, "direction": m.direction, "site": m.site,
-             "kind": m.kind, "words": m.words}
-            for m in self.messages
-        ]
+        return [asdict(m) for m in self.messages]
 
 
 @dataclass
@@ -170,7 +166,10 @@ class ProtocolReport:
     uncertain protocols); ``budgets`` are the final per-site outlier budgets;
     ``site_seconds`` are each site worker's CPU time (``time.thread_time``);
     they are deliberately kept out of serialized reports so byte-identical
-    replay stays possible.
+    replay stays possible. ``curves`` are the sites' round-1 cost-curve
+    hulls, in site order, for the runners that send them (kt-median,
+    kt-means, kt-median-co). ``extras`` holds only JSON-ready values and is
+    printed as it is.
     """
 
     solution: ClusteringSolution
@@ -181,6 +180,7 @@ class ProtocolReport:
     site_evals: tuple
     coord_evals: int
     site_seconds: tuple
+    curves: tuple | None = None
     extras: dict = field(default_factory=dict)
 
     @property
@@ -606,8 +606,8 @@ def run_kt_median(partition, k, t, rho=2.0, epsilon=1.0,
     report = _coordinate(
         site_insts, site_sols, objective, k, t, ledger, "point",
         allocation=alloc, site_seconds=secs, epsilon=epsilon, seed=seed)
-    report.extras.update(curves=curves, site_excluded=tuple(
-        s.total_excluded for s in site_sols))
+    report.curves = tuple(curves)
+    report.extras["site_excluded"] = tuple(s.total_excluded for s in site_sols)
     return report
 
 
@@ -622,7 +622,9 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     the allocated outlier count, the dearest copies excluded (see
     :func:`~partialclust.allocation.merge_two_solutions`). Sites report
     only their outlier counts (one word); excluded points stay hidden, so
-    the final solution ignores at most (2 + epsilon + delta) t points.
+    the final solution ignores at most (2 + epsilon + delta) t points. A
+    site picks its answer as site work, so a merge counts in
+    ``site_seconds``.
     """
     objective = _norm_objective(objective, allow_center=False)
     _validate_common(k, t, epsilon, seed=seed)
@@ -632,24 +634,25 @@ def run_kt_median_clustering_only(partition, k, t, delta=0.25, epsilon=1.0,
     ledger, secs = CommLedger(), [0.0] * partition.n_sites
     sols_by_q, curves, alloc = _curve_round(
         site_insts, k, t, 1.0 + delta, objective, secs, ledger, adjust=False)
-    site_sols = []
-    for inst, sols, curve, ti in zip(site_insts, sols_by_q, curves,
-                                     alloc.t_by_site):
+
+    def answer(i):
+        inst, sols, curve = site_insts[i], sols_by_q[i], curves[i]
         # a site cannot ignore more copies than it holds
-        ti = min(ti, inst.total_weight)
+        ti = min(alloc.t_by_site[i], inst.total_weight)
         if ti in sols:
-            site_sols.append(sols[ti])
-            continue
+            return sols[ti]
         lo = curve.vertex_at_or_below(ti)
         hi = curve.vertex_at_or_above(ti)
-        site_sols.append(merge_two_solutions(inst, sols[lo], sols[hi], ti,
-                                             objective))
+        return merge_two_solutions(inst, sols[lo], sols[hi], ti, objective)
+
+    site_sols = _run_sites(answer, partition.n_sites, secs)
     report = _coordinate(
         site_insts, site_sols, objective, k, t, ledger, "count",
         allocation=alloc, site_seconds=secs, epsilon=epsilon, seed=seed)
     site_excluded = tuple(s.total_excluded for s in site_sols)
+    report.curves = tuple(curves)
     report.extras.update(
-        curves=curves, site_excluded=site_excluded,
+        site_excluded=site_excluded,
         total_ignored=report.extras["coordinator_excluded"] + sum(site_excluded))
     return report
 

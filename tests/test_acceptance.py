@@ -223,7 +223,7 @@ def test_criterion_06_word_accounting(capsys):
     for s, t in grid:
         part = Partition.round_robin(space, s)
         rep = run_kt_median(part, k, t, seed=1)
-        round1 = sum(2 * c.n_vertices for c in rep.extras["curves"]) + 3 * s
+        round1 = sum(2 * c.n_vertices for c in rep.curves) + 3 * s
         round2 = sum(2 * k * (B + 1) + ti * B for ti in rep.budgets)
         if (rep.ledger.words(round_no=1) != round1
                 or rep.ledger.words(round_no=2) != round2

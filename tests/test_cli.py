@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from partialclust import MetricSpace, Partition, run_kt_median_clustering_only
+from partialclust import MetricSpace, Partition, cli, run_kt_median_clustering_only
 from partialclust.cli import _NODE_ALGS, gen_planted, gen_uncertain_planted, main
 from partialclust.io import write_matrix, write_nodes_jsonl, write_points_jsonl
 
@@ -128,7 +128,8 @@ def test_solve_transcript(planted_file, tmp_path, capsys):
     assert {r["direction"] for r in records} <= {"site->coord", "coord->site"}
 
 
-def test_subquadratic_payload_and_transcript_refusal(planted_file, capsys):
+def test_subquadratic_payload_and_transcript_refusal(planted_file, tmp_path,
+                                                     monkeypatch, capsys):
     code, out, _ = run(["solve", "--input", str(planted_file),
                         "--alg", "subquadratic", "--k", "2", "--t", "3",
                         "--alpha", "1.0"], capsys)
@@ -136,10 +137,19 @@ def test_subquadratic_payload_and_transcript_refusal(planted_file, capsys):
     payload = json.loads(out)
     assert payload["depth"] == 1
     assert payload["evals"]["total"] > 0
-    code, _, err = run(["solve", "--input", str(planted_file),
-                        "--alg", "subquadratic", "--k", "2", "--t", "3",
-                        "--transcript", "/tmp/never.jsonl"], capsys)
-    assert code == 2 and "transcript" in err
+
+    # the transcript is refused before any solving
+    def never(*args, **kwargs):
+        raise AssertionError("solved a run whose transcript is refused")
+
+    monkeypatch.setattr(cli, "subquadratic_solve", never)
+    tr = tmp_path / "tr.jsonl"
+    code, out, err = run(["solve", "--input", str(planted_file),
+                          "--alg", "subquadratic", "--k", "2", "--t", "3",
+                          "--transcript", str(tr)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: subquadratic runs on one machine; no transcript exists\n"
+    assert not tr.exists()
 
 
 @pytest.mark.parametrize("n, k, t", [(120, 3, 5), (50, 2, 3)],
@@ -400,13 +410,44 @@ def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
         assert hashlib.sha256(tr.read_bytes()).hexdigest() == transcript_sha
 
 
+_PLAIN_GOLDEN = [g[0] for g in _GOLDEN if "--format" not in g[0]]
+
+
+@pytest.mark.parametrize("flags", _PLAIN_GOLDEN,
+                         ids=[" ".join(f[1:]) for f in _PLAIN_GOLDEN])
+def test_solve_prints_report_extras_as_they_are(golden_inputs, flags,
+                                                monkeypatch, capsys):
+    """Every algorithm's ``extras`` are JSON-ready: the payload prints them
+    unfiltered. The round-1 hulls are the report's ``curves``."""
+    _, inputs = golden_inputs
+    reports = []
+    build = cli._report_payload
+
+    def recorded(args, objective, report, *rest):
+        reports.append(report)
+        return build(args, objective, report, *rest)
+
+    monkeypatch.setattr(cli, "_report_payload", recorded)
+    data = inputs["nodes" if flags[1] in _NODE_ALGS else "points"]
+    code, out, err = run(["solve"] + flags + data, capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    if flags[1] == "subquadratic":     # one machine: no protocol report
+        assert not reports and "extras" not in payload
+        return
+    (report,) = reports
+    assert json.loads(json.dumps(report.extras)) == payload["extras"]
+    assert (report.curves is not None) == (
+        flags[1] in ("kt-median", "kt-means", "kt-median-co"))
+
+
 def test_clustering_only_pivot_merge_golden(tmp_path, capsys):
     """A kt-median-co report whose pivot site merges: site 0's budget of 6
     falls between its hull vertices 4 and 15, so it serves the union of
     those two solutions' centers with exactly 6 copies excluded."""
     coords = gen_planted(40, 3, 4, seed=1)
     curves = run_kt_median_clustering_only(
-        Partition.round_robin(MetricSpace.euclidean(coords), 4), 3, 15).extras["curves"]
+        Partition.round_robin(MetricSpace.euclidean(coords), 4), 3, 15).curves
     assert curves[0].hull_q == (0, 3, 4, 15)
     pts, tr = tmp_path / "pts.jsonl", tmp_path / "transcript.jsonl"
     write_points_jsonl(pts, coords)
@@ -421,6 +462,48 @@ def test_clustering_only_pivot_merge_golden(tmp_path, capsys):
         "297f4f782b522637c3aff9ea8ec2d681b00661c377e116a35129f26002b0bcde"
     assert hashlib.sha256(tr.read_bytes()).hexdigest() == \
         "2384b2c088816a64c10be4968455799bc2d9937425f8ccbd16712f6f13ad6b92"
+
+
+# Oracle pins recorded before the oracle named its outliers through the
+# runners' expansion. The points file holds 18 ids over 12 distinct points:
+# ids 12-17 repeat points 9, 11, 4, 8, 11 and 7, so at t = 2 each objective
+# cuts a demand of two ids part way and must exclude its higher id (14 of
+# point 4, 17 of point 7). The nodes are the golden node input.
+_ORACLE_GOLDEN = [
+    # (input, objective, outliers, report sha256)
+    ("points", "median", [10, 14],
+     "786379a4efc5c7c4124b3ce01d6ae1ea14788cafa550cd94cdd7681554356314"),
+    ("points", "means", [10, 17],
+     "02f81942ee2a270df4755def90c5fe600549e9e904a3175ce501f5fc2314aca4"),
+    ("points", "center", [10, 17],
+     "41fd8ac608b4f37106b39d794baa6adfa20fc4abc1065f7c1abb3e10e1595e4a"),
+    ("nodes", "median", [12, 13],
+     "aba36a64908c8df8ea4f58e37dd18dc473b009cbc42e153cc1cfe68a888f035a"),
+    ("nodes", "means", [12, 13],
+     "4ce221fe87ad48d2f04d3a0353688d10376da3ab966b9c5fa6f0d2ae8aaa216e"),
+    ("nodes", "center", [12, 13],
+     "c52f685e369df595c95149f712cf66488e6b8d8d8022ef5ff5c9fdbc4d749b62"),
+]
+
+
+@pytest.mark.parametrize("data, objective, outliers, report_sha", _ORACLE_GOLDEN,
+                         ids=[f"{g[0]} {g[1]}" for g in _ORACLE_GOLDEN])
+def test_oracle_golden_reports(golden_inputs, tmp_path, data, objective,
+                               outliers, report_sha, capsys):
+    root, _ = golden_inputs
+    if data == "points":
+        base = gen_planted(12, 2, 2, seed=4)
+        write_points_jsonl(tmp_path / "pts.jsonl",
+                           np.vstack([base, base[[9, 11, 4, 8, 11, 7]]]))
+        files = ["--input", str(tmp_path / "pts.jsonl")]
+    else:
+        files = ["--input", str(root / "upts.jsonl"),
+                 "--nodes", str(root / "nodes.jsonl")]
+    code, out, err = run(["oracle"] + files + ["--k", "2", "--t", "2",
+                                               "--objective", objective], capsys)
+    assert code == 0, err
+    assert json.loads(out)["outliers"] == outliers
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
 
 
 # Pins of reports with their "evals" block (the "evals_total" column of a

@@ -176,7 +176,7 @@ def test_median_word_formula_exact():
     B = space.word_width
     for k, t in [(2, 3), (3, 4), (2, 6)]:
         rep = run_kt_median(part, k, t, seed=1)
-        curves = rep.extras["curves"]
+        curves = rep.curves
         s = part.n_sites
         round1 = sum(2 * c.n_vertices for c in curves) + 3 * s
         round2 = sum(2 * k * (B + 1) + ti * B for ti in rep.budgets)
@@ -280,7 +280,7 @@ def test_clustering_only_merged_site_words():
     B = space.word_width
     k, t = 3, 5
     rep = run_kt_median_clustering_only(part, k, t, delta=0.25, seed=2)
-    curves = rep.extras["curves"]
+    curves = rep.curves
     s = part.n_sites
     assert rep.ledger.words(round_no=1) == sum(2 * c.n_vertices for c in curves) + 3 * s
     round2 = rep.ledger.words(round_no=2)
@@ -678,6 +678,36 @@ def test_clustering_only_answers_every_budget(n, k, planted, seed, s, objective)
         assert 1 <= len(sol.centers) <= k
         assert instance_cost(points, sol, objective) == pytest.approx(sol.cost)
     assert capped and kept_none == (k == 1)
+
+
+def test_clustering_only_merge_runs_as_site_work(monkeypatch):
+    """The pivot site's merge of its two bracketing solutions is site work:
+    it runs inside a site worker, so its CPU time is in ``site_seconds``.
+    Site 0's budget of 6 falls between its hull vertices 4 and 15."""
+    in_site, merges = [False], []
+    run_sites, merge = protocol._run_sites, protocol.merge_two_solutions
+
+    def tracked_run_sites(worker, s, seconds):
+        def site(i):
+            in_site[0] = True
+            try:
+                return worker(i)
+            finally:
+                in_site[0] = False
+
+        return run_sites(site, s, seconds)
+
+    def tracked_merge(*args, **kwargs):
+        merges.append(in_site[0])
+        return merge(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "_run_sites", tracked_run_sites)
+    monkeypatch.setattr(protocol, "merge_two_solutions", tracked_merge)
+    space = MetricSpace.euclidean(gen_planted(40, 3, 4, seed=1))
+    rep = run_kt_median_clustering_only(Partition.round_robin(space, 4), 3, 15)
+    assert rep.budgets[0] == 6 and rep.curves[0].hull_q == (0, 3, 4, 15)
+    assert merges == [True]
+    assert len(rep.site_seconds) == 4
 
 
 # ---------------------------------------------------------------------------
