@@ -21,7 +21,6 @@ from .allocation import (
 from .errors import (
     ClusteringError,
     DegenerateInstanceError,
-    InconsistentSolutionError,
     InfeasibleError,
     InternalInvariantError,
     InvalidParameterError,
@@ -83,8 +82,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation", "BicriteriaConfig", "ClusteringError", "ClusteringSolution",
     "CommLedger", "CostCurve", "DegenerateInstanceError",
-    "Demand", "EvalCounter", "GonzalezOrder", "InconsistentSolutionError",
-    "InfeasibleError", "Instance", "InternalInvariantError",
+    "Demand", "EvalCounter", "GonzalezOrder", "InfeasibleError", "Instance",
+    "InternalInvariantError",
     "InvalidParameterError", "InvalidPointError", "Message", "MetricSpace",
     "NodePartition", "Objective", "ObjectiveEstimate", "OneMedianSummary",
     "OracleSizeLimitError", "ParseError", "Partition", "PreconditionError",

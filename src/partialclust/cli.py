@@ -48,20 +48,48 @@ from .protocol import (
 from .solvers import exact_oracle
 from .uncertain import NodePartition, UncertainNode, run_center_g, run_uncertain
 
-# --alg -> (input kind, objective its report names; None reads --objective)
+
+def _kt_median(a, part, objective):
+    return run_kt_median(part, a.k, a.t, rho=a.rho, epsilon=a.epsilon,
+                         objective=objective, seed=a.seed)
+
+
+def _uncertain(a, npart, objective):
+    return run_uncertain(npart, a.k, a.t, objective=objective,
+                         epsilon=a.epsilon, seed=a.seed, rho=a.rho)
+
+
+_SITES = ("sites", "partition", "transcript")
+_UNCERTAIN = _SITES + ("nodes", "rho", "epsilon")
+# --alg -> (input kind, objective its report names (None reads --objective),
+# flags read beyond those every --alg takes, runner). "points" and "nodes"
+# are spread over --sites, "instance" is one machine. A runner takes (args,
+# partition or instance, objective) and looks its function up when called.
 _ALGS = {
-    "kt-median": ("points", "median"),
-    "kt-means": ("points", "means"),
-    "kt-center": ("points", "center"),
-    "kt-median-co": ("points", "median"),
-    "one-round": ("points", None),
-    "subquadratic": ("points", None),
-    "uncertain-median": ("nodes", "median"),
-    "uncertain-means": ("nodes", "means"),
-    "uncertain-center-pp": ("nodes", "center-pp"),
-    "center-g": ("nodes", "center"),
+    "kt-median": ("points", "median", _SITES + ("rho", "epsilon"), _kt_median),
+    "kt-means": ("points", "means", _SITES + ("rho", "epsilon"), _kt_median),
+    "kt-center": ("points", "center", _SITES + ("rho",),
+                  lambda a, p, _: run_kt_center(p, a.k, a.t, rho=a.rho)),
+    "kt-median-co": ("points", "median", _SITES + ("delta", "epsilon"),
+                     lambda a, p, _: run_kt_median_clustering_only(p, a.k, a.t,
+                         delta=a.delta, epsilon=a.epsilon, seed=a.seed)),
+    "one-round": ("points", None, _SITES + ("objective", "epsilon"),
+                  lambda a, p, obj: run_one_round(p, a.k, a.t, objective=obj,
+                      epsilon=a.epsilon, seed=a.seed)),
+    "subquadratic": ("instance", None, ("objective", "alpha"),
+                     lambda a, i, obj: subquadratic_solve(i, a.k, a.t, a.alpha,
+                         seed=a.seed, objective=obj)),
+    "uncertain-median": ("nodes", "median", _UNCERTAIN, _uncertain),
+    "uncertain-means": ("nodes", "means", _UNCERTAIN, _uncertain),
+    "uncertain-center-pp": ("nodes", "center-pp", _UNCERTAIN, _uncertain),
+    "center-g": ("nodes", "center", _SITES + ("nodes", "epsilon"),
+                 lambda a, p, _: run_center_g(p, a.k, a.t, epsilon=a.epsilon)),
 }
-_NODE_ALGS = tuple(alg for alg, (kind, _) in _ALGS.items() if kind == "nodes")
+# Defaults of the flags some --alg does not read. Their argparse default is
+# None, "not given", so a flag typed at its default value is still refused.
+_DEFAULTS = {"sites": 2, "partition": "round-robin", "transcript": None,
+             "nodes": None, "rho": 2.0, "delta": 0.25, "epsilon": 1.0,
+             "alpha": 0.5, "objective": "median"}
 
 
 def build_parser():
@@ -75,27 +103,25 @@ def build_parser():
     solve.add_argument("--input", action="append", default=[],
                        help="points file (JSON lines); repeat for by-file sites")
     solve.add_argument("--matrix", help="distance-matrix file instead of points")
-    solve.add_argument("--nodes", action="append", default=[],
+    solve.add_argument("--nodes", action="append",
                        help="uncertain-node file; repeat for by-file sites")
     solve.add_argument("--alg", required=True, choices=tuple(_ALGS))
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--t", type=int, required=True)
-    solve.add_argument("--sites", type=int, default=2)
-    solve.add_argument("--partition", default="round-robin",
+    solve.add_argument("--sites", type=int)
+    solve.add_argument("--partition",
                        choices=("round-robin", "contiguous", "by-file"))
-    solve.add_argument("--rho", type=float, default=2.0)
-    solve.add_argument("--delta", type=float, default=0.25)
-    solve.add_argument("--epsilon", type=float, default=1.0)
-    solve.add_argument("--alpha", type=float, default=0.5)
-    solve.add_argument("--objective", default="median",
-                       choices=("median", "means", "center"),
+    solve.add_argument("--rho", type=float)
+    solve.add_argument("--delta", type=float)
+    solve.add_argument("--epsilon", type=float)
+    solve.add_argument("--alpha", type=float)
+    solve.add_argument("--objective", choices=("median", "means", "center"),
                        help="objective for one-round and subquadratic")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--jobs", type=int, default=1,
-                       help="must be >= 1; does not change scheduling or "
-                            "output: sites run one after another in site "
-                            "order, which beat a thread pool on every "
-                            "measured workload")
+                       help="taken by every --alg; must be >= 1 and changes "
+                            "nothing: sites run in site order, which beat a "
+                            "thread pool on every measured workload")
     solve.add_argument("--format", default="json", choices=("json", "csv"))
     solve.add_argument("--out", help="write the report here instead of stdout")
     solve.add_argument("--transcript",
@@ -153,8 +179,7 @@ def _load_space(args):
         return read_matrix(args.matrix), None
     if not args.input:
         raise InvalidParameterError("no --input files given")
-    space, groups = read_points_files(args.input)
-    return space, groups
+    return read_points_files(args.input)
 
 
 def _make_partition(args, groups, space, *nodes):
@@ -217,56 +242,40 @@ def _report_payload(args, objective, report, n_items, label):
 
 
 def _csv_row(payload):
-    cols = ["alg", "objective", "n", "sites", "k", "t", "rho", "delta",
-            "epsilon", "seed", "cost", "rounds", "words_total", "words_round1",
-            "words_round2", "evals_total", "outliers"]
-    params = payload["params"]
-    words = payload.get("words", {})
-    vals = [
-        payload["alg"], params.get("objective"),
-        payload.get("n_points", payload.get("n_nodes")),
-        params.get("sites"), params.get("k"),
-        params.get("t"), params.get("rho"),
-        params.get("delta"), params.get("epsilon"),
-        params.get("seed"), payload["cost"], payload.get("rounds"),
-        words.get("total"), words.get("round1"),
-        words.get("round2"), payload["evals"]["total"],
-        payload["n_outliers"],
-    ]
-    head = ",".join(cols)
-    row = ",".join("" if v is None else str(v) for v in vals)
-    return head + "\n" + row + "\n"
+    params, words = payload["params"], payload.get("words", {})
+    row = {"alg": payload["alg"], "objective": params["objective"],
+           "n": payload.get("n_points", payload.get("n_nodes")),
+           **{c: params.get(c) for c in ("sites", "k", "t", "rho", "delta",
+                                         "epsilon", "seed")},
+           "cost": payload["cost"], "rounds": payload.get("rounds"),
+           **{f"words_{c}": words.get(c) for c in ("total", "round1", "round2")},
+           "evals_total": payload["evals"]["total"],
+           "outliers": payload["n_outliers"]}
+    vals = ("" if v is None else str(v) for v in row.values())
+    return ",".join(row) + "\n" + ",".join(vals) + "\n"
 
 
 def _cmd_solve(args):
     start = time.perf_counter()
-    # --jobs is checked and otherwise ignored: sites run in site order.
+    kind, objective, reads, run = _ALGS[args.alg]
+    given = {flag: getattr(args, flag) for flag in _DEFAULTS
+             if getattr(args, flag) is not None}
+    refused = [f"--{flag}" for flag in given if flag not in reads]
+    if refused:
+        raise InvalidParameterError(
+            f"--alg {args.alg} does not read {', '.join(refused)}")
+    if kind == "nodes" and not args.nodes:
+        raise InvalidParameterError(f"--alg {args.alg} needs --nodes")
+    vars(args).update({**_DEFAULTS, **given})
     if args.jobs < 1:
         raise InvalidParameterError("jobs must be a positive integer")
     # center-g and kt-center take no seed, but every report prints one
     if args.seed < 0:
         raise InvalidParameterError("seed must be a nonnegative integer")
-    if args.transcript and args.alg == "subquadratic":
-        raise InvalidParameterError(
-            "subquadratic runs on one machine; no transcript exists")
-    kind, objective = _ALGS[args.alg]
     objective = objective or args.objective
     space, groups = _load_space(args)
-    if kind == "nodes":
-        if not args.nodes:
-            raise InvalidParameterError(f"--alg {args.alg} needs --nodes")
-        nodes, node_groups = read_nodes_files(args.nodes, space)
-        npart = _make_partition(args, node_groups, space, nodes)
-        if args.alg == "center-g":
-            report = run_center_g(npart, args.k, args.t, epsilon=args.epsilon)
-        else:
-            report = run_uncertain(npart, args.k, args.t, objective=objective,
-                                   epsilon=args.epsilon, seed=args.seed,
-                                   rho=args.rho)
-        payload = _report_payload(args, objective, report, len(nodes), "n_nodes")
-    elif args.alg == "subquadratic":
-        sub = subquadratic_solve(Instance.from_points(space), args.k, args.t,
-                                 args.alpha, seed=args.seed, objective=objective)
+    if kind == "instance":
+        sub = run(args, Instance.from_points(space), objective)
         solution = _expand_points(sub.view, sub.solution,
                                   Objective.from_string(objective))
         payload = {
@@ -280,21 +289,12 @@ def _cmd_solve(args):
             "evals": {"total": sub.evals},
         }
         report = None
+    elif kind == "nodes":
+        nodes, groups = read_nodes_files(args.nodes, space)
+        report = run(args, _make_partition(args, groups, space, nodes), objective)
+        payload = _report_payload(args, objective, report, len(nodes), "n_nodes")
     else:
-        part = _make_partition(args, groups, space)
-        if args.alg in ("kt-median", "kt-means"):
-            report = run_kt_median(part, args.k, args.t, rho=args.rho,
-                                   epsilon=args.epsilon, objective=objective,
-                                   seed=args.seed)
-        elif args.alg == "kt-median-co":
-            report = run_kt_median_clustering_only(
-                part, args.k, args.t, delta=args.delta, epsilon=args.epsilon,
-                seed=args.seed)
-        elif args.alg == "kt-center":
-            report = run_kt_center(part, args.k, args.t, rho=args.rho)
-        else:
-            report = run_one_round(part, args.k, args.t, objective=objective,
-                                   epsilon=args.epsilon, seed=args.seed)
+        report = run(args, _make_partition(args, groups, space), objective)
         payload = _report_payload(args, objective, report, space.n, "n_points")
 
     if args.timings:
@@ -303,9 +303,8 @@ def _cmd_solve(args):
             "site_seconds": list(report.site_seconds) if report else None,
         }
     if args.transcript:
-        lines = [json.dumps(r, sort_keys=True) for r in report.ledger.to_records()]
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        _emit("".join(json.dumps(r, sort_keys=True) + "\n"
+                      for r in report.ledger.to_records()), args.transcript)
     if args.format == "csv":
         _emit(_csv_row(payload), args.out)
     else:

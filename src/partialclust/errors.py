@@ -18,18 +18,9 @@ class DegenerateInstanceError(ClusteringError, ValueError):
     points when distance extremes are needed)."""
 
 
-class InconsistentSolutionError(ClusteringError, ValueError):
-    """A solution object does not cover its instance (unassigned non-outlier,
-    unknown center, negative copy counts, ...)."""
-
-
 class InfeasibleError(ClusteringError):
     """The budget makes the problem vacuous or unsolvable (e.g. t >= total
-    weight). Carries the offending site id when raised inside a protocol."""
-
-    def __init__(self, message, site=None):
-        super().__init__(message if site is None else f"site {site}: {message}")
-        self.site = site
+    weight)."""
 
 
 class OracleSizeLimitError(ClusteringError, ValueError):

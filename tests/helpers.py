@@ -21,8 +21,13 @@ from partialclust import (
     node_universe_cost,
     solution_from_centers,
 )
-from partialclust.errors import InconsistentSolutionError, InvalidParameterError
+from partialclust.errors import ClusteringError, InvalidParameterError
 from partialclust.solvers import DualCertificate, GonzalezOrder, JVResult, SortedCosts
+
+
+class InconsistentSolutionError(ClusteringError, ValueError):
+    """A solution object does not cover its instance (unassigned non-outlier,
+    unknown center, negative copy counts, ...)."""
 
 
 def random_points(seed, n, dim=2, scale=10.0):

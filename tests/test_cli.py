@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from partialclust import MetricSpace, Partition, cli, run_kt_median_clustering_only
-from partialclust.cli import _NODE_ALGS, gen_planted, gen_uncertain_planted, main
+from partialclust.cli import gen_planted, gen_uncertain_planted, main
 from partialclust.io import write_matrix, write_nodes_jsonl, write_points_jsonl
 
 from helpers import random_points
@@ -148,7 +148,7 @@ def test_subquadratic_payload_and_transcript_refusal(planted_file, tmp_path,
                           "--alg", "subquadratic", "--k", "2", "--t", "3",
                           "--transcript", str(tr)], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: subquadratic runs on one machine; no transcript exists\n"
+    assert err == "error: --alg subquadratic does not read --transcript\n"
     assert not tr.exists()
 
 
@@ -308,6 +308,57 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     assert ei.value.code == 2
 
 
+# What each --alg reads beyond --k, --t, the input, the output flags, --seed
+# and --jobs, as the README's table gives it.
+_SITES = ("--sites", "--partition", "--transcript")
+_READS = {
+    "kt-median": _SITES + ("--rho", "--epsilon"),
+    "kt-means": _SITES + ("--rho", "--epsilon"),
+    "kt-center": _SITES + ("--rho",),
+    "kt-median-co": _SITES + ("--delta", "--epsilon"),
+    "one-round": _SITES + ("--objective", "--epsilon"),
+    "subquadratic": ("--objective", "--alpha"),
+    "uncertain-median": _SITES + ("--nodes", "--rho", "--epsilon"),
+    "uncertain-means": _SITES + ("--nodes", "--rho", "--epsilon"),
+    "uncertain-center-pp": _SITES + ("--nodes", "--rho", "--epsilon"),
+    "center-g": _SITES + ("--nodes", "--epsilon"),
+}
+# Every flag some --alg does not read, at its default value; files go
+# under each test's tmp_path.
+_FLAG_VALUES = {"--sites": "2", "--partition": "round-robin",
+                "--transcript": "tr.jsonl", "--nodes": "missing.jsonl",
+                "--rho": "2.0", "--delta": "0.25", "--epsilon": "1.0",
+                "--alpha": "0.5", "--objective": "median"}
+_REFUSED = [(alg, [flag, _FLAG_VALUES[flag]]) for alg, reads in _READS.items()
+            for flag in _FLAG_VALUES if flag not in reads] + [
+    ("kt-median", ["--objective", "means", "--nodes", "missing.jsonl",
+                   "--alpha", "0.3", "--delta", "0.9"]),
+    ("one-round", ["--alpha", "1"]),
+    ("kt-center", ["--epsilon", "1"]),
+]
+
+
+@pytest.mark.parametrize("alg, extra", _REFUSED,
+                         ids=[f"{alg} {' '.join(extra)}" for alg, extra in _REFUSED])
+def test_solve_refuses_flags_its_alg_does_not_read(planted_file, tmp_path, alg,
+                                                   extra, monkeypatch, capsys):
+    """A flag the --alg does not read exits 2 and is named, even typed at
+    its default value, before any input file is read."""
+    def never(*args, **kwargs):
+        raise AssertionError("read the input of a refused command line")
+
+    for name in ("read_points_files", "read_nodes_files", "read_matrix"):
+        monkeypatch.setattr(cli, name, never)
+    extra = [str(tmp_path / v) if v.endswith(".jsonl") else v for v in extra]
+    nodes = (["--nodes", str(tmp_path / "nodes.jsonl")]
+             if "--nodes" in _READS[alg] else [])
+    code, out, err = run(["solve", "--input", str(planted_file), "--alg", alg,
+                          "--k", "2", "--t", "3"] + nodes + extra, capsys)
+    assert (code, out) == (2, "")
+    assert all(flag in err for flag in extra if flag.startswith("--"))
+    assert not (tmp_path / "tr.jsonl").exists()
+
+
 @pytest.mark.parametrize("flag, first", [
     ("--input", b'{"id": 0, "coords": [1.0]}\n'),
     ("--matrix", b"2\n"),
@@ -336,7 +387,8 @@ def test_gen_validation(tmp_path, capsys):
 # acceptance criterion 10, so a refactor that moves any byte of any report
 # fails here.
 
-_POINT_ARGS = ["--k", "2", "--t", "4", "--sites", "3", "--seed", "5"]
+_ONE_MACHINE_ARGS = ["--k", "2", "--t", "4", "--seed", "5"]
+_POINT_ARGS = _ONE_MACHINE_ARGS + ["--sites", "3"]
 _NODE_ARGS = ["--k", "2", "--t", "2", "--seed", "5"]
 _GOLDEN = [
     # (alg and flags, report sha256, transcript sha256 or None)
@@ -387,7 +439,10 @@ def golden_inputs(tmp_path_factory):
     write_nodes_jsonl(nodes_f, nodes)
     large_f = root / "large.jsonl"
     write_points_jsonl(large_f, gen_planted(1500, 5, 10, seed=2))
+    # keyed by the input kind of cli._ALGS: subquadratic's "instance" is the
+    # points file on one machine, without --sites
     return root, {"points": ["--input", str(pts_f)] + _POINT_ARGS,
+                  "instance": ["--input", str(pts_f)] + _ONE_MACHINE_ARGS,
                   "nodes": ["--input", str(upts_f), "--nodes", str(nodes_f)]
                   + _NODE_ARGS,
                   "large": ["--input", str(large_f)]}
@@ -398,8 +453,7 @@ def golden_inputs(tmp_path_factory):
 def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
                               capsys):
     root, inputs = golden_inputs
-    data = inputs["nodes" if flags[1] in _NODE_ALGS else "points"]
-    argv = ["solve"] + flags + data
+    argv = ["solve"] + flags + inputs[cli._ALGS[flags[1]][0]]
     tr = root / "transcript.jsonl"
     if transcript_sha is not None:
         argv += ["--transcript", str(tr)]
@@ -411,6 +465,22 @@ def test_solve_golden_reports(golden_inputs, flags, report_sha, transcript_sha,
 
 
 _PLAIN_GOLDEN = [g[0] for g in _GOLDEN if "--format" not in g[0]]
+
+
+@pytest.mark.parametrize("flags, report_sha", [g[:2] for g in _GOLDEN],
+                         ids=[" ".join(g[0][1:]) for g in _GOLDEN])
+def test_solve_reads_its_flags_at_default_values(golden_inputs, tmp_path, flags,
+                                                 report_sha, capsys):
+    """Every flag an --alg reads, typed at its default value, is accepted
+    and leaves the golden report as it is."""
+    _, inputs = golden_inputs
+    given = [f for flag in _READS[flags[1]] if flag not in ("--sites", "--nodes")
+             for f in (flag, _FLAG_VALUES[flag])]
+    given = [str(tmp_path / v) if v.endswith(".jsonl") else v for v in given]
+    code, out, err = run(["solve"] + flags + inputs[cli._ALGS[flags[1]][0]] + given,
+                         capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha
 
 
 @pytest.mark.parametrize("flags", _PLAIN_GOLDEN,
@@ -428,8 +498,8 @@ def test_solve_prints_report_extras_as_they_are(golden_inputs, flags,
         return build(args, objective, report, *rest)
 
     monkeypatch.setattr(cli, "_report_payload", recorded)
-    data = inputs["nodes" if flags[1] in _NODE_ALGS else "points"]
-    code, out, err = run(["solve"] + flags + data, capsys)
+    code, out, err = run(["solve"] + flags + inputs[cli._ALGS[flags[1]][0]],
+                         capsys)
     assert code == 0, err
     payload = json.loads(out)
     if flags[1] == "subquadratic":     # one machine: no protocol report
@@ -599,7 +669,7 @@ def test_solve_bench_shaped_golden_reports(tmp_path, kind, flags, report_sha,
 # (-0.0, 7.0), so sites hold merged weights, multi-id tags and excluded
 # copies that take a demand's highest ids. Recorded before the point path
 # kept its demands as arrays.
-_DUPLICATE_ARGS = ["--k", "3", "--t", "5", "--sites", "3", "--seed", "4"]
+_DUPLICATE_ARGS = ["--k", "3", "--t", "5", "--seed", "4"]
 _DUPLICATE_GOLDEN = [
     # (alg and flags, report sha256)
     (["--alg", "one-round", "--objective", "center"],
@@ -635,8 +705,9 @@ def duplicate_points_file(tmp_path_factory):
                          ids=[" ".join(g[0][1:]) for g in _DUPLICATE_GOLDEN])
 def test_solve_duplicate_points_golden_reports(duplicate_points_file, flags,
                                                report_sha, capsys):
+    sites = [] if flags[1] == "subquadratic" else ["--sites", "3"]
     code, out, err = run(["solve", "--input", str(duplicate_points_file)] + flags
-                         + _DUPLICATE_ARGS, capsys)
+                         + _DUPLICATE_ARGS + sites, capsys)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
 

@@ -14,12 +14,17 @@ from partialclust import (
 )
 from partialclust.errors import (
     DegenerateInstanceError,
-    InconsistentSolutionError,
     InvalidParameterError,
     InvalidPointError,
 )
 
-from helpers import dedupe_demands, instance_cost, random_points, solution_cost
+from helpers import (
+    InconsistentSolutionError,
+    dedupe_demands,
+    instance_cost,
+    random_points,
+    solution_cost,
+)
 
 
 def test_objective_powers_and_sums():

@@ -37,8 +37,9 @@ def _traced_solve(tracer, argv, capsys):
         code = main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    metrics, _ = tracer_mod.layer_metrics(tracer.take())
-    return json.loads(out), metrics
+    spans = tracer.take()
+    metrics, _ = tracer_mod.layer_metrics(spans)
+    return json.loads(out), metrics, {s.name for s in spans}
 
 
 def test_tracer_spans_match_reports(tmp_path, capsys):
@@ -47,9 +48,12 @@ def test_tracer_spans_match_reports(tmp_path, capsys):
 
     pts = tmp_path / "pts.jsonl"
     write_points_jsonl(pts, gen_planted(40, 2, 3, seed=1))
-    report, m = _traced_solve(
+    report, m, names = _traced_solve(
         tracer, ["solve", "--input", str(pts), "--alg", "kt-median", "--k", "2",
                  "--t", "3", "--sites", "2"], capsys)
+    # the CLI reaches each runner through its module name, so the traced
+    # wrapper, not the function the table saw at import, runs
+    assert "protocol.run_kt_median" in names
     assert m["protocol.words.round1"] == report["words"]["round1"]
     assert m["protocol.words.round2"] == report["words"]["round2"]
     # Probe counts are deterministic: every call of jv_facility_location,
@@ -60,20 +64,24 @@ def test_tracer_spans_match_reports(tmp_path, capsys):
     upts, unodes = tmp_path / "u.jsonl", tmp_path / "n.jsonl"
     write_points_jsonl(upts, universe)
     write_nodes_jsonl(unodes, nodes)
-    report, m = _traced_solve(
+    report, m, names = _traced_solve(
         tracer, ["solve", "--input", str(upts), "--nodes", str(unodes),
                  "--alg", "center-g", "--k", "2", "--t", "2", "--jobs", "2"],
         capsys)
+    assert "uncertain.run_center_g" in names
     assert m["protocol.words.round1"] == report["words"]["round1"]
     assert m["protocol.words.round2"] == report["words"]["round2"]
     assert m["solvers.jv.probes"] == 1089
     assert m["solvers.kt_center_outliers.calls"] > 0
 
     # The center sites' per-row and per-column blocks are all counted.
-    for alg in (["--alg", "kt-center"], ["--alg", "one-round", "--objective", "center"]):
-        report, m = _traced_solve(
+    for alg, runner in ((["--alg", "kt-center"], "protocol.run_kt_center"),
+                        (["--alg", "one-round", "--objective", "center"],
+                         "protocol.run_one_round")):
+        report, m, names = _traced_solve(
             tracer, ["solve", "--input", str(pts), "--k", "2", "--t", "3",
                      "--sites", "2"] + alg, capsys)
+        assert runner in names
         assert m["metric.block.entries"] == report["evals"]["total"]
         assert m["solvers.gonzalez_order.calls"] > 0
         assert m["metric.pair_matrix.calls"] == 0
