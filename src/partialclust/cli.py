@@ -81,7 +81,9 @@ _ALGS = {
                          seed=a.seed, objective=obj)),
     "uncertain-median": ("nodes", "median", _UNCERTAIN, _uncertain),
     "uncertain-means": ("nodes", "means", _UNCERTAIN, _uncertain),
-    "uncertain-center-pp": ("nodes", "center-pp", _UNCERTAIN, _uncertain),
+    # its coordinator excludes exactly t copies, so --epsilon reaches nothing
+    "uncertain-center-pp": ("nodes", "center-pp", _SITES + ("nodes", "rho"),
+                            _uncertain),
     "center-g": ("nodes", "center", _SITES + ("nodes", "epsilon"),
                  lambda a, p, _: run_center_g(p, a.k, a.t, epsilon=a.epsilon)),
 }
@@ -113,7 +115,9 @@ def build_parser():
                        choices=("round-robin", "contiguous", "by-file"))
     solve.add_argument("--rho", type=float)
     solve.add_argument("--delta", type=float)
-    solve.add_argument("--epsilon", type=float)
+    solve.add_argument("--epsilon", type=float,
+                       help="the coordinator's outlier relaxation; one-round "
+                            "--objective center takes it and ignores it")
     solve.add_argument("--alpha", type=float)
     solve.add_argument("--objective", choices=("median", "means", "center"),
                        help="objective for one-round and subquadratic")

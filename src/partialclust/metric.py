@@ -252,8 +252,12 @@ class Instance:
     read-only: ``counts`` (integer weights), ``weights`` (as floats),
     ``total_weight``, ``anchors``, the collapse offsets and whether every
     demand is one point. ``demands`` is built from the arrays on first use.
-    Cost matrices are computed lazily and cached per (power, tau); all
-    distance evaluations feeding a matrix are tallied once in ``counter``.
+    Cost matrices are computed lazily and cached per (power, tau). They all
+    come from one distance block, the distinct support points x candidates,
+    evaluated and tallied in ``counter`` where it is evaluated. An instance
+    keeps that block once it is asked for a truncated surface or for a second
+    (power, tau), so no surface evaluates it again; one untruncated surface
+    keeps nothing beyond its matrix.
     """
 
     def __init__(self, space, demands, candidates, counter=None):
@@ -281,7 +285,9 @@ class Instance:
         self.candidates = cand
         self.counter = counter if counter is not None else EvalCounter()
         self._cost_cache = {}
+        self._support_block = None
         self._center_columns = {}
+        self._anchor_rows = {}
         self._pair_cache = None
         self._cand_pos = {c: j for j, c in enumerate(cand.tolist())}
 
@@ -337,9 +343,10 @@ class Instance:
         """n_demands x n_candidates assignment costs under the objective.
 
         Entry (j, u) = collapse_j + E_{a ~ D_j} [ max(d(a, u) - tau, 0) ^ p ]
-        with p = 2 for means and 1 otherwise. Cached; the distance block of
-        the distinct support points is evaluated (and counted) once per
-        (power, tau).
+        with p = 2 for means and 1 otherwise. Cached per (power, tau); every
+        surface is built from the one distance block of the distinct support
+        points, which is kept for the next surface when this one is truncated
+        or not the first (see the class docstring).
         """
         if tau < 0:
             raise InvalidParameterError("tau must be >= 0")
@@ -347,10 +354,9 @@ class Instance:
         cached = self._cost_cache.get(key)
         if cached is not None:
             return cached
-        a = self.arrays
-        pts, pos = np.unique(a.support, return_inverse=True)
-        base = self.space.block(pts, self.candidates)
-        self.counter.add(base.size)
+        base, mix = self._support_block or self._evaluate_support_block()
+        if tau > 0 or self._cost_cache:
+            self._support_block = (base, mix)
         if tau > 0:
             base = np.maximum(base - tau, 0.0)
         if objective.power == 2:
@@ -360,16 +366,25 @@ class Instance:
                 raise InvalidPointError(
                     "squared distances overflow the float range; scale the "
                     "input down")
-        if self._single_support:
-            rows = base[pos]
-        else:
-            W = np.zeros((self.n, len(pts)))
-            # unbuffered, in support order: the sums a loop over demands makes
-            np.add.at(W, (np.repeat(np.arange(self.n), a.slen), pos), a.probs)
-            rows = W @ base
+        rows = base[mix] if self._single_support else mix @ base
         M = rows + self._collapse[:, None]
         self._cost_cache[key] = M
         return M
+
+    def _evaluate_support_block(self):
+        """The distinct support points x candidates distance block, counted,
+        and how demand rows mix its rows: each demand's row index ``pos``
+        when every demand is one point, else the support-weight matrix."""
+        a = self.arrays
+        pts, pos = np.unique(a.support, return_inverse=True)
+        base = self.space.block(pts, self.candidates)
+        self.counter.add(base.size)
+        if self._single_support:
+            return base, pos
+        W = np.zeros((self.n, len(pts)))
+        # unbuffered, in support order: the sums a loop over demands makes
+        np.add.at(W, (np.repeat(np.arange(self.n), a.slen), pos), a.probs)
+        return base, W
 
     def cost_columns(self, objective, points, tau=0.0):
         """Columns of ``cost_matrix(objective, tau)`` for the candidate
@@ -403,19 +418,26 @@ class Instance:
 
         In euclidean mode its distances are also bit for bit the cost column
         of ``j``'s anchor, so when that anchor is a candidate they are kept
-        as its center cost column (see :meth:`cost_columns`) and no distance
-        is evaluated twice. Returns a new array.
+        as its center cost column (see :meth:`cost_columns`). The distances
+        of an anchor that several demands share (tentacles collapsed onto
+        one point) are kept for the others' rows, so no distance is
+        evaluated twice. Returns a new array.
         """
         if not self._single_support:
             raise InvalidParameterError("pair rows need single-support demands")
         anchors = self.anchors
-        row = self.space.block(anchors[j:j + 1], anchors)[0]
-        self.counter.add(row.size)
+        a = int(anchors[j])
+        raw = self._anchor_rows.get(a)
+        if raw is None:
+            raw = self.space.block(anchors[j:j + 1], anchors)[0]
+            self.counter.add(raw.size)
+            if np.count_nonzero(anchors == a) > 1:
+                self._anchor_rows[a] = raw
         ell = self._collapse
-        u = self._cand_pos.get(int(anchors[j]))
+        u = self._cand_pos.get(a)
         if self.space.mode == "euclidean" and u is not None:
-            self._center_columns.setdefault(u, row + ell)
-        row += ell[j] + ell
+            self._center_columns.setdefault(u, raw + ell)
+        row = raw + (ell[j] + ell)
         row[j] = 0.0
         return row
 

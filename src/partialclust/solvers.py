@@ -141,7 +141,9 @@ def gonzalez_order(instance, length=None):
     toward the lower index. Weights do not affect the traversal. Distances
     are those of :meth:`~partialclust.metric.Instance.pair_matrix`, but only
     the rows of the points chosen before the last are computed: a prefix of
-    L points costs (L - 1) * n evaluations, not n^2.
+    L points costs at most (L - 1) * n evaluations, not n^2. No row is
+    computed once a radius is 0, since every demand then lies at 0 from
+    the prefix, and demands on one anchor share its row.
     """
     n = instance.n
     length = n if length is None else min(int(length), n)
@@ -149,7 +151,8 @@ def gonzalez_order(instance, length=None):
     radii = []
     mind = np.full(n, np.inf)
     while len(order) < length:
-        np.minimum(mind, instance.pair_row(order[-1]), out=mind)
+        if not radii or radii[-1] > 0:
+            np.minimum(mind, instance.pair_row(order[-1]), out=mind)
         nxt = int(np.argmax(mind))
         radii.append(float(mind[nxt]))
         order.append(nxt)

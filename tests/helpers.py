@@ -7,6 +7,7 @@ wherever the library uses a heuristic. Keep instances desk-scale.
 
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +23,7 @@ from partialclust import (
     solution_from_centers,
 )
 from partialclust.errors import ClusteringError, InvalidParameterError
+from partialclust.metric import EvalCounter
 from partialclust.solvers import DualCertificate, GonzalezOrder, JVResult, SortedCosts
 
 
@@ -462,3 +464,43 @@ def dedupe_demands(space, indices):
         )
     demands.sort(key=lambda d: d.anchor)
     return demands
+
+
+@dataclass
+class Block:
+    """One evaluated distance block: its exact row and column point indices,
+    its entries, and the :class:`EvalCounter` that tallied it (None when no
+    counter did)."""
+
+    rows: tuple
+    cols: tuple
+    entries: int
+    counter: EvalCounter = None
+
+
+def record_blocks(monkeypatch):
+    """Record every distance block evaluated for the rest of the test.
+
+    Wraps ``MetricSpace.block`` and returns the list each call appends a
+    :class:`Block` to. Every counted block is tallied right after it is
+    evaluated, so ``EvalCounter.add`` is wrapped too and names the counter
+    of the block just recorded.
+    """
+    blocks = []
+    block, add = MetricSpace.block, EvalCounter.add
+
+    def recorded_block(self, rows, cols):
+        D = block(self, rows, cols)
+        blocks.append(Block(tuple(np.asarray(rows).ravel().tolist()),
+                            tuple(np.asarray(cols).ravel().tolist()), D.size))
+        return D
+
+    def recorded_add(self, n):
+        last = blocks[-1]
+        assert last.counter is None and last.entries == n, "a tally without its block"
+        last.counter = self
+        add(self, n)
+
+    monkeypatch.setattr(MetricSpace, "block", recorded_block)
+    monkeypatch.setattr(EvalCounter, "add", recorded_add)
+    return blocks

@@ -11,7 +11,7 @@ from partialclust import MetricSpace, Partition, cli, run_kt_median_clustering_o
 from partialclust.cli import gen_planted, gen_uncertain_planted, main
 from partialclust.io import write_matrix, write_nodes_jsonl, write_points_jsonl
 
-from helpers import random_points
+from helpers import random_points, record_blocks
 
 
 def run(argv, capsys):
@@ -159,24 +159,15 @@ def test_subquadratic_report_counts_every_distance(n, k, t, tmp_path,
     """Every distance the solve evaluates, point-level pricing included, is
     in the report's ``evals.total``: the points are expanded on the view the
     solution was priced on, so no distance is evaluated twice."""
-    from partialclust.metric import MetricSpace
     path = tmp_path / "pts.jsonl"
     write_points_jsonl(path, gen_planted(n, k, t, seed=1))
-    entries = []
-    block = MetricSpace.block
-
-    def counted(self, rows, cols):
-        D = block(self, rows, cols)
-        entries.append(D.size)
-        return D
-
-    monkeypatch.setattr(MetricSpace, "block", counted)
+    blocks = record_blocks(monkeypatch)
     code, out, _ = run(["solve", "--input", str(path), "--alg", "subquadratic",
                         "--k", str(k), "--t", str(t), "--alpha", "1"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert (payload["levels"][0][1] > 0) == (n > 64)
-    assert sum(entries) == payload["evals"]["total"]
+    assert sum(b.entries for b in blocks) == payload["evals"]["total"]
 
 
 def test_solve_timings_flag(planted_file, capsys):
@@ -320,7 +311,7 @@ _READS = {
     "subquadratic": ("--objective", "--alpha"),
     "uncertain-median": _SITES + ("--nodes", "--rho", "--epsilon"),
     "uncertain-means": _SITES + ("--nodes", "--rho", "--epsilon"),
-    "uncertain-center-pp": _SITES + ("--nodes", "--rho", "--epsilon"),
+    "uncertain-center-pp": _SITES + ("--nodes", "--rho"),
     "center-g": _SITES + ("--nodes", "--epsilon"),
 }
 # Every flag some --alg does not read, at its default value; files go
@@ -423,7 +414,7 @@ _GOLDEN = [
      "06ae099428a13130d6d18175a9b6e392a5aeb620a48b4ea407aeb878182a7c89",
      "87e13b2100d1c8a7fdd03e9323414d7d0c4fe03d0c5b2cf9698f4b388020dbd8"),
     (["--alg", "center-g"],
-     "deba808202c451f810a55904ff7a26bcd4c2d7ee7309f955a248b5ff7f22bd43",
+     "bbf7aada9457b81214062dcab363288282f08d2e90858f792cd6ecba5b8db905",
      "d0867427879ab02a91459fa8801df056fed737272109bcf478a62af81cbb1f1f"),
 ]
 
@@ -439,13 +430,19 @@ def golden_inputs(tmp_path_factory):
     write_nodes_jsonl(nodes_f, nodes)
     large_f = root / "large.jsonl"
     write_points_jsonl(large_f, gen_planted(1500, 5, 10, seed=2))
+    universe, nodes = gen_uncertain_planted(120, 3, 4, seed=6)
+    bench_upts_f, bench_nodes_f = root / "bench-upts.jsonl", root / "bench-nodes.jsonl"
+    write_points_jsonl(bench_upts_f, universe)
+    write_nodes_jsonl(bench_nodes_f, nodes)
     # keyed by the input kind of cli._ALGS: subquadratic's "instance" is the
     # points file on one machine, without --sites
     return root, {"points": ["--input", str(pts_f)] + _POINT_ARGS,
                   "instance": ["--input", str(pts_f)] + _ONE_MACHINE_ARGS,
                   "nodes": ["--input", str(upts_f), "--nodes", str(nodes_f)]
                   + _NODE_ARGS,
-                  "large": ["--input", str(large_f)]}
+                  "large": ["--input", str(large_f)],
+                  "bench-nodes": ["--input", str(bench_upts_f),
+                                  "--nodes", str(bench_nodes_f)]}
 
 
 @pytest.mark.parametrize("flags, report_sha, transcript_sha", _GOLDEN,
@@ -578,8 +575,10 @@ def test_oracle_golden_reports(golden_inputs, tmp_path, data, objective,
 
 # Pins of reports with their "evals" block (the "evals_total" column of a
 # CSV row) removed, so a change to how many distances a run evaluates may
-# move the counts but no other byte of these reports. The last one runs on
-# an input shaped like the median-large benchmark workload.
+# move the counts but no other byte of these reports. The "large" row runs
+# on an input shaped like the median-large benchmark workload, the
+# "bench-nodes" rows on one shaped like centerg-threads.
+_BENCH_NODE_ARGS = ["--k", "3", "--t", "4", "--sites", "2", "--seed", "6"]
 _GOLDEN_NO_EVALS = [
     # (input, alg and flags, sha256 of the report without its evals)
     ("points", ["--alg", "kt-center"],
@@ -605,6 +604,16 @@ _GOLDEN_NO_EVALS = [
     ("large", ["--alg", "kt-median", "--k", "5", "--t", "10", "--sites", "4",
                "--seed", "2"],
      "e086d9be19f2825480c39c3b9fb7a6cb3b3ac206e46222c03307902c068a90cf"),
+    ("nodes", ["--alg", "uncertain-median"],
+     "cfb883dcbc1b511d12caef77e167b9a411c504297f773f613d352098488fe326"),
+    ("nodes", ["--alg", "uncertain-means"],
+     "1f04eca23eb665793c751f8b92656deceefb0e2b84bac59a7d407bc9a16b7bb3"),
+    ("nodes", ["--alg", "center-g"],
+     "f8778b5cd317ee3f236b30c71f45dd8e897352b0625b9a965a6149834024553e"),
+    ("bench-nodes", ["--alg", "uncertain-center-pp"] + _BENCH_NODE_ARGS,
+     "7e03dc0a5fef06a04de9f57ae27ee1288be2c15108f1b1093d4466e34012d8a5"),
+    ("bench-nodes", ["--alg", "center-g"] + _BENCH_NODE_ARGS,
+     "d8518f7bb46a6b86ba441ac461f68f2695e0fdb99e181341155631faef0abda0"),
 ]
 
 
@@ -636,7 +645,7 @@ _BENCH_GOLDEN = [
     # (input kind and flags, report sha256, transcript sha256)
     ("uncertain", ["--alg", "center-g", "--k", "3", "--t", "4", "--sites", "2",
                    "--seed", "6"],
-     "9da345b7e670f62722b4fba193acc028f1d45efe1582e57f2900890a24d73d17",
+     "e84bf12fe2b713bec83f1e29a1b8f85525c6eb1417a696e59490143806d509f9",
      "56967322579e256aa4b08572d404eadb67cabd47d2bc7c4d68fda502189c88b5"),
     ("planted", ["--alg", "kt-median", "--k", "5", "--t", "10", "--sites", "4",
                  "--seed", "2"],
@@ -710,6 +719,63 @@ def test_solve_duplicate_points_golden_reports(duplicate_points_file, flags,
                          + _DUPLICATE_ARGS + sites, capsys)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha
+
+
+# Every --alg, one-round under each objective, on the golden inputs, the
+# duplicate points and the centerg-threads-shaped nodes. The golden nodes
+# also run over contiguous sites, which put nodes 12 and 13, of one
+# support, on one site. subquadratic at depth 2 on the duplicate points
+# evaluates one 9 x 9 block twice: a virtual site of its second level holds
+# the very demands of one of the first level's, and nothing carries a
+# block from one level to the next.
+_POINT_FLAGS = [["--alg", alg] for alg in ("kt-median", "kt-means", "kt-center",
+                                           "kt-median-co", "subquadratic")] + [
+    ["--alg", "one-round", "--objective", obj] for obj in ("median", "means", "center")]
+_NODE_ALGS = ("uncertain-median", "uncertain-means", "uncertain-center-pp", "center-g")
+_ONCE_RUNS = (
+    [(data, flags) for data in ("points", "duplicates") for flags in _POINT_FLAGS]
+    + [(data, ["--alg", alg]) for data in ("nodes", "nodes-contiguous")
+       for alg in _NODE_ALGS]
+    + [("bench-nodes", ["--alg", alg] + _BENCH_NODE_ARGS)
+       for alg in ("uncertain-center-pp", "center-g")])
+
+
+_REPEATS_A_LEVEL = pytest.mark.xfail(
+    strict=True, reason="a level repeats an earlier level's virtual site")
+
+
+@pytest.mark.parametrize("data, flags", [
+    pytest.param(d, f, id=f"{d} {' '.join(f[1:])}",
+                 marks=[_REPEATS_A_LEVEL] if (d, f[1]) == ("duplicates", "subquadratic")
+                 else [])
+    for d, f in _ONCE_RUNS])
+def test_each_party_evaluates_a_distance_block_once(
+        golden_inputs, duplicate_points_file, data, flags, monkeypatch, capsys):
+    """No site and no coordinator evaluates one distance block twice in a
+    run, and ``evals.total`` counts every block evaluated. center-g's tau
+    grid reads the whole universe once, uncounted."""
+    _, inputs = golden_inputs
+    one_machine = cli._ALGS[flags[1]][0] == "instance"
+    if data == "duplicates":
+        argv = (["--input", str(duplicate_points_file)] + _DUPLICATE_ARGS
+                + ([] if one_machine else ["--sites", "3"]))
+    elif data == "nodes-contiguous":
+        argv = inputs["nodes"] + ["--partition", "contiguous"]
+    else:
+        argv = inputs["instance" if one_machine else data]
+    blocks = record_blocks(monkeypatch)
+    code, out, err = run(["solve"] + flags + argv, capsys)
+    assert code == 0, err
+    counted = [(id(b.counter), b.rows, b.cols) for b in blocks if b.counter is not None]
+    assert len(set(counted)) == len(counted)
+    total = json.loads(out)["evals"]["total"]
+    assert sum(b.entries for b in blocks if b.counter is not None) == total
+    uncounted = [(b.rows, b.cols) for b in blocks if b.counter is None]
+    if flags[1] == "center-g":
+        ((rows, cols),) = uncounted
+        assert rows == cols == tuple(range(len(rows)))
+    else:
+        assert uncounted == []
 
 
 def test_solve_rejects_booleans_and_huge_numbers(tmp_path, capsys):
