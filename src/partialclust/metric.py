@@ -53,10 +53,11 @@ class MetricSpace:
     Construct via :meth:`euclidean` or :meth:`from_matrix`. ``word_width`` is
     the number of communication words one point costs when transmitted: the
     dimension in euclidean mode, 1 in matrix mode (the matrix is assumed
-    preloaded at every party, so a point is just its index).
+    preloaded at every party, so a point is just its index). ``ids`` holds
+    every point index in order, read-only.
     """
 
-    __slots__ = ("mode", "coords", "matrix", "word_width", "n")
+    __slots__ = ("mode", "coords", "matrix", "word_width", "n", "ids")
 
     def __init__(self, mode, coords, matrix, word_width, n):
         self.mode = mode
@@ -64,6 +65,8 @@ class MetricSpace:
         self.matrix = matrix
         self.word_width = word_width
         self.n = n
+        self.ids = np.arange(n)
+        self.ids.flags.writeable = False
 
     @classmethod
     def euclidean(cls, coords):
@@ -131,8 +134,7 @@ def extremes(space):
     """
     if space.n < 2:
         raise DegenerateInstanceError("extremes need at least two points")
-    idx = np.arange(space.n)
-    vals = space.block(idx, idx)[np.triu_indices(space.n, k=1)]
+    vals = space.block(space.ids, space.ids)[np.triu_indices(space.n, k=1)]
     d_min = float(vals.min())
     d_max = float(vals.max())
     if d_min == 0.0:
@@ -143,15 +145,35 @@ def extremes(space):
 
 
 class EvalCounter:
-    """Mutable tally of point-pair distance evaluations."""
+    """One party's distance evaluations (a site's, the coordinator's or a
+    single-machine solve's): their tally, and the blocks :meth:`block` kept
+    so that the party evaluates each of them once."""
 
-    __slots__ = ("count",)
+    __slots__ = ("count", "_blocks")
 
     def __init__(self):
         self.count = 0
+        self._blocks = {}
 
     def add(self, n):
         self.count += int(n)
+
+    def block(self, space, rows, cols):
+        """``space.block(rows, cols)``, read-only: evaluated and counted the
+        first time the party asks for it, kept and handed back after that.
+        Keyed by hashes of the index arrays and checked against the arrays
+        kept with it, the callers' own (an instance's anchors, ``space.ids``),
+        not copies. A block whose key another holds is evaluated, not kept."""
+        rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+        key = (space, hash(rows.tobytes()), hash(cols.tobytes()))
+        kept = self._blocks.get(key)
+        if kept is not None and all(map(np.array_equal, kept[:2], (rows, cols))):
+            return kept[2]
+        D = space.block(rows, cols)
+        self.add(D.size)
+        D.flags.writeable = False
+        self._blocks.setdefault(key, (rows, cols, D))
+        return D
 
 
 @dataclass(frozen=True)
@@ -257,7 +279,8 @@ class Instance:
     evaluated and tallied in ``counter`` where it is evaluated. An instance
     keeps that block once it is asked for a truncated surface or for a second
     (power, tau), so no surface evaluates it again; one untruncated surface
-    keeps nothing beyond its matrix.
+    keeps nothing beyond its matrix. Pair rows and center columns come from
+    :meth:`EvalCounter.block`, so the party evaluates each of them once.
     """
 
     def __init__(self, space, demands, candidates, counter=None):
@@ -286,8 +309,6 @@ class Instance:
         self.counter = counter if counter is not None else EvalCounter()
         self._cost_cache = {}
         self._support_block = None
-        self._center_columns = {}
-        self._anchor_rows = {}
         self._pair_cache = None
         self._cand_pos = {c: j for j, c in enumerate(cand.tolist())}
 
@@ -392,10 +413,11 @@ class Instance:
 
         Sliced from the cached matrix when there is one. The untruncated
         center surface over single-support demands is otherwise built a
-        column at a time: each new column costs one evaluation per demand
-        and is kept, so a caller that reads L centers pays n * L, not n * m.
-        Other surfaces build the whole matrix, which their solvers read
-        anyway. Every column is bit for bit the matching matrix column.
+        column at a time from ``counter.block``, each once: a caller that
+        reads L centers pays n * L, not n * m. In euclidean mode a column is
+        read as its center's row, the same bits, so it is :meth:`pair_row`'s
+        block. Other surfaces build the whole matrix, which their solvers
+        read anyway. Every column is bit for bit the matching matrix column.
         """
         cols = [self.candidate_column(p) for p in points]
         M = self._cost_cache.get((objective.power, float(tau)))
@@ -404,39 +426,24 @@ class Instance:
             M = self.cost_matrix(objective, tau)
         if M is not None:
             return M[:, cols]
-        missing = [u for u in cols if u not in self._center_columns]
-        if missing:
-            D = self.space.block(self.anchors, self.candidates[missing])
-            self.counter.add(D.size)
-            D += self._collapse[:, None]
-            self._center_columns.update(zip(missing, D.T))
-        return np.stack([self._center_columns[u] for u in cols], axis=1)
+        space, anchors = self.space, self.anchors
+        if space.mode == "euclidean":
+            D = [self.counter.block(space, self.candidates[u:u + 1], anchors)[0]
+                 for u in cols]
+        else:
+            D = [self.counter.block(space, anchors, self.candidates[u:u + 1])[:, 0]
+                 for u in cols]
+        return np.stack(D, axis=1) + self._collapse[:, None]
 
     def pair_row(self, j):
         """Row ``j`` of :meth:`pair_matrix`, bit for bit, computed alone:
-        n evaluations.
-
-        In euclidean mode its distances are also bit for bit the cost column
-        of ``j``'s anchor, so when that anchor is a candidate they are kept
-        as its center cost column (see :meth:`cost_columns`). The distances
-        of an anchor that several demands share (tentacles collapsed onto
-        one point) are kept for the others' rows, so no distance is
-        evaluated twice. Returns a new array.
+        n evaluations, once per anchor (demands on one anchor, tentacles
+        collapsed onto one point, share its block). Returns a new array.
         """
         if not self._single_support:
             raise InvalidParameterError("pair rows need single-support demands")
-        anchors = self.anchors
-        a = int(anchors[j])
-        raw = self._anchor_rows.get(a)
-        if raw is None:
-            raw = self.space.block(anchors[j:j + 1], anchors)[0]
-            self.counter.add(raw.size)
-            if np.count_nonzero(anchors == a) > 1:
-                self._anchor_rows[a] = raw
-        ell = self._collapse
-        u = self._cand_pos.get(a)
-        if self.space.mode == "euclidean" and u is not None:
-            self._center_columns.setdefault(u, raw + ell)
+        anchors, ell = self.anchors, self._collapse
+        raw = self.counter.block(self.space, anchors[j:j + 1], anchors)[0]
         row = raw + (ell[j] + ell)
         row[j] = 0.0
         return row

@@ -946,8 +946,7 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
 
     candidates = [finish(K1, t, "small")]
     if a < cfg.epsilon / 2.0:
-        pair_block = instance.space.block(list(K1), list(K2))
-        instance.counter.add(pair_block.size)
+        pair_block = instance.counter.block(instance.space, K1, K2)
         partners = []
         taken = set()
         for i1 in range(k1):

@@ -73,24 +73,17 @@ class OneMedianSummary:
     value: float
 
 
-def one_median(space, node, objective=Objective.MEDIAN, counter=None, rows=None):
+def one_median(space, node, objective=Objective.MEDIAN, counter=None):
     """Exhaustive 1-median (or 1-mean) of a node over the whole universe.
 
     Ties break toward the lower point index. This is the collapse step: the
-    node is later represented by the pair (point, value). ``rows``, a dict
-    from support tuples to their (squared, for means) distances to the
-    universe, lets the nodes of one site that share a support evaluate it
-    once: a support found there is read, a new one is added.
+    node is later represented by the pair (point, value). The nodes of one
+    party (one ``counter``) that share a support evaluate its distances to
+    the universe once; without a counter they are not counted.
     """
-    D = None if rows is None else rows.get(node.support)
-    if D is None:
-        D = space.block(list(node.support), np.arange(space.n))
-        if counter is not None:
-            counter.add(D.size)
-        if objective.power == 2:
-            D = D * D
-        if rows is not None:
-            rows[node.support] = D
+    D = (counter or EvalCounter()).block(space, node.support, space.ids)
+    if objective.power == 2:
+        D = D * D
     vals = np.asarray(node.probs) @ D
     best = int(np.argmin(vals))
     return OneMedianSummary(node.node_id, best, float(vals[best]))
@@ -102,11 +95,10 @@ def build_compressed_graph(space, nodes, objective=Objective.MEDIAN, counter=Non
     A tentacle demand anchors at the node's 1-median and carries the collapse
     cost as an additive offset, so d-hat(j, u) = l_j + d(y_j, u): an upper
     bound on the expected distance that is at most a factor 2 loose (4 for
-    squared distances). Its tag is the node id. Each distinct support is
-    evaluated once.
+    squared distances). Its tag is the node id. With a ``counter``, each
+    distinct support is evaluated once.
     """
-    rows = {}
-    summaries = (one_median(space, nd, objective, counter, rows) for nd in nodes)
+    summaries = (one_median(space, nd, objective, counter) for nd in nodes)
     return [Demand((s.point,), (1.0,), s.value, 1, (s.node_id,))
             for s in summaries]
 
@@ -154,19 +146,16 @@ def node_universe_cost(space, node, center, objective, tau=0.0, counter=None):
     """Expected cost of serving one node from ``center`` on the universe:
     E_{a ~ node} max(d(a, center) - tau, 0) ^ p, with p = 2 for means.
 
-    ``tau`` may be a tuple of thresholds: the node's distances are evaluated
-    once and the costs at each threshold come back as a tuple in its order.
+    The party of ``counter`` evaluates the (support, center) block once, so
+    pricing it again, at another threshold or for another node of the same
+    support, evaluates nothing.
     """
-    block = space.block(list(node.support), [center])
-    if counter is not None:
-        counter.add(block.size)
-    costs = []
-    for cut in tau if isinstance(tau, tuple) else (tau,):
-        D = np.maximum(block - cut, 0.0) if cut > 0 else block
-        if objective.power == 2:
-            D = D * D
-        costs.append(float(np.asarray(node.probs) @ D[:, 0]))
-    return tuple(costs) if isinstance(tau, tuple) else costs[0]
+    D = (counter or EvalCounter()).block(space, node.support, [center])[:, 0]
+    if tau > 0:
+        D = np.maximum(D - tau, 0.0)
+    if objective.power == 2:
+        D = D * D
+    return float(np.asarray(node.probs) @ D)
 
 
 _UNCERTAIN_OBJECTIVES = {
@@ -290,8 +279,7 @@ def run_center_g(npartition, k, t, epsilon=1.0):
         nodes = [npartition.nodes[j] for j in npartition.sites[i]]
         demands = [Demand(nd.support, nd.probs, 0.0, 1, (nd.node_id,))
                    for nd in nodes]
-        rows = {}
-        cands = [one_median(space, nd, Objective.MEDIAN, counter, rows).point
+        cands = [one_median(space, nd, Objective.MEDIAN, counter).point
                  for nd in nodes]
         return Instance(space, demands, cands, counter=counter)
 
@@ -321,12 +309,11 @@ def run_center_g(npartition, k, t, epsilon=1.0):
         rho2 = 0.0
         rho6 = 0.0
         for nid in sorted(node_sol.assignment):
-            c2, c6 = node_universe_cost(
-                space, npartition.nodes[nid], node_sol.assignment[nid],
-                Objective.MEDIAN, tau=(2.0 * tau_hat, 6.0 * tau_hat),
-                counter=counter)
-            rho2 = max(rho2, c2)
-            rho6 = max(rho6, c6)
+            node, center = npartition.nodes[nid], node_sol.assignment[nid]
+            rho2 = max(rho2, node_universe_cost(
+                space, node, center, Objective.MEDIAN, 2.0 * tau_hat, counter))
+            rho6 = max(rho6, node_universe_cost(
+                space, node, center, Objective.MEDIAN, 6.0 * tau_hat, counter))
         return {"tau_hat": tau_hat, "tau_hat_index": tau_hat_idx,
                 "tau_grid": grid.taus, "tau_sums": tuple(tau_sums),
                 "rho2_cost": rho2, "rho6_cost": rho6}

@@ -231,6 +231,15 @@ def test_exceptional_adjust_moves_pivot_to_vertex():
     assert bumped > 0  # the adjustment is exercised, not vacuous
 
 
+def test_exceptional_adjust_without_pivot_returns_input():
+    """A zero budget allocates nothing and names no pivot; there is nothing
+    to adjust, whichever curve comes along."""
+    curves = [lower_hull(i, [(0, 4.0), (1, 1.0), (2, 0.0)]) for i in range(2)]
+    alloc = allocate([c.marginals() for c in curves], t=0, rho=2.0)
+    assert alloc.pivot_site is None and alloc.t_by_site == (0, 0)
+    assert exceptional_adjust(alloc, curves[1]) is alloc
+
+
 def test_exceptional_adjust_rejects_foreign_curve():
     curves = [
         lower_hull(0, [(0, 10.0), (2, 0.0)]),
@@ -333,6 +342,20 @@ def test_merge_serves_union_cheapest(objective):
 def test_merge_at_endpoint_returns_input():
     inst, a, b = _two_solutions(9, 14, 2, 2, 5)
     assert merge_two_solutions(inst, a, b, a.total_excluded) is a
+
+
+def test_merge_takes_its_inputs_in_either_order():
+    """Given the solution with more outliers first, the merge swaps them:
+    every target gives the solution the ascending order gives, and each
+    endpoint returns the input with that many outliers."""
+    inst, a, b = _two_solutions(3, 16, 2, 1, 6)
+    lo, hi = a.total_excluded, b.total_excluded
+    assert lo < hi - 1
+    assert merge_two_solutions(inst, b, a, lo) is a
+    assert merge_two_solutions(inst, b, a, hi) is b
+    for target in range(lo + 1, hi):
+        assert merge_two_solutions(inst, b, a, target) == merge_two_solutions(
+            inst, a, b, target)
 
 
 def test_merge_rejects_target_outside_range():

@@ -299,6 +299,48 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     assert ei.value.code == 2
 
 
+_THREE_POINTS = "".join(json.dumps({"id": i, "coords": c}) + "\n" for i, c in
+                        enumerate([[0.0, 0.0], [3.0, 4.0], [6.0, 0.0]]))
+_THREE_BY_THREE = "3\n0 5 6\n5 0 5\n6 5 0\n"
+_INPUT_ERRORS = [
+    # (id, files to write, solve arguments naming them, message in stderr)
+    ("matrix-empty", {"m.txt": ""}, ["--matrix", "m.txt"], "empty matrix file"),
+    ("matrix-count", {"m.txt": "0\n"}, ["--matrix", "m.txt"],
+     "point count must be positive"),
+    ("matrix-short-row", {"m.txt": "2\n0 1\n1\n"}, ["--matrix", "m.txt"],
+     "expected 2 entries, found 1"),
+    ("matrix-not-number", {"m.txt": "2\n0 x\nx 0\n"}, ["--matrix", "m.txt"],
+     "matrix entries must be numbers"),
+    ("points-no-rows", {"p.jsonl": "\n"}, ["--input", "p.jsonl"],
+     "file holds no points"),
+    ("nodes-no-rows", {"p.jsonl": _THREE_POINTS, "n.jsonl": "\n"},
+     ["--input", "p.jsonl", "--nodes", "n.jsonl", "--alg", "center-g"],
+     "file holds no nodes"),
+    ("input-and-matrix", {"p.jsonl": _THREE_POINTS, "m.txt": _THREE_BY_THREE},
+     ["--input", "p.jsonl", "--matrix", "m.txt"], "give --input or --matrix, not both"),
+    ("by-file-matrix", {"m.txt": _THREE_BY_THREE},
+     ["--matrix", "m.txt", "--partition", "by-file"],
+     "by-file partition needs --input files"),
+    ("node-alg-no-nodes", {"p.jsonl": _THREE_POINTS},
+     ["--input", "p.jsonl", "--alg", "uncertain-median"],
+     "--alg uncertain-median needs --nodes"),
+]
+
+
+@pytest.mark.parametrize("files, args, message", [e[1:] for e in _INPUT_ERRORS],
+                         ids=[e[0] for e in _INPUT_ERRORS])
+def test_solve_input_errors_exit_2(tmp_path, files, args, message, capsys):
+    """Unusable input files and input flags exit 2 with nothing on stdout
+    and the reason on stderr. An --alg not given is kt-median."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in args]
+    if "--alg" not in argv:
+        argv += ["--alg", "kt-median"]
+    code, out, err = run(["solve", "--k", "1", "--t", "0"] + argv, capsys)
+    assert (code, out) == (2, "") and message in err
+
+
 # What each --alg reads beyond --k, --t, the input, the output flags, --seed
 # and --jobs, as the README's table gives it.
 _SITES = ("--sites", "--partition", "--transcript")
@@ -422,8 +464,10 @@ _GOLDEN = [
 @pytest.fixture(scope="module")
 def golden_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    pts_f = root / "pts.jsonl"
-    write_points_jsonl(pts_f, gen_planted(48, 2, 4, seed=6))
+    pts_f, matrix_f = root / "pts.jsonl", root / "matrix.txt"
+    pts = gen_planted(48, 2, 4, seed=6)
+    write_points_jsonl(pts_f, pts)
+    write_matrix(matrix_f, np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
     universe, nodes = gen_uncertain_planted(14, 2, 2, seed=3)
     upts_f, nodes_f = root / "upts.jsonl", root / "nodes.jsonl"
     write_points_jsonl(upts_f, universe)
@@ -436,13 +480,24 @@ def golden_inputs(tmp_path_factory):
     write_nodes_jsonl(bench_nodes_f, nodes)
     # keyed by the input kind of cli._ALGS: subquadratic's "instance" is the
     # points file on one machine, without --sites
-    return root, {"points": ["--input", str(pts_f)] + _POINT_ARGS,
-                  "instance": ["--input", str(pts_f)] + _ONE_MACHINE_ARGS,
-                  "nodes": ["--input", str(upts_f), "--nodes", str(nodes_f)]
-                  + _NODE_ARGS,
-                  "large": ["--input", str(large_f)],
-                  "bench-nodes": ["--input", str(bench_upts_f),
-                                  "--nodes", str(bench_nodes_f)]}
+    inputs = {"points": ["--input", str(pts_f)] + _POINT_ARGS,
+              "instance": ["--input", str(pts_f)] + _ONE_MACHINE_ARGS,
+              "nodes": ["--input", str(upts_f), "--nodes", str(nodes_f)]
+              + _NODE_ARGS,
+              "large": ["--input", str(large_f)],
+              "bench-nodes": ["--input", str(bench_upts_f),
+                              "--nodes", str(bench_nodes_f)],
+              "matrix": ["--matrix", str(matrix_f)] + _POINT_ARGS}
+    # centerg-threads inputs at benchmark seeds 9 and 10, with its flags
+    for seed in (9, 10):
+        universe, nodes = gen_uncertain_planted(120, 3, 4, seed=seed)
+        upts_f, nodes_f = root / f"upts-{seed}.jsonl", root / f"nodes-{seed}.jsonl"
+        write_points_jsonl(upts_f, universe)
+        write_nodes_jsonl(nodes_f, nodes)
+        inputs[f"bench-nodes-{seed}"] = [
+            "--input", str(upts_f), "--nodes", str(nodes_f), "--k", "3",
+            "--t", "4", "--sites", "2", "--seed", str(seed)]
+    return root, inputs
 
 
 @pytest.mark.parametrize("flags, report_sha, transcript_sha", _GOLDEN,
@@ -724,10 +779,12 @@ def test_solve_duplicate_points_golden_reports(duplicate_points_file, flags,
 # Every --alg, one-round under each objective, on the golden inputs, the
 # duplicate points and the centerg-threads-shaped nodes. The golden nodes
 # also run over contiguous sites, which put nodes 12 and 13, of one
-# support, on one site. subquadratic at depth 2 on the duplicate points
-# evaluates one 9 x 9 block twice: a virtual site of its second level holds
-# the very demands of one of the first level's, and nothing carries a
-# block from one level to the next.
+# support, on one site. On the seed 9 and 10 centerg-threads shapes the
+# coordinator serves two nodes of one support at one center, and the
+# matrix input reads its center costs as columns, not rows. subquadratic
+# at depth 2 on the duplicate points evaluates one 9 x 9 block twice: a
+# virtual site of its second level holds the very demands of one of the
+# first level's, and nothing carries a block from one level to the next.
 _POINT_FLAGS = [["--alg", alg] for alg in ("kt-median", "kt-means", "kt-center",
                                            "kt-median-co", "subquadratic")] + [
     ["--alg", "one-round", "--objective", obj] for obj in ("median", "means", "center")]
@@ -737,7 +794,12 @@ _ONCE_RUNS = (
     + [(data, ["--alg", alg]) for data in ("nodes", "nodes-contiguous")
        for alg in _NODE_ALGS]
     + [("bench-nodes", ["--alg", alg] + _BENCH_NODE_ARGS)
-       for alg in ("uncertain-center-pp", "center-g")])
+       for alg in ("uncertain-center-pp", "center-g")]
+    + [(f"bench-nodes-{seed}", ["--alg", alg]) for seed in (9, 10)
+       for alg in ("uncertain-median", "uncertain-center-pp", "center-g")]
+    + [("matrix", ["--alg", "kt-center"]),
+       ("matrix", ["--alg", "one-round", "--objective", "center"]),
+       ("matrix", ["--alg", "kt-median"])])
 
 
 _REPEATS_A_LEVEL = pytest.mark.xfail(

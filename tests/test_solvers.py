@@ -43,6 +43,7 @@ from helpers import (
     naive_kt_center_outliers,
     random_instance,
     random_points,
+    record_blocks,
 )
 
 
@@ -973,6 +974,29 @@ def test_bicriteria_center_relax_respects_caps():
         assert instance_cost(inst, sol, Objective.MEDIAN) == pytest.approx(sol.cost)
 
 
+def test_bicriteria_randomized_rounding_pins(monkeypatch):
+    """Integer-grid points (two of them coincide) whose facility-cost search
+    ends in a bracket that the seeded lottery rounds: at most k centers and
+    floor((1 + eps) t) excluded copies, the same solution for the same seed,
+    and the bracket's K1 x K2 block evaluated and counted once however often
+    the instance is solved."""
+    pts = np.array([[2, 5], [5, 5], [2, 1], [2, 3], [0, 2], [2, 2], [4, 4],
+                    [1, 0], [2, 1], [1, 2]], dtype=float)
+    blocks = record_blocks(monkeypatch)
+    inst = Instance.from_points(MetricSpace.euclidean(pts))
+    cfg = BicriteriaConfig(epsilon=1.0, relax="outliers")
+    sol = bicriteria_median(inst, 4, 4, cfg, seed=57)
+    assert sol.note == "rounded"
+    assert (sol.centers, sol.total_excluded, sol.cost) == ((2, 4), 8, 0.0)
+    assert len(sol.centers) <= 4 and sol.total_excluded <= 8
+    assert instance_cost(inst, sol, Objective.MEDIAN) == sol.cost
+    assert bicriteria_median(inst, 4, 4, cfg, seed=57) == sol
+    # the support x candidates block of the cost matrix, then K1 x K2
+    assert [len(b.rows) for b in blocks] == [inst.n, 2]
+    assert all(b.counter is inst.counter for b in blocks)
+    assert inst.counter.count == sum(b.entries for b in blocks)
+
+
 def test_bicriteria_cost_vs_oracle_spot():
     for seed in range(15):
         inst = random_instance(400 + seed, 12)
@@ -1031,6 +1055,16 @@ def test_oracle_center_objective(line_space):
     sol = exact_oracle(inst, 1, 1, Objective.CENTER)
     assert sol.cost == pytest.approx(1.0)
     assert sol.centers == (1,)
+
+
+def test_oracle_with_budget_over_total_weight(line_space):
+    """t at or above the total weight excludes every copy and keeps the
+    lowest candidate as its lone center, at cost 0."""
+    inst = Instance.from_points(line_space)
+    for t in (inst.total_weight, inst.total_weight + 3):
+        sol = exact_oracle(inst, 2, t, Objective.MEDIAN)
+        assert sol.centers == (0,) and sol.assignment == {} and sol.cost == 0.0
+        assert sol.outliers == {j: 1 for j in range(inst.n)}
 
 
 def test_oracle_guard():
