@@ -175,6 +175,12 @@ class EvalCounter:
         self._blocks.setdefault(key, (rows, cols, D))
         return D
 
+    def forget(self):
+        """Drop the kept blocks, once the party's later steps read none of
+        them again; a block asked for after this is evaluated and counted
+        again. The tally stays."""
+        self._blocks.clear()
+
 
 @dataclass(frozen=True)
 class Demand:

@@ -346,10 +346,15 @@ class SortedCosts:
     ``costs[u]`` those costs, and ``cum_w[u]`` / ``cum_wc[u]`` the running
     sums of weight and of weight times cost along that order.
 
+    ``weights`` are the demands' weights, as floats.
+
     ``runs`` caches the probes' runs by facility cost (see
     :func:`jv_facility_location`): a probe at a cost already run reads its
     result off that run when the run went far enough, and otherwise runs
-    again and replaces it. A table fills as it is probed, so it serves one
+    again and replaces it. ``verdicts`` and ``spreads`` cache
+    :meth:`keeps_one_center` by facility cost and by first opening, and
+    ``held`` keeps the opening times that a failed verdict computed for the
+    run that follows it. A table fills as it is probed, so it serves one
     site's curve round and is dropped with it."""
 
     matrix: np.ndarray
@@ -357,7 +362,11 @@ class SortedCosts:
     costs: np.ndarray
     cum_w: np.ndarray
     cum_wc: np.ndarray
+    weights: np.ndarray
     runs: dict = field(default_factory=dict, compare=False, repr=False)
+    verdicts: dict = field(default_factory=dict, compare=False, repr=False)
+    spreads: dict = field(default_factory=dict, compare=False, repr=False)
+    held: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, instance, objective, tau=0.0):
@@ -379,7 +388,8 @@ class SortedCosts:
         w_sorted = instance.weights[order]
         cum_w = np.cumsum(w_sorted, axis=1)
         w_sorted *= costs
-        return cls(C, order, costs, cum_w, np.cumsum(w_sorted, axis=1))
+        return cls(C, order, costs, cum_w, np.cumsum(w_sorted, axis=1),
+                   instance.weights)
 
     @classmethod
     def ensure(cls, table, instance, objective, tau=0.0):
@@ -394,7 +404,12 @@ class SortedCosts:
     def initial_opening_times(self, z):
         """Opening time of every candidate while all demands are active and
         nothing is frozen: the least cost level theta at which the duals
-        max(theta - c, 0) summed over the demands reach ``z``."""
+        max(theta - c, 0) summed over the demands reach ``z``. Times that
+        :meth:`keeps_one_center` computed at ``z`` are handed over once,
+        not computed again."""
+        held = self.held.pop(z, None)
+        if held is not None:
+            return held
         m, n = self.costs.shape
         times = np.zeros(m)
         if z <= 0:
@@ -411,6 +426,68 @@ class SortedCosts:
             cand[~ok] = np.inf
             times[rows] = cand.min(axis=1)
         return np.maximum(times, 0.0)
+
+    def keeps_one_center(self, z):
+        """True when a primal-dual run at ``z > 0`` keeps at most one
+        center after pruning, at every stop weight: a one-center
+        certificate, read without a run.
+
+        Let u1 be the first candidate to open, the argmin of
+        :meth:`initial_opening_times` (lowest index on ties), at level
+        theta1. That is exact: the event loop's first search re-estimates u1
+        on its unfrozen row with the float operations of those times, so u1
+        is fresh and opens first, and pruning, greedy in opening order,
+        keeps it. A second kept center u2 conflicts with no kept center, so
+        every demand with a dual alpha_j above c_{j,u2} + tol has alpha_j at
+        most c_{j,u1} + tol, where tol = 1e-12 (1 + max alpha) is pruning's
+        tolerance. Those demands pay u2's facility cost; the others pay at
+        most tol each. So u2 opens only if
+
+            z <= spread(u1) + W tol,
+            spread(u1) = max over u of sum_j w_j (c_{j,u1} - c_{j,u})+,
+
+        with W the total weight. Once u1 is open, every demand freezes by
+        the level max(theta1, cmax), so no dual exceeds it by more than the
+        loop's relative 1e-12. Each float tolerance of the loop adds at most
+        W * 1e-12 (1 + theta1 + cmax) to the right side: pruning's tol, the
+        1e-12 relative staleness of a heap key and the 1e-12 windows of the
+        opening estimates. So when
+
+            z > (spread(u1) + 4 W 1e-12 (1 + theta1 + cmax)) (1 + 1e-9),
+
+        the factor covering rounding in the sums, no second candidate is
+        kept. The verdict is cached per ``z``, so every stop weight of a
+        site's q grid shares it; spread(u1) is cached per u1 and read in
+        column blocks. A failed verdict holds its opening times for the run
+        at ``z`` that follows it."""
+        verdict = self.verdicts.get(z)
+        if verdict is not None:
+            return verdict
+        times = self.initial_opening_times(z)
+        u1 = int(times.argmin())
+        spread = self.spreads.get(u1)
+        if spread is None:
+            spread = self.spreads[u1] = self._spread(u1)
+        total, cmax = float(self.cum_w[0, -1]), float(self.costs[:, -1].max())
+        slack = 4.0 * total * 1e-12 * (1.0 + float(times[u1]) + cmax)
+        verdict = self.verdicts[z] = z > (spread + slack) * (1.0 + 1e-9)
+        if not verdict:
+            self.held.clear()
+            self.held[z] = times
+        return verdict
+
+    def _spread(self, u):
+        """max over candidates v of sum_j w_j (c_{j,u} - c_{j,v})+, over
+        column blocks that keep the temporaries small next to the table."""
+        C = self.matrix
+        n, m = C.shape
+        step = max(1, _BLOCK_ENTRIES // n)
+        spread = 0.0
+        for r in range(0, m, step):
+            gap = C[:, u, None] - C[:, r:r + step]
+            np.maximum(gap, 0.0, out=gap)
+            spread = max(spread, float((self.weights @ gap).max()))
+        return spread
 
 
 @dataclass(frozen=True)
@@ -866,6 +943,12 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     under ceil((1+eps) k) centers, else the small solution padded greedily
     up to the cap.
 
+    With k >= 2, a facility cost that :meth:`SortedCosts.keeps_one_center`
+    certifies is taken as a run with fewer than k centers without making
+    the run; it is made only when the search ends with that cost on the
+    small side. The search visits the same costs, so the answer is that of
+    running every probe.
+
     ``tau`` truncates the metric the duals grow against; ``report_tau``
     (defaulting to ``tau``) is the truncation the returned solution is
     assigned and measured under. ``table`` is the :class:`SortedCosts` of the
@@ -897,23 +980,32 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
         sol.note = note
         return sol
 
+    def fewer(zv):
+        # A run that keeps at most one center keeps fewer than k: the search
+        # moves on without it, and runs it only if its centers are needed.
+        return k >= 2 and table.keeps_one_center(zv)
+
     z_lo, z_hi = 0.0, instance.total_weight * cmax + 1.0
     res_lo = probe(z_lo)
     if len(res_lo.centers) == k:
         return finish(res_lo.centers, t, "exact")
     if len(res_lo.centers) < k:
         return finish(res_lo.centers, t, "bracket-low")
-    res_hi = probe(z_hi)
-    if len(res_hi.centers) == k:
-        return finish(res_hi.centers, t, "exact")
-    if len(res_hi.centers) > k:
-        return finish(res_hi.centers, final_budget, "bracket-failed")
+    res_hi = None if fewer(z_hi) else probe(z_hi)
+    if res_hi is not None:
+        if len(res_hi.centers) == k:
+            return finish(res_hi.centers, t, "exact")
+        if len(res_hi.centers) > k:
+            return finish(res_hi.centers, final_budget, "bracket-failed")
 
-    sol_large, sol_small = res_lo, res_hi
+    sol_large, sol_small = res_lo, res_hi   # None: the run at z_hi is not made yet
     for _ in range(_FACILITY_COST_SEARCH_ITERS):
         if z_hi - z_lo <= 1e-9 * max(1.0, z_hi):
             break
         mid = 0.5 * (z_lo + z_hi)
+        if fewer(mid):
+            z_hi, sol_small = mid, None
+            continue
         r = probe(mid)
         c = len(r.centers)
         if c == k:
@@ -923,6 +1015,8 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
         else:
             z_hi, sol_small = mid, r
 
+    if sol_small is None:
+        sol_small = probe(z_hi)
     K1, K2 = sol_small.centers, sol_large.centers
     k1, k2 = len(K1), len(K2)
     a = (k2 - k) / (k2 - k1)

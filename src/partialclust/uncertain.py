@@ -194,6 +194,7 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
         demands = build_compressed_graph(
             space, [npartition.nodes[j] for j in npartition.sites[i]],
             collapse_obj, counter)
+        counter.forget()   # no later step reads the 1-median blocks
         return Instance(space, demands, [d.anchor for d in demands],
                         counter=counter)
 
@@ -281,6 +282,7 @@ def run_center_g(npartition, k, t, epsilon=1.0):
                    for nd in nodes]
         cands = [one_median(space, nd, Objective.MEDIAN, counter).point
                  for nd in nodes]
+        counter.forget()   # no later step reads the 1-median blocks
         return Instance(space, demands, cands, counter=counter)
 
     site_insts = _run_sites(site_instance, npartition.n_sites, secs)

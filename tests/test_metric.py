@@ -196,6 +196,20 @@ def test_instance_counts_distance_evaluations(square_space):
     assert counter.count == 2 * first
 
 
+def test_eval_counter_forget_drops_kept_blocks(square_space):
+    """A kept block is handed back without a count; once forgotten, it is
+    evaluated and counted again, and the tally stays."""
+    counter = EvalCounter()
+    first = counter.block(square_space, [0, 1], [2, 3, 4])
+    assert counter.block(square_space, [0, 1], [2, 3, 4]) is first
+    assert counter.count == 6
+    counter.forget()
+    assert counter.count == 6
+    again = counter.block(square_space, [0, 1], [2, 3, 4])
+    assert again is not first and np.array_equal(again, first)
+    assert counter.count == 12
+
+
 def test_cost_matrix_values_with_collapse(square_space):
     d = Demand((0, 1), (0.5, 0.5), collapse=3.0)
     inst = Instance(square_space, (d,), (0, 4))

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partialclust import (
@@ -494,6 +494,54 @@ def test_center_protocol_properties(protocol, case):
     assert rep.ledger.total_words <= closed
     if full:
         assert rep.ledger.total_words == closed
+
+
+@st.composite
+def _sum_runs(draw):
+    """Up to 16 integer-grid points (duplicates allowed) over 1-4 sites,
+    split round-robin or contiguously, with k in 1..3 and t from 0 to about
+    n/2, where the budgets are loosest."""
+    coords = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                           min_size=2, max_size=16))
+    space = MetricSpace.euclidean(np.array(coords, dtype=float))
+    split = draw(st.sampled_from([Partition.round_robin, Partition.contiguous]))
+    part = split(space, draw(st.integers(1, min(4, space.n))))
+    return part, draw(st.integers(1, 3)), draw(st.integers(0, space.n // 2))
+
+
+# The high-budget clustering-only run the README describes: 38 of 40 ignored.
+_HIGH_BUDGET = (Partition.round_robin(MetricSpace.euclidean(gen_planted(40, 3, 4, seed=1)), 4),
+                3, 17)
+
+
+@pytest.mark.parametrize("alg", ["kt-median", "kt-median-co", "one-round"])
+@settings(max_examples=100, deadline=None)
+@given(case=_sum_runs())
+@example(case=_HIGH_BUDGET)
+def test_sum_protocol_budget_properties(alg, case):
+    """The median protocols keep their README budgets at every t up to
+    about n/2 (epsilon 1, delta 0.25): kt-median and one-round median
+    ignore at most floor((1 + eps) t) points, kt-median's sites budget at
+    most 3t, and kt-median-co ignores at most (2 + eps + delta) t, its sites
+    at most (1 + delta) t. ``instance_cost`` recomputes the reported cost."""
+    part, k, t = case
+    if alg == "kt-median":
+        rep = run_kt_median(part, k, t, seed=3)
+        assert sum(rep.budgets) <= 3 * t
+        bound = 2 * t
+    elif alg == "one-round":
+        rep = run_one_round(part, k, t, seed=3)
+        bound = 2 * t
+    else:
+        rep = run_kt_median_clustering_only(part, k, t, delta=0.25, seed=3)
+        assert sum(rep.budgets) <= 1.25 * t + 1e-9
+        assert rep.solution.total_excluded == rep.extras["total_ignored"]
+        bound = (2 + 1.0 + 0.25) * t + 1e-9
+    sol = rep.solution
+    assert sol.total_excluded <= bound
+    assert len(sol.centers) <= k
+    points = Instance.from_points(part.space, merge_duplicates=False)
+    assert instance_cost(points, sol, Objective.MEDIAN) == pytest.approx(sol.cost, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -950,8 +950,142 @@ def test_jv_rejects_table_of_another_matrix():
         jv_facility_location(inst, 3.0, Objective.MEDIAN, table=table)
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=_jv_cases(), data=st.data())
+def test_initial_opening_times_match_first_estimates(case, data):
+    """Each initial opening time is, bit for bit, the estimate of its
+    candidate on its whole row with every demand active, the float
+    operations of the event loop's first search, so the first candidate
+    to open is their argmin (the premise of the one-center certificate).
+    Costs include those at which a row's whole-row level sits just above or
+    below its largest cost."""
+    inst, z, objective, tau, _ = case
+    table = SortedCosts.build(inst, objective, tau)
+    W = float(inst.total_weight)
+    u = data.draw(st.integers(0, len(inst.candidates) - 1))
+    edge = W * float(table.costs[u, -1]) - float(table.cum_wc[u, -1])
+    zs = [z] + [edge * (1.0 + f) for f in (-1e-7, -1e-10, 0.0, 1e-10, 1e-7)]
+    for zv in (zv for zv in zs if zv > 0):
+        times = table.initial_opening_times(zv)
+        want = [solvers._opening_estimate(table.order[v], table.costs[v], inst.weights.copy(),
+                                          zv, 0.0) for v in range(len(inst.candidates))]
+        assert [float(x).hex() for x in times] == [float(x).hex() for x in want]
+
+
+def _spreads(inst, objective, tau):
+    """spread(u) = max over v of sum_j w_j (c_{j,u} - c_{j,v})+, for every
+    candidate column u, one column pair at a time."""
+    C = inst.cost_matrix(objective, tau)
+    w = inst.weights
+    m = C.shape[1]
+    return [max(float(np.sum(w * np.maximum(C[:, u] - C[:, v], 0.0))) for v in range(m))
+            for u in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_jv_cases(), data=st.data())
+def test_one_center_certificate_holds(case, data):
+    """Whenever ``keeps_one_center(z)`` holds, a probe at ``z`` opens the
+    argmin of the initial opening times first and keeps at most that one
+    center, at every stop weight from 0 to W - 1. The costs sit just above
+    and just below each candidate's spread, and on the facility-cost
+    search's top halvings. A verdict implies z > spread(u1); z well past
+    spread(u1) gives one; and a probe after a failed verdict, which reads
+    the opening times the verdict held, matches the heap reference."""
+    inst, _, objective, tau, _ = case
+    W = inst.total_weight
+    cmax = float(inst.cost_matrix(objective, tau).max())
+    spreads = _spreads(inst, objective, tau)
+    zs = [s * f for s in set(spreads) for f in (1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-8, 1 + 1e-3)]
+    zs += [(W * cmax + 1.0) * 2.0 ** -e for e in range(6)]
+    zs = data.draw(st.lists(st.sampled_from(sorted({z for z in zs if z > 0} or {1.0})),
+                            min_size=1, max_size=4))
+    table = SortedCosts.build(inst, objective, tau)
+    for z in zs:
+        times = SortedCosts.build(inst, objective, tau).initial_opening_times(z)
+        u1 = int(times.argmin())
+        holds = table.keeps_one_center(z)
+        assert table.keeps_one_center(z) == holds
+        if holds:
+            assert z > spreads[u1]
+        elif z > (spreads[u1] + 8e-12 * W * (1.0 + times[u1] + cmax)) * (1.0 + 1e-8):
+            pytest.fail(f"no verdict at z={z!r}, far past spread {spreads[u1]!r}")
+        for stop_weight in data.draw(st.lists(st.integers(0, W - 1), min_size=1, max_size=3)):
+            res = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
+            if holds:
+                assert len(res.centers) <= 1
+                assert res.temp_open[0] == inst.candidates[u1]
+            else:
+                slow = lazy_heap_jv_facility_location(inst, z, objective, tau, stop_weight)
+                assert (res.centers, res.temp_open) == (slow.centers, slow.temp_open)
+                assert res.certificate.alpha.tobytes() == slow.certificate.alpha.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bicriteria solver
+
+
+@st.composite
+def _search_cases(draw):
+    """(instance, k, t, cfg, objective, tau) for one facility-cost search:
+    the shapes of :func:`_jv_cases`, k from 1 to 4 and t from 0 to W - 1,
+    under both ``relax`` modes."""
+    inst, _, objective, tau, t = draw(_jv_cases())
+    cfg = BicriteriaConfig(epsilon=draw(st.sampled_from([0.5, 1.0])),
+                           relax=draw(st.sampled_from(["outliers", "centers"])))
+    return inst, draw(st.integers(1, 4)), t, cfg, objective, tau
+
+
+def _without_certificate(monkeypatch):
+    """The search with every verdict failed: it runs every probe."""
+    monkeypatch.setattr(SortedCosts, "keeps_one_center", lambda self, z: False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_search_cases(), seed=st.integers(0, 3), data=st.data())
+def test_bicriteria_same_without_certificate(case, seed, data):
+    """Skipping the certified probes changes no solution: the search is
+    that of running every probe, under both relax modes and at k = 1, where
+    no verdict is read. Several budgets share one table, and its verdicts,
+    as a site's q grid does."""
+    inst, k, t, cfg, objective, tau = case
+    ts = [t] + data.draw(st.lists(st.integers(0, inst.total_weight - 1), max_size=2))
+    table = SortedCosts.build(inst, objective, tau)
+    with_cert = [bicriteria_median(inst, k, q, cfg, objective, seed, tau, table=table)
+                 for q in ts]
+    with pytest.MonkeyPatch.context() as mp:
+        _without_certificate(mp)
+        assert [bicriteria_median(inst, k, q, cfg, objective, seed, tau) for q in ts] == with_cert
+
+
+@pytest.mark.parametrize("relax,note", [("outliers", "rounded"), ("centers", "union")])
+def test_bicriteria_runs_a_deferred_small_side(relax, note, monkeypatch):
+    """Six points 1e-11 apart (matrix mode): the z = 0 run keeps four
+    centers and every later cost is certified, so the search halves down to
+    its stop with no run, then makes the run of its small side once, for
+    K1. The answer is that of the search that runs every probe."""
+    D = np.full((6, 6), 1e-11)
+    np.fill_diagonal(D, 0.0)
+    inst = Instance.from_points(MetricSpace.from_matrix(D))
+    cfg = BicriteriaConfig(epsilon=1.0, relax=relax)
+    probes = []
+    jv = solvers.jv_facility_location
+
+    def counted(instance, z, *args, **kwargs):
+        res = jv(instance, z, *args, **kwargs)
+        probes.append((z, len(res.centers)))
+        return res
+
+    monkeypatch.setattr(solvers, "jv_facility_location", counted)
+    sol = bicriteria_median(inst, 3, 2, cfg, seed=5)
+    assert sol.note == note
+    (z0, c0), (z_small, c_small) = probes
+    assert (z0, c0, c_small) == (0.0, 4, 1)
+    assert 0.0 < z_small <= 1e-9
+    probes.clear()
+    _without_certificate(monkeypatch)
+    assert bicriteria_median(inst, 3, 2, cfg, seed=5) == sol
+    assert len(probes) > 30 and probes[-1][0] == z_small
 
 
 def test_bicriteria_outlier_relax_respects_caps():
