@@ -120,10 +120,24 @@ class MetricSpace:
             raise InvalidPointError("row index out of range")
         if cols.size and (cols.min() < 0 or cols.max() >= self.n):
             raise InvalidPointError("column index out of range")
-        if self.mode == "euclidean":
-            diff = self.coords[rows][:, None, :] - self.coords[cols][None, :, :]
+        if self.mode == "matrix":
+            return self.matrix[np.ix_(rows, cols)]
+        X, Y = self.coords[rows], self.coords[cols]
+        if self.word_width >= 8:
+            diff = X[:, None, :] - Y[None, :, :]
             return np.sqrt((diff * diff).sum(axis=2))
-        return self.matrix[np.ix_(rows, cols)]
+        # Below 8 terms numpy's sum over the last axis adds the squares in
+        # coordinate order, so building the block one coordinate at a time
+        # gives the same bits without the rows x cols x d temporary. From 8
+        # terms on, its pairwise sum orders the additions differently.
+        sq = np.subtract.outer(X[:, 0], Y[:, 0])
+        sq *= sq
+        dc = np.empty_like(sq)
+        for c in range(1, self.word_width):
+            np.subtract.outer(X[:, c], Y[:, c], out=dc)
+            dc *= dc
+            sq += dc
+        return np.sqrt(sq, out=sq)
 
 
 def extremes(space):

@@ -354,8 +354,9 @@ class SortedCosts:
     again and replaces it. ``verdicts`` and ``spreads`` cache
     :meth:`keeps_one_center` by facility cost and by first opening, and
     ``held`` keeps the opening times that a failed verdict computed for the
-    run that follows it. A table fills as it is probed, so it serves one
-    site's curve round and is dropped with it."""
+    run that follows it. ``floors`` caches :meth:`keeps_fewer_than`'s least
+    certified facility cost by center count. A table fills as it is probed,
+    so it serves one site's curve round and is dropped with it."""
 
     matrix: np.ndarray
     order: np.ndarray
@@ -367,6 +368,7 @@ class SortedCosts:
     verdicts: dict = field(default_factory=dict, compare=False, repr=False)
     spreads: dict = field(default_factory=dict, compare=False, repr=False)
     held: dict = field(default_factory=dict, compare=False, repr=False)
+    floors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, instance, objective, tau=0.0):
@@ -475,6 +477,58 @@ class SortedCosts:
             self.held.clear()
             self.held[z] = times
         return verdict
+
+    def keeps_fewer_than(self, k, z):
+        """True when a primal-dual run at ``z`` keeps fewer than ``k``
+        centers after pruning, at every stop weight: a many-center
+        certificate for tables whose costs are often exactly 0, read without
+        a run.
+
+        Demand j's clique is the candidates u with c_{j,u} = 0. A greedy
+        cover takes, while some candidate is uncovered, the clique that
+        covers most of them; once none covers two, each candidate left is a
+        clique of its own. Say it takes r0 cliques. When r0 < k and
+
+            z > 2 W 1e-12 (1 + cmax),
+
+        with W the total weight, every run at ``z`` keeps at most r0
+        centers:
+
+        - Every dual is at least theta1 >= fl(z / W), the first opening
+          level: an opening time pays ``z`` with weights summing to at most
+          W, and no freeze time or stop level lies below it.
+        - No dual exceeds max(theta1, cmax) by more than the loop's relative
+          1e-12, by :meth:`keeps_one_center`'s argument, so pruning's
+          tolerance 1e-12 (1 + max alpha) lies below theta1. Pruning then
+          runs, and two candidates at cost 0 to one demand conflict.
+        - Kept centers never conflict, so a run keeps at most one center of
+          each clique.
+
+        The cover stops at k cliques, so it costs O(k n m), once per ``k``;
+        after that a verdict is one comparison."""
+        floor = self.floors.get(k)
+        if floor is None:
+            floor = self.floors[k] = self._zero_clique_floor(k)
+        return z > floor
+
+    def _zero_clique_floor(self, k):
+        """The least facility cost :meth:`keeps_fewer_than` certifies for
+        ``k``: inf when the greedy cover takes k cliques or more."""
+        zero = self.matrix == 0.0
+        uncovered = np.ones(zero.shape[1], dtype=bool)
+        cliques = 0
+        while cliques < k and uncovered.any():
+            hits = np.count_nonzero(zero[:, uncovered], axis=1)
+            j = int(hits.argmax())
+            if hits[j] < 2:
+                cliques += int(np.count_nonzero(uncovered))
+                break
+            uncovered &= ~zero[j]
+            cliques += 1
+        if cliques >= k:
+            return np.inf
+        total, cmax = float(self.cum_w[0, -1]), float(self.costs[:, -1].max())
+        return 2.0 * total * 1e-12 * (1.0 + cmax)
 
     def _spread(self, u):
         """max over candidates v of sum_j w_j (c_{j,u} - c_{j,v})+, over
@@ -653,6 +707,43 @@ def _next_opening(key, estimate, estimates, batch_size):
     return best, u
 
 
+def _paid_openings(key, theta, estimates, batch_size, freezes):
+    """The lazy heap's next openings after one at ``theta`` that froze
+    nothing, all at ``theta``, with the stored times ``key`` (inf for
+    candidates that opened).
+
+    Until the next freeze the duals do not move, so every search re-estimates
+    a key to the same value, and the heap answers with the candidates in
+    (K', index) order, K' as in :func:`_next_opening`. An answer with
+    K' <= ``theta`` opens at ``theta`` itself, and the first whose column
+    reaches an active demand within the level (``freezes(us)``, one flag per
+    candidate) ends the openings with a freeze. A key above ``theta`` has
+    K' above it, so only keys at or below it are estimated, in batches of
+    ``batch_size``. Returns the candidates to open, in order; stores, as the
+    heap would, the estimate of every stale key whose (K, index) comes
+    before the last of them, and does not mark them open."""
+    us = np.flatnonzero(key <= theta)
+    if not us.size:
+        return us
+    ks = key[us]
+    es = np.concatenate([estimates(us[r:r + batch_size])
+                         for r in range(0, len(us), batch_size)])
+    stale = es > ks + 1e-12 * (1.0 + np.abs(ks))
+    kp = np.where(stale, es, ks)
+    due = np.flatnonzero(kp <= theta)
+    due = due[np.lexsort((us[due], kp[due]))]
+    for r in range(0, len(due), batch_size):
+        hit = np.flatnonzero(freezes(us[due[r:r + batch_size]]))
+        if hit.size:
+            due = due[:r + int(hit[0]) + 1]
+            break
+    if due.size:
+        best, u = kp[due[-1]], us[due[-1]]
+        stale &= (ks < best) | ((ks == best) & (us < u))
+        key[us[stale]] = es[stale]
+    return us[due]
+
+
 def _event_run(instance, table, z, stop_weight):
     """The primal-dual event loop at ``z > 0``, up to the end of the first
     freeze batch that leaves at most ``stop_weight`` unconnected.
@@ -671,8 +762,11 @@ def _event_run(instance, table, z, stop_weight):
 
     ``t_freeze``, the least cost to an open candidate over the active
     demands, changes only when a candidate opens or demands freeze, and is
-    recomputed only then. Most openings freeze nothing: such a step records
-    its level and goes on to the next search.
+    recomputed only then. Most openings freeze nothing, and most of those
+    open a candidate that frozen demands have paid for: after an opening
+    that freezes nothing, every candidate the heap would open next at the
+    same level opens in one loop iteration (:func:`_paid_openings`), one
+    recorded step each, up to the first that freezes a demand.
     """
     C = table.matrix
     n, m = C.shape
@@ -703,6 +797,9 @@ def _event_run(instance, table, z, stop_weight):
     def estimates(us):
         return _opening_estimates(order[us], Csort[us], live_w, z - frozen_base[us], theta)
 
+    def freezes(us):
+        return (C[:, us][active] <= level).any(axis=0)
+
     # ``remaining`` is the weight of the active demands, so some are active.
     while remaining > stop_weight:
         if 2 * n_active < order.shape[1]:
@@ -714,18 +811,25 @@ def _event_run(instance, table, z, stop_weight):
         t_open = max(t_open, theta)
         if math.isinf(t_open) and math.isinf(t_freeze):
             break  # pragma: no cover - no facility can ever open
+        theta = min(t_open, t_freeze)
+        level = theta + 1e-12 * (1.0 + theta)
         if t_open <= t_freeze:
-            theta = t_open
             key[u_next] = np.inf
-            open_time[u_next] = theta
-            open_seq.append(u_next)
-            opened_at.append(len(thetas))
+            opening = [u_next]
             np.minimum(minopen, C[:, u_next], out=minopen)
             t_freeze = float(minopen.min(where=active, initial=np.inf))
-        else:
-            theta = t_freeze
-        level = theta + 1e-12 * (1.0 + theta)
-        if t_freeze > level:   # an opening that freezes nothing
+            if t_freeze > level:   # it freezes nothing
+                paid = _paid_openings(key, theta, estimates, estimate_rows, freezes)
+                if paid.size:
+                    key[paid] = np.inf
+                    opening += paid.tolist()
+                    np.minimum(minopen, C[:, paid].min(axis=1), out=minopen)
+                    t_freeze = float(minopen.min(where=active, initial=np.inf))
+            open_time[opening] = theta
+            open_seq += opening
+            opened_at += range(len(thetas), len(thetas) + len(opening))
+            thetas += [theta] * (len(opening) - 1)
+        if t_freeze > level:   # openings that freeze nothing
             thetas.append(theta)
             continue
         batch = np.flatnonzero(active & (minopen <= level))
@@ -943,11 +1047,11 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     under ceil((1+eps) k) centers, else the small solution padded greedily
     up to the cap.
 
-    With k >= 2, a facility cost that :meth:`SortedCosts.keeps_one_center`
-    certifies is taken as a run with fewer than k centers without making
-    the run; it is made only when the search ends with that cost on the
-    small side. The search visits the same costs, so the answer is that of
-    running every probe.
+    With k >= 2, a facility cost that :meth:`SortedCosts.keeps_fewer_than`
+    or :meth:`SortedCosts.keeps_one_center` certifies is taken as a run
+    with fewer than k centers without making the run; it is made only when
+    the search ends with that cost on the small side. The search visits the
+    same costs, so the answer is that of running every probe.
 
     ``tau`` truncates the metric the duals grow against; ``report_tau``
     (defaulting to ``tau``) is the truncation the returned solution is
@@ -981,9 +1085,10 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
         return sol
 
     def fewer(zv):
-        # A run that keeps at most one center keeps fewer than k: the search
-        # moves on without it, and runs it only if its centers are needed.
-        return k >= 2 and table.keeps_one_center(zv)
+        # A certified run keeps fewer than k centers: the search moves on
+        # without it, and runs it only if its centers are needed. The
+        # many-center verdict is one comparison, so it is read first.
+        return k >= 2 and (table.keeps_fewer_than(k, zv) or table.keeps_one_center(zv))
 
     z_lo, z_hi = 0.0, instance.total_weight * cmax + 1.0
     res_lo = probe(z_lo)

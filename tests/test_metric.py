@@ -60,6 +60,26 @@ def test_block_matches_pairwise(square_space):
             assert blk[a, b] == pytest.approx(square_space.distance(u, v))
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 9), scale=st.sampled_from([1.0, 1e150, 1e-300, 0.0]),
+       data=st.data())
+def test_block_matches_broadcast_sum(d, scale, data):
+    """The block is, bit for bit, the square root of the summed squared
+    differences over an n x m x d broadcast: random, huge (near the
+    overflow guard), tiny (subnormal) and all-zero coordinates, with
+    -0.0 among them, and rows and columns that repeat or are empty."""
+    n = data.draw(st.integers(1, 12))
+    coords = np.array(data.draw(st.lists(
+        st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0])),
+                 min_size=d, max_size=d), min_size=n, max_size=n))) * scale
+    space = MetricSpace.euclidean(coords)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=10)), dtype=int)
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=10)), dtype=int)
+    diff = coords[rows][:, None, :] - coords[cols][None, :, :]
+    want = np.sqrt((diff * diff).sum(axis=2))
+    assert space.block(rows, cols).tobytes() == want.tobytes()
+
+
 def test_matrix_space_roundtrip_and_width():
     pts = random_points(2, 6)
     eu = MetricSpace.euclidean(pts)

@@ -1021,6 +1021,213 @@ def test_one_center_certificate_holds(case, data):
                 assert res.certificate.alpha.tobytes() == slow.certificate.alpha.tobytes()
 
 
+_QUANTILES = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98]
+
+
+@st.composite
+def _zero_heavy_cases(draw):
+    """(instance, objective, tau) of a table whose truncation sends most
+    costs to exactly 0, as at center-g's tau levels: uncertain nodes in up
+    to three blobs 8 apart, each node's support up to 3 steps around its
+    blob's center on the integer grid (points of different nodes may
+    coincide), and one support point of each node as a candidate, as
+    center-g's sites hold them; points whose duplicates merge
+    into weights; and matrix-mode spaces of such points in which some pairs
+    of distinct points sit at distance 0. tau is a quantile, from 10% to
+    98%, of the untruncated median costs, so up to nearly every cost
+    truncates to 0 and some candidates have no demand at cost 0."""
+    shape = draw(st.sampled_from(["nodes", "points", "matrix"]))
+    grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    if shape == "nodes":
+        blobs = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                              min_size=1, max_size=3, unique_by=lambda b: b[:2])
+                     .map(lambda bs: [b + (r,) for b, r in zip(bs, (1, 3, 0))]))
+        coords, demands, cands = [], [], []
+        for _ in range(draw(st.integers(8, 40))):
+            bx, by, r = draw(st.sampled_from(blobs))
+            cx, cy = 8 * bx, 8 * by
+            steps = draw(st.lists(st.tuples(st.integers(-r, r), st.integers(-r, r)),
+                                  min_size=1, max_size=3, unique=True))
+            raw = draw(st.lists(st.integers(1, 4), min_size=len(steps), max_size=len(steps)))
+            demands.append(Demand(tuple(range(len(coords), len(coords) + len(steps))),
+                                  tuple(r / sum(raw) for r in raw), 0.0,
+                                  draw(st.integers(1, 3))))
+            cands.append(len(coords) + draw(st.integers(0, len(steps) - 1)))
+            coords += [(cx + dx, cy + dy) for dx, dy in steps]
+        inst = Instance(MetricSpace.euclidean(np.array(coords, dtype=float)), demands, cands)
+        return inst, draw(st.sampled_from([Objective.MEDIAN, Objective.MEANS])), \
+            _cost_quantile(inst, draw(st.sampled_from(_QUANTILES)))
+    size = draw(st.integers(2, 40))
+    pts = np.array(draw(st.lists(grid, min_size=size, max_size=size)), dtype=float)
+    if shape == "points":
+        inst = Instance.from_points(MetricSpace.euclidean(pts))
+    else:
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        for a, b in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                            st.integers(0, size - 1)), max_size=12)):
+            if a != b:
+                D[a, b] = D[b, a] = 0.0
+        inst = Instance.from_points(MetricSpace.from_matrix(D))
+    return inst, draw(st.sampled_from([Objective.MEDIAN, Objective.MEANS])), \
+        _cost_quantile(inst, draw(st.sampled_from(_QUANTILES)))
+
+
+def _cost_quantile(inst, q):
+    return float(np.quantile(inst.cost_matrix(Objective.MEDIAN), q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_zero_heavy_cases(), k=st.integers(2, 5), data=st.data())
+def test_many_center_certificate_holds(case, k, data):
+    """Whenever ``keeps_fewer_than(k, z)`` holds, a probe at ``z`` keeps
+    fewer than k centers, at every stop weight from 0 to W - 1. The costs
+    run from far below the certificate's threshold 2 W 1e-12 (1 + cmax),
+    where pruning's tolerance can pass the first opening level and clique
+    members survive together, to the facility-cost search's top halvings.
+    The verdict is cached: asked again, it is the same."""
+    inst, objective, tau = case
+    W = inst.total_weight
+    cmax = float(inst.cost_matrix(objective, tau).max())
+    threshold = 2e-12 * W * (1.0 + cmax)
+    zs = [threshold * 2.0 ** e for e in range(-12, 4)] + [threshold * (1.0 + 1e-9)]
+    zs += [(W * cmax + 1.0) * 2.0 ** -e for e in range(0, 40, 3)]
+    table = SortedCosts.build(inst, objective, tau)
+    for z in data.draw(st.lists(st.sampled_from(zs), min_size=1, max_size=4, unique=True)):
+        holds = table.keeps_fewer_than(k, z)
+        assert table.keeps_fewer_than(k, z) == holds
+        if holds:
+            for stop_weight in range(W):
+                res = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
+                assert len(res.centers) < k
+
+
+def test_many_center_certificate_on_a_crafted_table():
+    """Matrix mode: candidates 0, 1, 2 at distance 0 from each other and
+    from their demands (one clique), candidate 4 at distance 1 from its only
+    demand 5 (a clique of its own: no demand costs 0 there), and demand 3 at
+    1000 from every candidate. The cover takes two cliques, so k = 2 gets
+    no verdict, and its runs keep two centers from z = 1 on. k = 3 gets one
+    above 2 W 1e-12 (1 + cmax), about 1e-8. Below it, at z = 3 * 2^-30,
+    the clique's demands freeze at 2^-30, within pruning's tolerance
+    1e-12 (1 + 1000) of their cost 0, and the run keeps all four."""
+    D = np.full((6, 6), 1000.0)
+    D[:3, :3] = 0.0
+    D[4, 5] = D[5, 4] = 1.0
+    np.fill_diagonal(D, 0.0)
+    inst = Instance(MetricSpace.from_matrix(D), [Demand((j,), (1.0,)) for j in (0, 1, 2, 3, 5)],
+                    [0, 1, 2, 4])
+    table = SortedCosts.build(inst, Objective.MEDIAN)
+    low = 3.0 * 2.0 ** -30
+    assert jv_facility_location(inst, low, Objective.MEDIAN, table=table).centers == (0, 1, 2, 4)
+    assert jv_facility_location(inst, 1.0, Objective.MEDIAN, table=table).centers == (0, 4)
+    assert not table.keeps_fewer_than(3, low)
+    assert not table.keeps_fewer_than(2, 1.0)
+    assert table.keeps_fewer_than(3, 1.0)
+    for z in (low, 1e-8, 1.0, 5e3):
+        for k in (2, 3):
+            if table.keeps_fewer_than(k, z):
+                for stop_weight in range(inst.total_weight):
+                    res = jv_facility_location(inst, z, Objective.MEDIAN, 0.0, stop_weight,
+                                               table=table)
+                    assert len(res.centers) < k
+
+
+def _heap_paid_openings(key, est, theta, freezes):
+    """The lazy heap's searches after an opening at ``theta`` that froze
+    nothing, with the estimates ``est`` fixed until the next freeze: each
+    answer at or below ``theta`` opens, up to the first that freezes. The
+    search whose answer lies above ``theta`` belongs to the next step, so
+    its stored keys are not kept."""
+    opened = []
+    while True:
+        trial = key.copy()
+        t, u = _heap_next_opening(trial, est)
+        if u is None or t > theta:
+            return opened
+        key[:] = trial
+        key[u] = np.inf
+        opened.append(u)
+        if freezes[u]:
+            return opened
+
+
+@pytest.mark.parametrize("batch", [1, 2, 32])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_paid_openings_match_heap_searches(batch, data):
+    """Keys, estimates and theta from a few values, so that they tie and
+    estimates fall within or just past a key's staleness tolerance: the
+    same openings, in the same order, and the same stored keys as the
+    heap's searches, with the opened candidates still unmarked."""
+    m = data.draw(st.integers(1, 40))
+    values = [0.0, 1.0, 1.0 + 1e-13, 2.0, 2.0 + 5e-12, 3.0, np.inf]
+    key = np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
+    theta = data.draw(st.sampled_from([0.0, 1.0, 2.0, 2.0 + 5e-12]))
+    bumps = st.one_of(st.sampled_from(values + [theta]),
+                      st.sampled_from([0.0, -1e-13, 1e-12, 3e-12]).map(lambda d: ("rel", d)))
+    est = np.empty(m)
+    for u, b in enumerate(data.draw(st.lists(bumps, min_size=m, max_size=m))):
+        est[u] = key[u] * (1.0 + b[1]) if isinstance(b, tuple) else max(b, key[u] - 1e-13)
+    freezes = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    fast_key, slow_key = key.copy(), key.copy()
+
+    def estimates(us):
+        assert len(us) <= batch and (key[us] <= theta).all()
+        return est[us]
+
+    def reach(us):
+        assert len(us) <= batch
+        return freezes[us]
+
+    fast = solvers._paid_openings(fast_key, theta, estimates, batch, reach)
+    slow = _heap_paid_openings(slow_key, est, theta, freezes)
+    assert fast.tolist() == slow
+    fast_key[fast] = np.inf
+    assert fast_key.tobytes() == slow_key.tobytes()
+
+
+@pytest.mark.parametrize("entries", [None, 1, 64])
+@settings(max_examples=150, deadline=None)
+@given(case=_zero_heavy_cases(), data=st.data())
+def test_jv_paid_openings_match_lazy_heap(entries, case, data):
+    """On heavily truncated tables most openings are paid for by frozen
+    demands, and a run opens them several in one step: the probe is the
+    heap reference's bit for bit, also with a block budget of 1 or 64
+    entries, which splits the estimates and the freeze checks of those
+    steps into batches of one row or a few."""
+    inst, objective, tau = case
+    W = inst.total_weight
+    z_hi = W * float(inst.cost_matrix(objective, tau).max()) + 1.0
+    z = data.draw(st.one_of(st.integers(1, 30).map(lambda e: z_hi * 2.0 ** -e),
+                            st.floats(0.0, z_hi)))
+    stop_weight = data.draw(st.integers(0, W - 1))
+    budget = solvers._BLOCK_ENTRIES if entries is None else entries
+    with mock.patch.object(solvers, "_BLOCK_ENTRIES", budget):
+        _assert_matches_lazy_heap(inst, z, objective, tau, stop_weight)
+
+
+@pytest.mark.parametrize("seed,level", [(18, 10), (19, 14), (20, 12)])
+def test_paid_openings_open_several_in_one_step(seed, level):
+    """On a center-g site at a tau level that truncates about 30% of its
+    costs to 0, runs down the facility-cost search's halvings open up to
+    15 paid candidates after one opening, in one loop iteration, and each
+    probe is the heap reference's bit for bit."""
+    inst, tau = _burst_instance(("center-g", seed, level))
+    z_hi = inst.total_weight * float(inst.cost_matrix(Objective.MEDIAN, tau).max()) + 1.0
+    sizes = []
+    real = solvers._paid_openings
+
+    def spy(*args):
+        paid = real(*args)
+        sizes.append(len(paid))
+        return paid
+
+    with mock.patch.object(solvers, "_paid_openings", spy):
+        for e in range(1, 40, 3):
+            _assert_matches_lazy_heap(inst, z_hi * 2.0 ** -e, Objective.MEDIAN, tau, 4)
+    assert max(sizes) >= 2
+
+
 # ---------------------------------------------------------------------------
 # bicriteria solver
 
@@ -1028,17 +1235,23 @@ def test_one_center_certificate_holds(case, data):
 @st.composite
 def _search_cases(draw):
     """(instance, k, t, cfg, objective, tau) for one facility-cost search:
-    the shapes of :func:`_jv_cases`, k from 1 to 4 and t from 0 to W - 1,
-    under both ``relax`` modes."""
-    inst, _, objective, tau, t = draw(_jv_cases())
+    the shapes of :func:`_jv_cases` and :func:`_zero_heavy_cases`, k from 1
+    to 4 and t from 0 to W - 1, under both ``relax`` modes."""
+    if draw(st.booleans()):
+        inst, _, objective, tau, t = draw(_jv_cases())
+    else:
+        inst, objective, tau = draw(_zero_heavy_cases())
+        t = draw(st.integers(0, inst.total_weight - 1))
     cfg = BicriteriaConfig(epsilon=draw(st.sampled_from([0.5, 1.0])),
                            relax=draw(st.sampled_from(["outliers", "centers"])))
     return inst, draw(st.integers(1, 4)), t, cfg, objective, tau
 
 
 def _without_certificate(monkeypatch):
-    """The search with every verdict failed: it runs every probe."""
+    """The search with every verdict of both certificates failed: it runs
+    every probe."""
     monkeypatch.setattr(SortedCosts, "keeps_one_center", lambda self, z: False)
+    monkeypatch.setattr(SortedCosts, "keeps_fewer_than", lambda self, k, z: False)
 
 
 @settings(max_examples=200, deadline=None)
