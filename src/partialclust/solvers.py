@@ -9,7 +9,7 @@ Four families live here:
   (3-approximate k-center with outliers, weighted via copy counting), run
   over one sort of the cost matrix and event-driven: exact integer gains
   show the few radii where the greedy picks can change, and the picks are
-  rerun only there;
+  rerun only there, from the first radius a lower bound leaves open;
 * :func:`bicriteria_median` — facility-location primal-dual with uniform
   opening cost, a binary search over that cost bracketing the center count,
   and randomized convex-combination rounding; relaxes either the outlier
@@ -205,6 +205,15 @@ def kt_center_outliers(instance, k, t):
     where the picks stay, which only costs a rerun. Each radius skipped over
     keeps the picks and the uncovered weight of the last rerun, so it is
     infeasible too: the first feasible radius is that of the plain sweep.
+
+    The sweep starts at a certified radius, not at the first. A radius r
+    the greedy solves serves every covered demand within 3r + 1e-12 (the
+    expanded-disk threshold), so the optimum is at most that, and
+    :func:`_center_lower_bound` gives a bound lb on the optimum from ``M``
+    alone. Every radius with 3r + 1e-12 < lb is therefore infeasible: the
+    sweep adds their entries in one step and first reruns the picks at the
+    radius past them. After a rerun the state depends on the radius only,
+    so the run from there on is the one a sweep from the first radius makes.
     Demand weights are positive integers, so every gain is an
     integer-valued float far below 2**53 and any summation order gives the
     same value: the picks, and the solution, are exactly those of rebuilding
@@ -215,14 +224,18 @@ def kt_center_outliers(instance, k, t):
     w = instance.weights
     n, m = M.shape
     kk = min(k, m)
+    lb = _center_lower_bound(M, kk, t)   # before the sort: a lower peak
     order = np.argsort(M, axis=None, kind="stable")
     vals = M.ravel()[order]
     radii = vals[np.r_[True, vals[1:] != vals[:-1]]]
     # Radius j adds the entries inner[j-1]:inner[j] of the sorted order to
     # the disks and outer[j-1]:outer[j] to the expanded disks (from 0 at j = 0).
+    reach = 3.0 * radii + 1e-12
     inner = np.searchsorted(vals, radii + 1e-12, side="right")
-    outer = np.searchsorted(vals, 3.0 * radii + 1e-12, side="right")
-    del vals   # only the bounds are read from here on: a smaller peak
+    outer = np.searchsorted(vals, reach, side="right")
+    # the radii whose reach falls short of the lower bound are infeasible
+    start = int(np.searchsorted(reach, lb, side="left"))
+    del vals, reach   # only the bounds are read from here on: a smaller peak
     within = np.zeros((n, m))
     expanded = np.zeros((m, n), dtype=bool)
     gains = np.zeros((kk, m))
@@ -286,7 +299,7 @@ def kt_center_outliers(instance, k, t):
             unc[hit] = 0.0
         return unc.sum() <= t + 1e-9
 
-    lo, hi, event = -1, 0, True   # the first radius always runs the picks
+    lo, hi, event = -1, start, True
     while True:
         advance(lo, hi)
         if event and rerun():
@@ -299,6 +312,38 @@ def kt_center_outliers(instance, k, t):
         event = hi is not None
         if not event:
             hi = end
+
+
+def _center_lower_bound(M, k, t):
+    """A lower bound on the (k, t)-center optimum over the cost matrix ``M``
+    (demands x candidates), from no distance evaluation.
+
+    Farthest-first over the demands, seeded at demand 0, for k + t + 1
+    picks under D(j, j') = min over candidates u of max(M[j, u], M[j', u]),
+    the least radius at which one candidate covers both; returns the last
+    insertion value lb (0.0 when there are too few demands). Every two picks
+    lie at D >= lb, so at a radius below lb a candidate covers at most one
+    of them, k centers leave t + 1 picks unserved, and more than t copies
+    are excluded: the optimum is at least lb. The argument reads nothing
+    but ``M``, so it holds without the triangle inequality. A pick's row
+    reads only the candidates nearer to it than the current bound: the
+    bound only falls, so the rest cannot lower a D below it.
+    """
+    n = M.shape[0]
+    if k + t + 1 > n:
+        return 0.0
+    near = np.full(n, np.inf)   # D from each demand to its nearest pick
+    pick, bound = 0, np.inf
+    for _ in range(k + t):
+        row = M[pick]
+        cols = np.flatnonzero(row < bound)
+        block = M[:, cols]
+        np.maximum(block, row[cols], out=block)
+        np.minimum(near, block.min(axis=1, initial=np.inf), out=near)
+        near[pick] = -np.inf
+        pick = int(near.argmax())
+        bound = float(near[pick])
+    return bound
 
 
 def _check_kt(instance, k, t):

@@ -203,6 +203,25 @@ def full_gonzalez_order(instance):
     return GonzalezOrder(tuple(order), tuple(radii))
 
 
+def plain_center_lower_bound(M, k, t):
+    """The threshold sweep's lower bound without its row truncation:
+    farthest-first over the whole matrix D(j, j') = min over candidates u
+    of max(M[j, u], M[j', u]). ``solvers._center_lower_bound`` must return
+    exactly this value."""
+    n = M.shape[0]
+    if k + t + 1 > n:
+        return 0.0
+    D = np.maximum(M[:, None, :], M[None, :, :]).min(axis=2)
+    order = [0]
+    near = D[0].copy()
+    for _ in range(k + t):
+        near[order] = -np.inf
+        order.append(int(np.argmax(near)))
+        bound = float(near[order[-1]])
+        np.minimum(near, D[order[-1]], out=near)
+    return bound
+
+
 def loop_solution_from_centers(instance, centers, objective, budget, tau=0.0):
     """Nearest-center assignment and greedy exclusion written as plain loops
     over the demands. ``solution_from_centers`` must return exactly this

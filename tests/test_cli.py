@@ -819,6 +819,43 @@ _ONCE_RUNS = (
        ("matrix", ["--alg", "kt-median"])])
 
 
+@pytest.fixture(scope="module")
+def six_nodes(tmp_path_factory):
+    root = tmp_path_factory.mktemp("six-nodes")
+    universe, nodes = gen_uncertain_planted(6, 2, 1, seed=1)
+    write_points_jsonl(root / "universe.jsonl", universe)
+    write_nodes_jsonl(root / "nodes.jsonl", nodes)
+    return ["--input", str(root / "universe.jsonl"), "--nodes", str(root / "nodes.jsonl")]
+
+
+def _no_float_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+@pytest.mark.parametrize("sites, k, t", [
+    pytest.param(6, 2, 1, id="one-node sites"),
+    pytest.param(2, 6, 1, id="k = nodes"),
+    pytest.param(2, 8, 0, id="k > nodes"),
+    pytest.param(2, 1, 5, id="t = n - 1"),
+    pytest.param(6, 6, 5, id="all three")])
+@pytest.mark.parametrize("alg", _NODE_ALGS)
+def test_extreme_node_inputs_work_or_exit_3(six_nodes, alg, sites, k, t, capsys):
+    """Six nodes at the extremes of sites, k and t give a finite report
+    within the outlier budget: t nodes for uncertain-center-pp, the relaxed
+    floor((1 + epsilon) t) = 2t for the others. The one refusal is
+    center-g's, exit 3, where that relaxed budget reaches the node count."""
+    code, out, err = run(["solve", "--alg", alg, "--k", str(k), "--t", str(t),
+                          "--sites", str(sites)] + six_nodes, capsys)
+    if alg == "center-g" and 2 * t >= 6:
+        assert code == 3 and out == "" and "relaxed outlier budget" in err
+        return
+    assert code == 0, err
+    report = json.loads(out, parse_constant=_no_float_constant)
+    assert report["n_nodes"] == 6
+    assert report["n_outliers"] <= (t if alg == "uncertain-center-pp" else 2 * t)
+    assert 1 <= len(report["centers"]) <= k
+
+
 _REPEATS_A_LEVEL = pytest.mark.xfail(
     strict=True, reason="a level repeats an earlier level's virtual site")
 

@@ -41,6 +41,7 @@ from helpers import (
     lazy_heap_jv_facility_location,
     loop_solution_from_centers,
     naive_kt_center_outliers,
+    plain_center_lower_bound,
     random_instance,
     random_points,
     record_blocks,
@@ -358,17 +359,25 @@ def test_kt_center_golden_pins(case, pin):
     assert (sol.centers, tuple(sorted(sol.outliers.items())), sol.cost.hex()) == pin
 
 
+_LARGE_SHAPES = ("large", "low-t")
+
+
 @st.composite
-def _kt_center_cases(draw):
+def _kt_center_cases(draw, small=False):
     """(instance, k, t) in the shapes a coordinator sweeps: integer-grid
     points (tied costs) whose duplicates merge into weights, matrix-mode
-    spaces with costs 1e-12 apart, and multi-support demands with collapse
-    offsets; k up to past the candidate count, t anywhere in 0..W-1. On a
-    "line" of integer points a pick change often makes the first feasible
-    radius. The "large" shape, 20-60 random or integer-grid points with
-    weighted duplicates and k up to 6, has hundreds of radii, so the sweep
-    tests several blocks of them."""
-    shape = draw(st.sampled_from(["grid", "line", "matrix", "support", "large"]))
+    spaces with costs 1e-12 apart, "nonmetric" matrices of small integers
+    that break the triangle inequality, and multi-support demands with
+    collapse offsets; k up to past the candidate count, t anywhere in
+    0..W-1 and often at either end. On a "line" of integer points a pick
+    change often makes the first feasible radius. The "large" shape, 20-60
+    random or integer-grid points with weighted duplicates and k up to 6,
+    has hundreds of radii, so the sweep tests several blocks of them; its
+    "low-t" variant keeps k + t + 1 well below the demand count, so the
+    sweep's lower bound skips radii. ``small`` keeps to at most 14 demands
+    and k <= 4, in reach of ``exact_oracle``."""
+    shapes = ["grid", "line", "matrix", "nonmetric", "support"]
+    shape = draw(st.sampled_from(shapes if small else shapes + list(_LARGE_SHAPES)))
     coords = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                            min_size=1, max_size=14))
     pts = np.array(coords, dtype=float)
@@ -376,7 +385,7 @@ def _kt_center_cases(draw):
     if shape == "line":
         xs = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8))
         inst = Instance.from_points(MetricSpace.euclidean(np.array(xs, dtype=float)))
-    elif shape == "large":
+    elif shape in _LARGE_SHAPES:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         size = draw(st.integers(20, 60))
         if draw(st.booleans()):
@@ -385,6 +394,14 @@ def _kt_center_cases(draw):
             pts = rng.random((size, 2))
         dups = rng.integers(0, size, size=draw(st.integers(0, size)))
         inst = Instance.from_points(MetricSpace.euclidean(np.vstack([pts, pts[dups]])))
+    elif shape == "nonmetric":
+        # Costs 1..4, and 9 between the first and the last point: more than
+        # any path through a third point.
+        vals = draw(st.lists(st.integers(1, 4), min_size=n * n, max_size=n * n))
+        D = np.triu(np.array(vals, dtype=float).reshape(n, n), 1)
+        if n > 2:
+            D[0, n - 1] = 9.0
+        inst = Instance.from_points(MetricSpace.from_matrix(D + D.T))
     elif shape == "grid":
         inst = Instance.from_points(MetricSpace.euclidean(pts))
     elif shape == "matrix":
@@ -407,8 +424,11 @@ def _kt_center_cases(draw):
                                   draw(st.integers(1, 4))))
         cands = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         inst = Instance(MetricSpace.euclidean(pts), demands, cands)
-    k = draw(st.integers(1, 6 if shape == "large" else len(inst.candidates) + 2))
-    t = draw(st.integers(0, inst.total_weight - 1))
+    k = draw(st.integers(1, 6 if shape in _LARGE_SHAPES else len(inst.candidates) + 2))
+    if small:
+        k = min(k, 4)
+    top = inst.n // 6 if shape == "low-t" else inst.total_weight - 1
+    t = draw(st.sampled_from([0, top]) | st.integers(0, top))
     return inst, k, t
 
 
@@ -435,6 +455,32 @@ def test_kt_center_short_blocks_match_naive_sweep(block, case):
         fast = kt_center_outliers(inst, k, t)
     slow = naive_kt_center_outliers(inst, k, t)
     assert (fast.centers, fast.outliers, fast.cost) == (slow.centers, slow.outliers, slow.cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_kt_center_cases(small=True))
+def test_center_lower_bound_below_optimum(case):
+    """The sweep's lower bound never passes the (k, t) optimum, on metric
+    and non-metric costs alike, and its truncated rows give the bound of
+    the whole pair matrix."""
+    inst, k, t = case
+    M = inst.cost_matrix(Objective.CENTER)
+    kk = min(k, len(inst.candidates))
+    lb = solvers._center_lower_bound(M, kk, t)
+    assert lb <= exact_oracle(inst, k, t, Objective.CENTER).cost
+    assert lb == plain_center_lower_bound(M, kk, t)
+
+
+# The bound on each _KT_GOLDEN instance: the sweep's first rerun is at the
+# 385th and the 2,407th radius, not the first.
+_KT_GOLDEN_BOUNDS = ["0x1.65c292d32a7b6p+0", "0x1.9950000000000p+14"]
+
+
+@pytest.mark.parametrize("golden,pin", zip(_KT_GOLDEN, _KT_GOLDEN_BOUNDS))
+def test_kt_center_golden_bounds(golden, pin):
+    (kind, k, t), _ = golden
+    M = _kt_golden_instance(kind).cost_matrix(Objective.CENTER)
+    assert solvers._center_lower_bound(M, k, t).hex() == pin
 
 
 # ---------------------------------------------------------------------------
