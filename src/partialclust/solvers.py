@@ -360,24 +360,12 @@ def _check_kt(instance, k, t):
 
 
 @dataclass
-class DualCertificate:
-    """Dual values grown by the primal-dual phase plus the set of demand
-    copies still unconnected when growth stopped."""
-
-    alpha: np.ndarray
-    unprocessed: dict
-    stop_time: float
-
-    @property
-    def unprocessed_weight(self):
-        return sum(self.unprocessed.values())
-
-
-@dataclass
 class JVResult:
+    """A primal-dual probe's kept centers, as point ids in opening order,
+    and its duals ``alpha``, one per demand."""
+
     centers: tuple
-    temp_open: tuple
-    certificate: DualCertificate
+    alpha: np.ndarray
 
 
 _BLOCK_ENTRIES = 1 << 15
@@ -614,9 +602,10 @@ def jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=N
     All unconnected demands grow a shared dual; a facility opens once the
     excess duals tight with it cover ``z``; demands connect (freeze) on
     reaching an open facility. Growth stops as soon as the unconnected
-    weight drops to ``stop_weight`` — those copies are the unprocessed
-    outliers. A conflict-free subset of the opened facilities (greedy by
-    opening time) survives pruning.
+    weight drops to ``stop_weight``. A conflict-free subset of the opened
+    facilities (greedy by opening time) survives pruning. Returns the kept
+    centers and the duals (:class:`JVResult`), not the copies left
+    unconnected: :func:`solution_from_centers` re-derives outliers.
 
     The probe is a run and a cut. The run (:func:`_event_run`, or
     :func:`_zero_cost_run` at ``z = 0``) records every opening and every
@@ -951,60 +940,39 @@ def _cut(instance, C, run, stop_weight):
     """The probe's result at ``stop_weight``, read off ``run``.
 
     Growth stops at the first freeze that leaves at most ``stop_weight``
-    unconnected. When it leaves less, only part of that demand's weight
-    froze before the stop, and the rest is unprocessed. When it leaves
-    exactly ``stop_weight`` and more of its batch is to come, the loop still
-    freezes the next demand of the batch, with all its weight unprocessed.
-    The level is that of the stop's step, and the candidates opened up to
-    that step are open. With no stop in the run, it ran to its end."""
+    unconnected. When it leaves exactly ``stop_weight`` and more of its
+    batch is to come, the loop still freezes the next demand of the batch.
+    The demands frozen by then keep their freeze times as duals, and every
+    other demand the level of the stop's step. With no stop in the run, it
+    ran to its end.
+
+    A conflict-free subset of the candidates opened up to the stop's step,
+    greedy in opening order, survives pruning. Two candidates conflict when
+    some demand's dual exceeds its cost to both by more than 1e-12
+    relative; with no dual above any cost by that much, all are kept
+    without the conflict matrix. Costs are >= 0, so that holds when every
+    dual is within the tolerance, as at ``z = 0``: a frozen demand's dual
+    is its cheapest open cost, and an active one's level is at most that."""
     w = instance.weights
-    n = len(w)
-    freeze = np.full(n, np.inf)
-    active = np.ones(n, dtype=bool)
-    unprocessed = {}
-    total = instance.total_weight
-    if total <= stop_weight:
-        return _jv_result(instance, C, [], freeze, active, unprocessed, 0.0)
-    left = total - np.cumsum(w[run.frozen])
+    if instance.total_weight <= stop_weight:
+        return JVResult((), np.zeros(len(w)))
+    left = instance.total_weight - np.cumsum(w[run.frozen])
     hit = np.flatnonzero(left <= stop_weight)
     if hit.size:
-        e = int(hit[0])
-        done = e + 1
-        step = int(run.steps[e])
-        if left[e] < stop_weight:
-            unprocessed[int(run.frozen[e])] = stop_weight - int(left[e])
-        elif done < len(left) and run.steps[done] == step:
-            unprocessed[int(run.frozen[done])] = int(w[run.frozen[done]])
+        done = int(hit[0]) + 1
+        step = int(run.steps[done - 1])
+        if left[done - 1] == stop_weight and done < len(left) and run.steps[done] == step:
             done += 1
     else:  # pragma: no cover - growth ended before the stop
         done = len(left)
         step = len(run.thetas) - 1
-    freeze[run.frozen[:done]] = run.times[:done]
-    active[run.frozen[:done]] = False
-    theta = float(run.thetas[step]) if step >= 0 else 0.0
+    alpha = np.full(len(w), float(run.thetas[step]) if step >= 0 else 0.0)
+    alpha[run.frozen[:done]] = run.times[:done]
     opened = run.opened[:int(np.searchsorted(run.opened_at, step, side="right"))]
-    return _jv_result(instance, C, opened, freeze, active, unprocessed, theta)
-
-
-def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
-    """A probe's result once growth stops at ``theta``: the demands still
-    active keep their whole weight unprocessed and the dual ``theta``, and
-    a conflict-free subset of the opened candidates, greedy in opening
-    order, survives pruning. Two candidates conflict when some demand's
-    dual exceeds its cost to both by more than 1e-12 relative; with no dual
-    above any cost by that much, all are kept without the conflict matrix.
-    Costs are >= 0, so that holds when every dual is within the tolerance,
-    as at ``z = 0``: a frozen demand's dual is its cheapest open cost, and
-    an active one's level is at most that."""
-    act = np.flatnonzero(active)
-    unprocessed.update(zip(act.tolist(), instance.counts[act].tolist()))
-    alpha = np.where(np.isinf(freeze), theta, freeze)
-    temp = np.array(open_seq, dtype=int)
-    kept = range(len(temp))
     amax = float(alpha.max())
     tol = 1e-12 * (1.0 + amax)
-    if len(temp) and amax > tol:
-        pos = C[:, temp]
+    if len(opened) and amax > tol:
+        pos = C[:, opened]
         np.subtract(alpha[:, None], pos, out=pos)
         pos = pos > tol
         if pos.any():
@@ -1012,14 +980,13 @@ def _jv_result(instance, C, open_seq, freeze, active, unprocessed, theta):
             pos = pos.astype(np.float32)
             conflict = (pos.T @ pos) > 0
             kept = []
-            blocked = np.zeros(len(temp), dtype=bool)   # conflicts with a kept one
-            for i in range(len(temp)):
+            blocked = np.zeros(len(opened), dtype=bool)   # conflicts with a kept one
+            for i in range(len(opened)):
                 if not blocked[i]:
                     kept.append(i)
                     blocked |= conflict[i]
-    ids = instance.candidates[temp].tolist()
-    cert = DualCertificate(alpha, unprocessed, float(theta))
-    return JVResult(tuple(ids[i] for i in kept), tuple(ids), cert)
+            opened = opened[kept]
+    return JVResult(tuple(instance.candidates[opened].tolist()), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -1090,7 +1057,8 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     (the small solution with exactly t outliers always competes). With
     relax="centers" the union of both bracket solutions is used when it fits
     under ceil((1+eps) k) centers, else the small solution padded greedily
-    up to the cap.
+    up to the cap. Only the probes' kept centers are read: each answer's
+    outliers come from :func:`solution_from_centers` at its budget.
 
     With k >= 2, a facility cost that :meth:`SortedCosts.keeps_fewer_than`
     or :meth:`SortedCosts.keeps_one_center` certifies is taken as a run

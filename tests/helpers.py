@@ -24,7 +24,7 @@ from partialclust import (
 )
 from partialclust.errors import ClusteringError, InvalidParameterError
 from partialclust.metric import EvalCounter
-from partialclust.solvers import DualCertificate, GonzalezOrder, JVResult, SortedCosts
+from partialclust.solvers import GonzalezOrder, JVResult, SortedCosts
 
 
 class InconsistentSolutionError(ClusteringError, ValueError):
@@ -304,7 +304,6 @@ def lazy_heap_jv_facility_location(instance, z, objective, tau=0.0, stop_weight=
     open_seq = []
     minopen = np.full(n, np.inf)
     remaining = total
-    unprocessed = {}
     theta = 0.0
 
     def opening_estimate(u):
@@ -367,17 +366,11 @@ def lazy_heap_jv_facility_location(instance, z, objective, tau=0.0, stop_weight=
             freeze[j] = tj
             active[j] = False
             if remaining - wi[j] < stop_weight:
-                frozen_copies = remaining - stop_weight
-                if frozen_copies < wi[j]:
-                    unprocessed[int(j)] = wi[j] - frozen_copies
-                remaining = stop_weight
                 stopped = True
                 break
             remaining -= wi[j]
             frozen_base += w[j] * np.maximum(freeze[j] - C[j], 0.0)
 
-    for j in np.where(active)[0]:
-        unprocessed[int(j)] = wi[j]
     alpha = np.where(np.isinf(freeze), theta, freeze)
 
     kept = []
@@ -395,8 +388,7 @@ def lazy_heap_jv_facility_location(instance, z, objective, tau=0.0, stop_weight=
         centers = tuple(int(instance.candidates[temp[i]]) for i in kept)
     else:
         centers = ()
-    cert = DualCertificate(alpha, unprocessed, float(theta))
-    return JVResult(centers, tuple(int(instance.candidates[u]) for u in open_seq), cert)
+    return JVResult(centers, alpha)
 
 
 def instance_cost(instance, solution, objective, tau=0.0):

@@ -514,26 +514,34 @@ _HIGH_BUDGET = (Partition.round_robin(MetricSpace.euclidean(gen_planted(40, 3, 4
                 3, 17)
 
 
-@pytest.mark.parametrize("alg", ["kt-median", "kt-median-co", "one-round"])
+@pytest.mark.parametrize("alg, objective", [
+    pytest.param("kt-median", Objective.MEDIAN, id="kt-median"),
+    pytest.param("kt-median-co", Objective.MEDIAN, id="kt-median-co"),
+    pytest.param("one-round", Objective.MEDIAN, id="one-round"),
+    pytest.param("kt-median", Objective.MEANS, id="kt-means"),
+    pytest.param("kt-median-co", Objective.MEANS, id="kt-median-co means"),
+    pytest.param("one-round", Objective.MEANS, id="one-round means")])
 @settings(max_examples=100, deadline=None)
 @given(case=_sum_runs())
 @example(case=_HIGH_BUDGET)
-def test_sum_protocol_budget_properties(alg, case):
-    """The median protocols keep their README budgets at every t up to
-    about n/2 (epsilon 1, delta 0.25): kt-median and one-round median
-    ignore at most floor((1 + eps) t) points, kt-median's sites budget at
-    most 3t, and kt-median-co ignores at most (2 + eps + delta) t, its sites
-    at most (1 + delta) t. ``instance_cost`` recomputes the reported cost."""
+def test_sum_protocol_budget_properties(alg, objective, case):
+    """The median and means protocols keep their README budgets at every t
+    up to about n/2 (epsilon 1, delta 0.25): kt-median, kt-means and
+    one-round ignore at most floor((1 + eps) t) points, the kt sites budget
+    at most 3t, and kt-median-co ignores at most (2 + eps + delta) t, its
+    sites at most (1 + delta) t. ``instance_cost`` recomputes the reported
+    cost under the same objective."""
     part, k, t = case
     if alg == "kt-median":
-        rep = run_kt_median(part, k, t, seed=3)
+        rep = run_kt_median(part, k, t, objective=objective, seed=3)
         assert sum(rep.budgets) <= 3 * t
         bound = 2 * t
     elif alg == "one-round":
-        rep = run_one_round(part, k, t, seed=3)
+        rep = run_one_round(part, k, t, objective=objective, seed=3)
         bound = 2 * t
     else:
-        rep = run_kt_median_clustering_only(part, k, t, delta=0.25, seed=3)
+        rep = run_kt_median_clustering_only(part, k, t, delta=0.25, objective=objective,
+                                            seed=3)
         assert sum(rep.budgets) <= 1.25 * t + 1e-9
         assert rep.solution.total_excluded == rep.extras["total_ignored"]
         bound = (2 + 1.0 + 0.25) * t + 1e-9
@@ -541,7 +549,7 @@ def test_sum_protocol_budget_properties(alg, case):
     assert sol.total_excluded <= bound
     assert len(sol.centers) <= k
     points = Instance.from_points(part.space, merge_duplicates=False)
-    assert instance_cost(points, sol, Objective.MEDIAN) == pytest.approx(sol.cost, rel=1e-9, abs=1e-9)
+    assert instance_cost(points, sol, objective) == pytest.approx(sol.cost, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
