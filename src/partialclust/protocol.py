@@ -3,16 +3,16 @@
 Every protocol runs s sites against one coordinator. Site work only reads
 the site's own points; everything the coordinator learns travels through
 :class:`Message` records in a :class:`CommLedger`, whose word counts are the
-protocol's communication cost (a point costs the metric space's word width
-B, a scalar or count costs 1).
+protocol's communication cost: a word per entry of what a message carries
+(:func:`_send`), where a point costs the metric space's word width B.
 
 Every runner configures one two-round driver. Sites summarize the trade-off
 between local outliers and local cost, as the hull of a cost curve
 (:func:`_curve_round`) or as farthest-first insertion radii
 (:func:`_center_round`); the coordinator allocates the global outlier budget
-by pooling marginal savings (:func:`_allocate`, see :mod:`.allocation`); sites
-answer with a small weighted summary, which the coordinator solves, lifts
-back onto the sites' points and reports (:func:`_coordinate`).
+by pooling marginal savings (see :mod:`.allocation`) and broadcasts the pivot;
+sites answer with a small weighted summary, which the coordinator solves,
+lifts back onto the sites' points and reports (:func:`_coordinate`).
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def _validate_common(k, t, epsilon=1.0, rho=None, seed=0):
         raise InvalidParameterError("t must be a nonnegative integer")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidParameterError("seed must be a nonnegative integer")
-    if epsilon <= 0:
-        raise InvalidParameterError("epsilon must be > 0")
+    if not (epsilon > 0 and math.isfinite((1.0 + epsilon) * t)):
+        raise InvalidParameterError("epsilon must be finite and > 0, (1 + epsilon) t finite")
     if rho is not None and not 1.0 < rho <= 2.0:
         raise InvalidParameterError("rho must lie in (1, 2]")
 
@@ -436,26 +436,18 @@ def _node_solution(view, demand_sol):
 # The two-round driver: site summaries, allocation, coordinator tail
 
 
-def _broadcast_pivot(ledger, s, words=3):
-    for i in range(s):
-        ledger.add(1, "coord->site", i, "pivot", words)
-
-
-def _allocate(marginals, t, rho, ledger=None, curves=None):
-    """The coordinator's allocation step.
-
-    Keeps the floor(rho * t) largest pooled marginals. Given the sites'
-    ``curves``, the pivot site's budget then rounds up to its next hull
-    vertex, so every site answers with a solution it already computed; given
-    a ``ledger``, the pivot is broadcast (three words per site). Returns the
-    allocation after that adjustment.
-    """
-    alloc = allocate(marginals, t, rho)
-    if curves is not None and alloc.pivot_site is not None:
-        alloc = exceptional_adjust(alloc, curves[alloc.pivot_site])
+def _send(ledger, round_no, direction, site, kind, *payload):
+    """Record a message on ``ledger``, if any: a word per entry it carries
+    (``np.size``: an array one per element, a scalar or None one)."""
     if ledger is not None:
-        _broadcast_pivot(ledger, len(marginals))
-    return alloc
+        ledger.add(round_no, direction, site, kind, sum(np.size(p) for p in payload))
+
+
+def _broadcast_pivot(ledger, alloc, s, *more):
+    """Send each site the pivot entry (site, index, value), then ``more``."""
+    for i in range(s):
+        _send(ledger, 1, "coord->site", i, "pivot", alloc.pivot_site,
+              alloc.pivot_q, alloc.pivot_value, *more)
 
 
 def _curve_round(site_insts, k, t, rho, objective, seconds, ledger,
@@ -464,10 +456,11 @@ def _curve_round(site_insts, k, t, rho, objective, seconds, ledger,
 
     Every site solves its local (2k, q) problems on the geometric grid (at
     truncation ``tau``, see :func:`_local_solution`) and ships the lower hull
-    of its cost curve (two words per vertex, when a ``ledger`` is given); the
-    coordinator allocates, adjusting the pivot site when ``adjust`` is set.
-    Site CPU time adds to ``seconds``. Returns (site solutions by q, curves,
-    allocation).
+    of its cost curve; the coordinator allocates, rounds the pivot site's
+    budget up to its next hull vertex when ``adjust`` is set (so it answers
+    with a solution it already computed) and broadcasts the pivot. Messages
+    go to ``ledger``, if any. Site CPU time adds to ``seconds``. Returns
+    (site solutions by q, curves, allocation).
     """
     qs = geometric_index_set(t, rho)
 
@@ -485,11 +478,12 @@ def _curve_round(site_insts, k, t, rho, objective, seconds, ledger,
 
     results = _run_sites(worker, len(site_insts), seconds)
     curves = [c for _, c in results]
-    if ledger is not None:
-        for i, c in enumerate(curves):
-            ledger.add(1, "site->coord", i, "cost-curve", 2 * c.n_vertices)
-    alloc = _allocate([c.marginals() for c in curves], t, rho, ledger,
-                      curves if adjust else None)
+    for i, c in enumerate(curves):
+        _send(ledger, 1, "site->coord", i, "cost-curve", c.hull_q, c.hull_cost)
+    alloc = allocate([c.marginals() for c in curves], t, rho)
+    if adjust and alloc.pivot_site is not None:
+        alloc = exceptional_adjust(alloc, curves[alloc.pivot_site])
+    _broadcast_pivot(ledger, alloc, len(curves))
     return [sols for sols, _ in results], curves, alloc
 
 
@@ -498,22 +492,23 @@ def _center_round(site_insts, k, t, rho, seconds, ledger):
 
     Each site runs a farthest-first traversal up to position k + t and
     sends the t insertion radii after position k, its exact marginal-gain
-    curve (t words). No adjustment follows the allocation, since every
-    integer budget is already realizable: each site answers with its first
-    k + t_i traversal points, whose cost columns in euclidean mode are the
-    traversal's own rows, so a site of n_i demands evaluates at most
-    (k + t) * n_i distances (matrix mode reads the columns apart). Both
-    steps run as site work, their CPU time added to ``seconds``. Returns
-    (allocation, site solutions).
+    curve; the coordinator allocates and broadcasts the pivot. No adjustment
+    follows, since every integer budget is already realizable: each site
+    answers with its first k + t_i traversal points, whose cost columns in
+    euclidean mode are the traversal's own rows, so a site of n_i demands
+    evaluates at most (k + t) * n_i distances (matrix mode reads the columns
+    apart). Both steps run as site work, their CPU time added to
+    ``seconds``. Returns (allocation, site solutions).
     """
     def traverse(i):
         gorder = gonzalez_order(site_insts[i], k + t)
         return gorder, insertion_marginals(gorder, k, t)
 
     results = _run_sites(traverse, len(site_insts), seconds)
-    for i in range(len(site_insts)):
-        ledger.add(1, "site->coord", i, "marginals", t)
-    alloc = _allocate([m for _, m in results], t, rho, ledger)
+    for i, (_, radii) in enumerate(results):
+        _send(ledger, 1, "site->coord", i, "marginals", radii)
+    alloc = allocate([m for _, m in results], t, rho)
+    _broadcast_pivot(ledger, alloc, len(site_insts))
 
     def answer(i):
         inst, (gorder, _) = site_insts[i], results[i]
@@ -723,14 +718,15 @@ def subquadratic_solve(instance, k, t, alpha, seed=0, objective=Objective.MEDIAN
     """
     objective = _norm_objective(objective, allow_center=False)
     _validate_common(k, t, seed=seed)
-    if alpha <= 0:
-        raise InvalidParameterError("alpha must be > 0")
+    depth = math.log2(1.0 + 1.0 / alpha) if 0 < alpha < math.inf else math.nan
+    if not math.isfinite(depth):
+        raise InvalidParameterError("alpha must be finite and > 0, 1 / alpha finite")
     W = instance.total_weight
     if t > math.sqrt(W) + 1e-9:
         raise PreconditionError(f"t={t} exceeds sqrt(n)={math.sqrt(W):.3f}")
     if W <= t:
         raise InfeasibleError(f"outlier budget t={t} >= {W} total weight")
-    depth = int(math.ceil(math.log2(1.0 + 1.0 / alpha) - 1e-12))
+    depth = int(math.ceil(depth - 1e-12))
     levels = []
     # the caller's counter may carry earlier work; report only this run's
     start = instance.counter.count

@@ -1007,14 +1007,14 @@ class BicriteriaConfig:
     relax: str = "outliers"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidParameterError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidParameterError("epsilon must be finite and > 0")
         if self.relax not in ("outliers", "centers"):
             raise InvalidParameterError("relax must be 'outliers' or 'centers'")
 
     @property
     def trials(self):
-        return min(math.ceil(8.0 / self.epsilon * math.log(100.0)), 200)
+        return math.ceil(min(8.0 / self.epsilon * math.log(100.0), 200))
 
 
 # Bisection steps of the facility-cost search, at most.

@@ -41,6 +41,7 @@ from .protocol import (
     _coordinate,
     _curve_round,
     _run_sites,
+    _send,
     _validate_common,
 )
 
@@ -257,7 +258,7 @@ def run_center_g(npartition, k, t, epsilon=1.0):
     costs measured at 6 tau, and sends one cost-curve message holding its
     hulls at every level. The coordinator allocates budgets per level, picks
     tau-hat, the smallest tau whose allocated site costs sum to at most
-    12 tau, and broadcasts tau-hat with the pivot (4 words). Round 2 forwards
+    12 tau, and broadcasts tau-hat with that level's pivot. Round 2 forwards
     the 2k weighted centers plus the budgeted outliers as whole nodes
     (2 |support| words each); the final threshold sweep keeps k centers and
     excludes floor((1 + epsilon) t) nodes under expected distances. No step
@@ -291,8 +292,8 @@ def run_center_g(npartition, k, t, epsilon=1.0):
                            tau=tau)
               for tau in grid.taus]
     for i in range(npartition.n_sites):
-        words = sum(2 * curves[i].n_vertices for _, curves, _ in levels)
-        ledger.add(1, "site->coord", i, "cost-curve", words)
+        _send(ledger, 1, "site->coord", i, "cost-curve", *(
+            a for _, curves, _ in levels for a in (curves[i].hull_q, curves[i].hull_cost)))
 
     tau_sums = [sum(c.value(min(q, c.t)) for c, q in zip(curves, alloc.t_by_site))
                 for _, curves, alloc in levels]
@@ -303,8 +304,8 @@ def run_center_g(npartition, k, t, epsilon=1.0):
         raise InternalInvariantError(
             "no grid threshold satisfied the 12 tau budget rule")
     tau_hat = grid.taus[tau_hat_idx]
-    _broadcast_pivot(ledger, npartition.n_sites, words=4)
     sols_by_q, _, chosen_alloc = levels[tau_hat_idx]
+    _broadcast_pivot(ledger, chosen_alloc, npartition.n_sites, tau_hat)
     site_sols = [sols[q] for sols, q in zip(sols_by_q, chosen_alloc.t_by_site)]
 
     def truncated_costs(node_sol, counter):

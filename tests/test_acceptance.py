@@ -212,41 +212,79 @@ def test_criterion_05_center_pipeline(capsys):
 
 
 def test_criterion_06_word_accounting(capsys):
-    """Ledger matches closed forms; cross-term appears only one-round."""
+    """Ledger matches closed forms; cross-term appears only one-round.
+
+    The closed forms count the paper's messages: round 1 sends each site's
+    hull as a (q, cost) pair per vertex, or its t insertion radii, and
+    broadcasts the pivot (site, index, value), with tau-hat added under
+    center-g; round 2 sends a center as a point and its count, and an
+    outlier as a point (plus its collapse offset for a tentacle). They are
+    checked in points mode and in matrix mode, where a point is one word.
+    """
     pts = gen_planted(320, 2, 8, seed=6)
     space = MetricSpace.euclidean(pts)
+    mspace = MetricSpace.from_matrix(np.linalg.norm(pts[:, None] - pts[None, :], axis=2))
     B = space.word_width
+    assert mspace.word_width == 1
     k = 2
     grid = [(s, t) for s in (2, 4, 8) for t in (8, 16, 32)]
-    formulas_ok = True
-    med_total, one_total = {}, {}
-    for s, t in grid:
+    failed = []
+
+    def check(name, got, want):
+        if got != want:
+            failed.append(f"{name}: {got} != {want}")
+
+    def curve_round(name, rep, s):
+        """Each site's own cost-curve message, then the whole round 1."""
+        sent = [(m.site, m.words) for m in rep.ledger.messages
+                if m.kind == "cost-curve"]
+        check(f"{name} cost-curve", sent,
+              [(i, 2 * c.n_vertices) for i, c in enumerate(rep.curves)])
+        round1 = sum(2 * c.n_vertices for c in rep.curves) + 3 * s
+        check(f"{name} round 1", rep.ledger.words(round_no=1), round1)
+        return round1
+
+    def median_and_one_round(space, s, t):
+        width = space.word_width
         part = Partition.round_robin(space, s)
         rep = run_kt_median(part, k, t, seed=1)
-        round1 = sum(2 * c.n_vertices for c in rep.curves) + 3 * s
-        round2 = sum(2 * k * (B + 1) + ti * B for ti in rep.budgets)
-        if (rep.ledger.words(round_no=1) != round1
-                or rep.ledger.words(round_no=2) != round2
-                or rep.ledger.total_words != round1 + round2):
-            formulas_ok = False
-        med_total[(s, t)] = rep.ledger.total_words
+        round1 = curve_round("kt-median", rep, s)
+        round2 = sum(2 * k * (width + 1) + ti * width for ti in rep.budgets)
+        check("kt-median round 2", rep.ledger.words(round_no=2), round2)
+        check("kt-median total", rep.ledger.total_words, round1 + round2)
         one = run_one_round(part, k, t, seed=1)
-        if one.ledger.total_words != s * (2 * k * (B + 1) + t * B):
-            formulas_ok = False
-        one_total[(s, t)] = one.ledger.total_words
-    part = Partition.round_robin(space, 4)
-    cen = run_kt_center(part, k, 8)
-    if (cen.ledger.words(round_no=1) != 4 * 8 + 3 * 4
-            or cen.ledger.words(round_no=2)
-            != sum((k + ti) * (B + 1) for ti in cen.budgets)):
-        formulas_ok = False
+        check("one-round", one.ledger.total_words, s * (2 * k * (width + 1) + t * width))
+        return rep.ledger.total_words, one.ledger.total_words
+
+    def center(space, s, t):
+        width = space.word_width
+        cen = run_kt_center(Partition.round_robin(space, s), k, t)
+        check("kt-center round 1", cen.ledger.words(round_no=1), s * t + 3 * s)
+        check("kt-center round 2", cen.ledger.words(round_no=2),
+              sum((k + ti) * (width + 1) for ti in cen.budgets))
+
+    med_total, one_total = {}, {}
+    for s, t in grid:
+        med_total[(s, t)], one_total[(s, t)] = median_and_one_round(space, s, t)
+    for s, t in ((2, 8), (4, 16)):
+        median_and_one_round(mspace, s, t)
+        center(mspace, s, t)
+    center(space, 4, 8)
+    for sp in (space, mspace):
+        co = run_kt_median_clustering_only(Partition.round_robin(sp, 4), k, 8, seed=1)
+        curve_round("kt-median-co", co, 4)
+
     universe, nodes = gen_uncertain_planted(20, 2, 2, seed=2)
     uspace = MetricSpace.euclidean(universe)
     npart = NodePartition.round_robin(uspace, nodes, 3)
     unc = run_uncertain(npart, k, 2, seed=1)
-    if unc.ledger.words(round_no=2) != sum(
-            2 * k * (B + 1) + ti * (B + 1) for ti in unc.budgets):
-        formulas_ok = False
+    check("uncertain-median pivot", unc.ledger.words(kind="pivot"), 3 * 3)
+    check("uncertain-median round 2", unc.ledger.words(round_no=2),
+          sum(2 * k * (B + 1) + ti * (B + 1) for ti in unc.budgets))
+    pp = run_uncertain(npart, k, 2, objective="center-pp")
+    check("uncertain-center-pp round 1", pp.ledger.words(round_no=1), 3 * 2 + 3 * 3)
+    cg = run_center_g(npart, k, 2)
+    check("center-g pivot", cg.ledger.words(kind="pivot"), 4 * 3)
 
     def cross_term(totals):
         A = np.array([[1.0, s, t, s * t] for s, t in grid])
@@ -257,11 +295,13 @@ def test_criterion_06_word_accounting(capsys):
     d_med = cross_term(med_total)
     d_one = cross_term(one_total)
     regression_ok = abs(d_med) < 0.25 * B and abs(d_one - B) < 1e-6
-    ok = formulas_ok and regression_ok
+    ok = not failed and regression_ok
     _verdict(capsys, 6, "communication accounting", ok,
              f"closed forms exact on {len(grid)} median/one-round runs"
-             f" + center + uncertain; s*t coefficient {d_med:.3f} (median)"
-             f" vs {d_one:.3f} == B={B} (one-round)")
+             f" + matrix mode + center, clustering-only, uncertain and"
+             f" center-g; s*t coefficient {d_med:.3f} (median)"
+             f" vs {d_one:.3f} == B={B} (one-round)"
+             + "".join(f"; {f}" for f in failed))
 
 
 def test_criterion_07_compression_factors(capsys):

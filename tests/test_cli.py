@@ -299,6 +299,39 @@ def test_exit_codes(planted_file, tmp_path, capsys):
     assert ei.value.code == 2
 
 
+# (--alg, the flags that make epsilon, (1 + epsilon) t, alpha or the
+# recursion depth non-finite)
+_NON_FINITE = [(alg, ["--epsilon", e]) for alg in ("kt-median", "kt-median-co", "one-round")
+               for e in ("nan", "inf", "1e308")] + [
+    ("kt-means", ["--epsilon", "nan"]),
+    ("one-round", ["--objective", "center", "--epsilon", "nan"]),
+    ("uncertain-median", ["--epsilon", "inf"]),
+    ("center-g", ["--epsilon", "nan"]),
+    ("subquadratic", ["--alpha", "nan"]),
+    ("subquadratic", ["--alpha", "inf"]),
+    ("subquadratic", ["--alpha", "1e-320"]),
+]
+
+
+@pytest.mark.parametrize("alg, extra", _NON_FINITE,
+                         ids=[f"{alg} {' '.join(extra)}" for alg, extra in _NON_FINITE])
+def test_non_finite_epsilon_or_alpha_exits_2(tmp_path, alg, extra, capsys):
+    """A non-finite epsilon or (1 + epsilon) t, or a non-finite alpha or
+    recursion depth, is an unusable argument (exit 2), not a traceback.
+    One-round center reads no epsilon, yet a NaN one is refused there too."""
+    pts, nodes = tmp_path / "pts.jsonl", []
+    if alg in ("uncertain-median", "center-g"):
+        universe, node_list = gen_uncertain_planted(20, 2, 3, seed=1)
+        write_points_jsonl(pts, universe)
+        write_nodes_jsonl(tmp_path / "nodes.jsonl", node_list)
+        nodes = ["--nodes", str(tmp_path / "nodes.jsonl")]
+    else:
+        write_points_jsonl(pts, gen_planted(40, 2, 3, seed=1))
+    code, out, err = run(["solve", "--input", str(pts), "--alg", alg, "--k", "2",
+                          "--t", "3"] + nodes + extra, capsys)
+    assert (code, out) == (2, "") and extra[-2][2:] in err
+
+
 _THREE_POINTS = "".join(json.dumps({"id": i, "coords": c}) + "\n" for i, c in
                         enumerate([[0.0, 0.0], [3.0, 4.0], [6.0, 0.0]]))
 _THREE_BY_THREE = "3\n0 5 6\n5 0 5\n6 5 0\n"

@@ -964,6 +964,18 @@ def test_sorted_costs_match_stable_argsort(case, tau):
     assert table.costs.tobytes() == np.take_along_axis(CT, order, axis=1).tobytes()
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+def test_bicriteria_config_rejects_epsilon(epsilon):
+    with pytest.raises(InvalidParameterError):
+        BicriteriaConfig(epsilon=epsilon)
+
+
+def test_bicriteria_trials_cap_a_tiny_epsilon():
+    """8 / epsilon overflows to inf below about 1e-308; the cap still holds."""
+    assert BicriteriaConfig(epsilon=1e-320).trials == 200
+    assert [BicriteriaConfig(epsilon=e).trials for e in (0.1, 1.0, 2.0)] == [200, 37, 19]
+
+
 def test_jv_rejects_table_of_another_matrix():
     inst = random_instance(7, 8)
     table = SortedCosts.build(inst, Objective.MEANS)
