@@ -984,20 +984,27 @@ def test_jv_rejects_table_of_another_matrix():
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_jv_cases(), data=st.data())
-def test_initial_opening_times_match_first_estimates(case, data):
+@given(case=_jv_cases(), tau=st.sampled_from([None, 0.5, 1.5]), data=st.data())
+def test_initial_opening_times_match_first_estimates(case, tau, data):
     """Each initial opening time is, bit for bit, the estimate of its
     candidate on its whole row with every demand active, the float
     operations of the event loop's first search, so the first candidate
     to open is their argmin (the premise of the one-center certificate).
     Costs include those at which a row's whole-row level sits just above or
-    below its largest cost."""
-    inst, z, objective, tau, _ = case
+    below its largest cost; a break of a drawn row (the cost at which its
+    level reaches one of its costs), one ulp either side of it and 1e-12
+    relative either side; and one below 1e-9. Each table is also truncated
+    at tau, so that many costs tie at 0 and many breaks coincide."""
+    inst, z, objective, tau0, _ = case
+    tau = tau0 if tau is None else tau
     table = SortedCosts.build(inst, objective, tau)
     W = float(inst.total_weight)
     u = data.draw(st.integers(0, len(inst.candidates) - 1))
     edge = W * float(table.costs[u, -1]) - float(table.cum_wc[u, -1])
     zs = [z] + [edge * (1.0 + f) for f in (-1e-7, -1e-10, 0.0, 1e-10, 1e-7)]
+    b = float(data.draw(st.sampled_from(table.costs[u] * table.cum_w[u] - table.cum_wc[u])))
+    zs += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), b * (1.0 - 1e-12),
+           b * (1.0 + 1e-12), data.draw(st.floats(0.0, 1e-9, exclude_min=True))]
     for zv in (zv for zv in zs if zv > 0):
         times = table.initial_opening_times(zv)
         want = [solvers._opening_estimate(table.order[v], table.costs[v], inst.weights.copy(),
