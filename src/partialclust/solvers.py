@@ -386,12 +386,11 @@ class SortedCosts:
     ``runs`` caches the probes' runs by facility cost (see
     :func:`jv_facility_location`): a probe at a cost already run reads its
     result off that run when the run went far enough, and otherwise runs
-    again and replaces it. ``verdicts`` and ``spreads`` cache
-    :meth:`keeps_one_center` by facility cost and by first opening, and
-    ``held`` keeps the opening times that a failed verdict computed for the
-    run that follows it. ``floors`` caches :meth:`keeps_fewer_than`'s least
-    certified facility cost by center count. A table fills as it is probed,
-    so it serves one site's curve round and is dropped with it."""
+    again and replaces it. ``certified`` and ``reaches`` cache
+    :meth:`keeps_fewer_than` by center count and facility cost and by first
+    opening, and ``held`` keeps the opening times that a failed verdict
+    computed for the run that follows it. A table fills as it is probed, so
+    it serves one site's curve round and is dropped with it."""
 
     matrix: np.ndarray
     order: np.ndarray
@@ -403,10 +402,9 @@ class SortedCosts:
     total: float
     cmax: float
     runs: dict = field(default_factory=dict, compare=False, repr=False)
-    verdicts: dict = field(default_factory=dict, compare=False, repr=False)
-    spreads: dict = field(default_factory=dict, compare=False, repr=False)
+    certified: dict = field(default_factory=dict, compare=False, repr=False)
+    reaches: dict = field(default_factory=dict, compare=False, repr=False)
     held: dict = field(default_factory=dict, compare=False, repr=False)
-    floors: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, instance, objective, tau=0.0):
@@ -454,7 +452,7 @@ class SortedCosts:
         cum_w[u, i]`` inside its windows ``costs[u, i] - 1e-12`` and
         ``costs[u, i + 1] + 1e-12`` (inf if none is), the float operations
         of the event loop's first estimates. Times that
-        :meth:`keeps_one_center` computed at ``z`` are handed over once.
+        :meth:`keeps_fewer_than` computed at ``z`` are handed over once.
 
         With B_0 = 0 and B_1, B_2, ... row u's breaks, entry i's windows
         hold, in exact arithmetic, when B_i - 1e-12 cum_w[u, i] <= z <=
@@ -486,117 +484,95 @@ class SortedCosts:
             times[wide] = np.where(ok, cand, np.inf).min(axis=1)
         return times
 
-    def keeps_one_center(self, z):
-        """True when a primal-dual run at ``z > 0`` keeps at most one
-        center after pruning, at every stop weight: a one-center
-        certificate, read without a run.
+    def keeps_fewer_than(self, k, z):
+        """True when a primal-dual run at ``z > 0`` keeps fewer than ``k``
+        centers after pruning, at every stop weight: a clique-cover
+        certificate, read without a run. W is the total weight and tol =
+        1e-12 (1 + max alpha) pruning's tolerance.
 
-        Let u1 be the first candidate to open, the argmin of
-        :meth:`initial_opening_times` (lowest index on ties), at level
-        theta1. That is exact: the event loop's first search re-estimates u1
-        on its unfrozen row with the float operations of those times, so u1
-        is fresh and opens first, and pruning, greedy in opening order,
-        keeps it. A second kept center u2 conflicts with no kept center, so
-        every demand with a dual alpha_j above c_{j,u2} + tol has alpha_j at
-        most c_{j,u1} + tol, where tol = 1e-12 (1 + max alpha) is pruning's
-        tolerance. Those demands pay u2's facility cost; the others pay at
-        most tol each. So u2 opens only if
+        1. Let u1 be the first candidate to open, the argmin of
+           :meth:`initial_opening_times` (lowest index on ties), at level
+           theta1. That is exact: the event loop's first search re-estimates
+           u1 on its unfrozen row with the float operations of those times,
+           so u1 is fresh and opens first, and pruning, greedy in opening
+           order, keeps it. Every dual is a level of the run or a freeze
+           time, so every dual is at least theta1. Once u1 is open, each
+           active demand freezes by the level of its cost to u1, so no dual
+           exceeds max(theta1, cmax).
+        2. A kept u != u1 conflicts with no kept center, so every demand
+           with alpha_j above c_{j,u} + tol has alpha_j at most c_{j,u1} +
+           tol. Those demands pay u's facility cost; the others pay at most
+           tol each. So u opens only if z <= reach(u) + W tol, with
+           reach(u) = sum_j w_j (c_{j,u1} - c_{j,u})+. Each float tolerance
+           of the loop adds at most W 1e-12 (1 + theta1 + cmax) to the right
+           side: pruning's tol, the 1e-12 relative staleness of a heap key
+           and the 1e-12 windows of the opening estimates. So u is not kept
+           when z > (reach(u) + 4 W 1e-12 (1 + theta1 + cmax)) (1 + 1e-9),
+           the factor covering rounding in the sums.
+        3. Demand j's ball holds the candidates u with c_{j,u} < r, r =
+           fl(theta1 - 1.01e-12 (1 + theta1 + cmax)). Two candidates of one
+           ball conflict: by step 1 tol <= 1e-12 (1 + theta1 + cmax) (1 +
+           2^-50), and theta1 - c_{j,u} > theta1 - r exceeds it by more
+           than 1e-15 (1 + theta1 + cmax), which covers the rounding of r
+           and of alpha_j - c_{j,u} >= theta1 - c_{j,u}. So a kept set
+           holds at most one candidate of each ball, and none that shares a
+           ball with u1.
+        4. So a run keeps at most 1 + r1 centers, where r1 is the size of a
+           cover by balls of the candidates that steps 2 and 3 leave. A
+           greedy cover takes, while some such candidate is uncovered, the
+           ball that covers most of them; once none covers two, each left
+           is a set of its own. It stops at k - 1 sets, and the verdict
+           holds when it takes fewer.
 
-            z <= spread(u1) + W tol,
-            spread(u1) = max over u of sum_j w_j (c_{j,u1} - c_{j,u})+,
-
-        with W the total weight. Once u1 is open, every demand freezes by
-        the level max(theta1, cmax), so no dual exceeds it by more than the
-        loop's relative 1e-12. Each float tolerance of the loop adds at most
-        W * 1e-12 (1 + theta1 + cmax) to the right side: pruning's tol, the
-        1e-12 relative staleness of a heap key and the 1e-12 windows of the
-        opening estimates. So when
-
-            z > (spread(u1) + 4 W 1e-12 (1 + theta1 + cmax)) (1 + 1e-9),
-
-        the factor covering rounding in the sums, no second candidate is
-        kept. The verdict is cached per ``z``, so every stop weight of a
-        site's q grid shares it; spread(u1) is cached per u1 and read in
-        column blocks. A failed verdict holds its opening times for the run
-        at ``z`` that follows it."""
-        verdict = self.verdicts.get(z)
+        Once z > 2 W 1e-12 (1 + cmax), theta1 >= fl(z / W) puts r above 0,
+        so every ball holds the candidates at cost 0 to its demand. reach
+        is cached per u1 and read in column blocks, and
+        the verdict per ``(k, z)``, so every stop weight of a site's q grid
+        shares it. A failed verdict holds its opening times for the run at
+        ``z`` that follows it."""
+        verdict = self.certified.get((k, z))
         if verdict is not None:
             return verdict
         times = self.initial_opening_times(z)
         u1 = int(times.argmin())
-        spread = self.spreads.get(u1)
-        if spread is None:
-            spread = self.spreads[u1] = self._spread(u1)
-        slack = 4.0 * self.total * 1e-12 * (1.0 + float(times[u1]) + self.cmax)
-        verdict = self.verdicts[z] = z > (spread + slack) * (1.0 + 1e-9)
+        theta1 = float(times[u1])
+        reach = self.reaches.get(u1)
+        if reach is None:
+            reach = self.reaches[u1] = self._reach(u1)
+        slack = 4.0 * self.total * 1e-12 * (1.0 + theta1 + self.cmax)
+        left = z <= (reach + slack) * (1.0 + 1e-9)
+        left[u1] = False
+        cover = int(np.count_nonzero(left))
+        if cover >= k - 1:   # fewer left, one set each, already certify
+            ball = self.matrix < theta1 - 1.01e-12 * (1.0 + theta1 + self.cmax)
+            left &= ~ball[ball[:, u1]].any(axis=0)
+            cover = 0
+            while cover < k - 1 and left.any():
+                hits = np.count_nonzero(ball[:, left], axis=1)
+                j = int(hits.argmax())
+                if hits[j] < 2:
+                    cover += int(np.count_nonzero(left))
+                    break
+                left &= ~ball[j]
+                cover += 1
+        verdict = self.certified[(k, z)] = cover < k - 1
         if not verdict:
             self.held.clear()
             self.held[z] = times
         return verdict
 
-    def keeps_fewer_than(self, k, z):
-        """True when a primal-dual run at ``z`` keeps fewer than ``k``
-        centers after pruning, at every stop weight: a many-center
-        certificate for tables whose costs are often exactly 0, read without
-        a run.
-
-        Demand j's clique is the candidates u with c_{j,u} = 0. A greedy
-        cover takes, while some candidate is uncovered, the clique that
-        covers most of them; once none covers two, each candidate left is a
-        clique of its own. Say it takes r0 cliques. When r0 < k and
-
-            z > 2 W 1e-12 (1 + cmax),
-
-        with W the total weight, every run at ``z`` keeps at most r0
-        centers:
-
-        - Every dual is at least theta1 >= fl(z / W), the first opening
-          level: an opening time pays ``z`` with weights summing to at most
-          W, and no freeze time or stop level lies below it.
-        - No dual exceeds max(theta1, cmax) by more than the loop's relative
-          1e-12, by :meth:`keeps_one_center`'s argument, so pruning's
-          tolerance 1e-12 (1 + max alpha) lies below theta1. Pruning then
-          runs, and two candidates at cost 0 to one demand conflict.
-        - Kept centers never conflict, so a run keeps at most one center of
-          each clique.
-
-        The cover stops at k cliques, so it costs O(k n m), once per ``k``;
-        after that a verdict is one comparison."""
-        floor = self.floors.get(k)
-        if floor is None:
-            floor = self.floors[k] = self._zero_clique_floor(k)
-        return z > floor
-
-    def _zero_clique_floor(self, k):
-        """The least facility cost :meth:`keeps_fewer_than` certifies for
-        ``k``: inf when the greedy cover takes k cliques or more."""
-        zero = self.matrix == 0.0
-        uncovered = np.ones(zero.shape[1], dtype=bool)
-        cliques = 0
-        while cliques < k and uncovered.any():
-            hits = np.count_nonzero(zero[:, uncovered], axis=1)
-            j = int(hits.argmax())
-            if hits[j] < 2:
-                cliques += int(np.count_nonzero(uncovered))
-                break
-            uncovered &= ~zero[j]
-            cliques += 1
-        if cliques >= k:
-            return np.inf
-        return 2.0 * self.total * 1e-12 * (1.0 + self.cmax)
-
-    def _spread(self, u):
-        """max over candidates v of sum_j w_j (c_{j,u} - c_{j,v})+, over
-        column blocks that keep the temporaries small next to the table."""
+    def _reach(self, u):
+        """sum_j w_j (c_{j,u} - c_{j,v})+ for every candidate v, over column
+        blocks that keep the temporaries small next to the table."""
         C = self.matrix
         n, m = C.shape
         step = max(1, _BLOCK_ENTRIES // n)
-        spread = 0.0
+        reach = np.empty(m)
         for r in range(0, m, step):
             gap = C[:, u, None] - C[:, r:r + step]
             np.maximum(gap, 0.0, out=gap)
-            spread = max(spread, float((self.weights @ gap).max()))
-        return spread
+            reach[r:r + step] = self.weights @ gap
+        return reach
 
 
 @dataclass(frozen=True)
@@ -1083,10 +1059,10 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
     outliers come from :func:`solution_from_centers` at its budget.
 
     With k >= 2, a facility cost that :meth:`SortedCosts.keeps_fewer_than`
-    or :meth:`SortedCosts.keeps_one_center` certifies is taken as a run
-    with fewer than k centers without making the run; it is made only when
-    the search ends with that cost on the small side. The search visits the
-    same costs, so the answer is that of running every probe.
+    certifies is taken as a run with fewer than k centers without making
+    the run; it is made only when the search ends with that cost on the
+    small side. The search visits the same costs, so the answer is that of
+    running every probe.
 
     ``tau`` truncates the metric the duals grow against; ``report_tau``
     (defaulting to ``tau``) is the truncation the returned solution is
@@ -1119,9 +1095,8 @@ def bicriteria_median(instance, k, t, cfg=None, objective=Objective.MEDIAN, seed
 
     def fewer(zv):
         # A certified run keeps fewer than k centers: the search moves on
-        # without it, and runs it only if its centers are needed. The
-        # many-center verdict is one comparison, so it is read first.
-        return k >= 2 and (table.keeps_fewer_than(k, zv) or table.keeps_one_center(zv))
+        # without it, and runs it only if its centers are needed.
+        return k >= 2 and table.keeps_fewer_than(k, zv)
 
     z_lo, z_hi = 0.0, table.total * table.cmax + 1.0
     res_lo = probe(z_lo)

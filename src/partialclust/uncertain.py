@@ -178,7 +178,9 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
     The report's solution is node-level; its cost is the compressed-graph
     cost, and the expected-distance cost of the same assignment on the
     universe (recorded in ``extras``) is asserted to be at most 2x that (4x
-    for means).
+    for means). The median and means coordinators exclude floor((1 +
+    epsilon) t) copies, so they need more nodes than that (center-pp's
+    excludes t).
     """
     if objective not in _UNCERTAIN_OBJECTIVES:
         raise InvalidParameterError(
@@ -188,6 +190,12 @@ def run_uncertain(npartition, k, t, objective="median", epsilon=1.0, seed=0,
     space = npartition.space
     if len(npartition.nodes) <= t:
         raise InfeasibleError(f"outlier budget t={t} >= {len(npartition.nodes)} nodes")
+    # A relaxed budget that reaches every node admits the empty service, and
+    # the bicriteria bound covers no smaller budget: refuse it, as center-g does.
+    relaxed_t = int((1.0 + epsilon) * t + 1e-9)
+    if obj is not Objective.CENTER and len(npartition.nodes) <= relaxed_t:
+        raise InfeasibleError(
+            f"relaxed outlier budget {relaxed_t} >= {len(npartition.nodes)} nodes")
     collapse_obj = Objective.MEANS if obj is Objective.MEANS else Objective.MEDIAN
 
     def collapse_site(i):

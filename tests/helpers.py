@@ -24,6 +24,7 @@ from partialclust import (
 )
 from partialclust.errors import ClusteringError, InvalidParameterError
 from partialclust.metric import EvalCounter
+from partialclust import solvers
 from partialclust.solvers import GonzalezOrder, JVResult, SortedCosts
 
 
@@ -275,6 +276,44 @@ def naive_kt_center_outliers(instance, k, t):
         if uncovered.sum() <= t + 1e-9:
             return solution_from_centers(instance, centers, Objective.CENTER, t)
     raise AssertionError("threshold sweep found no feasible radius")
+
+
+def one_center_verdict(table, z):
+    """The one-center certificate that the clique cover subsumes: a run at
+    ``z > 0`` keeps at most one center when z > (spread(u1) + 4 W 1e-12 (1
+    + theta1 + cmax)) (1 + 1e-9), with u1 and theta1 the argmin and the
+    least of the initial opening times, and spread(u1) = max over v of
+    sum_j w_j (c_{j,u1} - c_{j,v})+, summed over the table's column blocks."""
+    times = table.initial_opening_times(z)
+    u1 = int(times.argmin())
+    C = table.matrix
+    n, m = C.shape
+    step = max(1, solvers._BLOCK_ENTRIES // n)
+    spread = 0.0
+    for r in range(0, m, step):
+        gap = np.maximum(C[:, u1, None] - C[:, r:r + step], 0.0)
+        spread = max(spread, float((table.weights @ gap).max()))
+    slack = 4.0 * table.total * 1e-12 * (1.0 + float(times[u1]) + table.cmax)
+    return z > (spread + slack) * (1.0 + 1e-9)
+
+
+def zero_clique_verdict(table, k, z):
+    """The zero-clique certificate that the clique cover subsumes: a run at
+    ``z > 2 W 1e-12 (1 + cmax)`` keeps fewer than k centers when a greedy
+    cover of the candidates by the cliques {u : c_{j,u} = 0}, a candidate
+    in none a clique of its own, takes fewer than k cliques."""
+    zero = table.matrix == 0.0
+    uncovered = np.ones(zero.shape[1], dtype=bool)
+    cliques = 0
+    while cliques < k and uncovered.any():
+        hits = np.count_nonzero(zero[:, uncovered], axis=1)
+        j = int(hits.argmax())
+        if hits[j] < 2:
+            cliques += int(np.count_nonzero(uncovered))
+            break
+        uncovered &= ~zero[j]
+        cliques += 1
+    return cliques < k and z > 2.0 * table.total * 1e-12 * (1.0 + table.cmax)
 
 
 def lazy_heap_jv_facility_location(instance, z, objective, tau=0.0, stop_weight=0, table=None):

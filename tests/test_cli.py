@@ -883,11 +883,12 @@ def _no_float_constant(name):
 def test_extreme_node_inputs_work_or_exit_3(six_nodes, alg, sites, k, t, capsys):
     """Six nodes at the extremes of sites, k and t give a finite report
     within the outlier budget: t nodes for uncertain-center-pp, the relaxed
-    floor((1 + epsilon) t) = 2t for the others. The one refusal is
-    center-g's, exit 3, where that relaxed budget reaches the node count."""
+    floor((1 + epsilon) t) = 2t for the others. Where that relaxed budget
+    reaches the node count, every protocol but uncertain-center-pp refuses
+    with exit 3: a report may not ignore every node."""
     code, out, err = run(["solve", "--alg", alg, "--k", str(k), "--t", str(t),
                           "--sites", str(sites)] + six_nodes, capsys)
-    if alg == "center-g" and 2 * t >= 6:
+    if alg != "uncertain-center-pp" and 2 * t >= 6:
         assert code == 3 and out == "" and "relaxed outlier budget" in err
         return
     assert code == 0, err

@@ -41,10 +41,12 @@ from helpers import (
     lazy_heap_jv_facility_location,
     loop_solution_from_centers,
     naive_kt_center_outliers,
+    one_center_verdict,
     plain_center_lower_bound,
     random_instance,
     random_points,
     record_blocks,
+    zero_clique_verdict,
 )
 
 
@@ -1012,55 +1014,6 @@ def test_initial_opening_times_match_first_estimates(case, tau, data):
         assert [float(x).hex() for x in times] == [float(x).hex() for x in want]
 
 
-def _spreads(inst, objective, tau):
-    """spread(u) = max over v of sum_j w_j (c_{j,u} - c_{j,v})+, for every
-    candidate column u, one column pair at a time."""
-    C = inst.cost_matrix(objective, tau)
-    w = inst.weights
-    m = C.shape[1]
-    return [max(float(np.sum(w * np.maximum(C[:, u] - C[:, v], 0.0))) for v in range(m))
-            for u in range(m)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_jv_cases(), data=st.data())
-def test_one_center_certificate_holds(case, data):
-    """Whenever ``keeps_one_center(z)`` holds, a probe at ``z`` opens the
-    argmin of the initial opening times first and keeps at most that one
-    center, at every stop weight from 0 to W - 1. The costs sit just above
-    and just below each candidate's spread, and on the facility-cost
-    search's top halvings. A verdict implies z > spread(u1); z well past
-    spread(u1) gives one; and a probe after a failed verdict, which reads
-    the opening times the verdict held, matches the heap reference."""
-    inst, _, objective, tau, _ = case
-    W = inst.total_weight
-    cmax = float(inst.cost_matrix(objective, tau).max())
-    spreads = _spreads(inst, objective, tau)
-    zs = [s * f for s in set(spreads) for f in (1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-8, 1 + 1e-3)]
-    zs += [(W * cmax + 1.0) * 2.0 ** -e for e in range(6)]
-    zs = data.draw(st.lists(st.sampled_from(sorted({z for z in zs if z > 0} or {1.0})),
-                            min_size=1, max_size=4))
-    table = SortedCosts.build(inst, objective, tau)
-    for z in zs:
-        times = SortedCosts.build(inst, objective, tau).initial_opening_times(z)
-        u1 = int(times.argmin())
-        holds = table.keeps_one_center(z)
-        assert table.keeps_one_center(z) == holds
-        if holds:
-            assert z > spreads[u1]
-        elif z > (spreads[u1] + 8e-12 * W * (1.0 + times[u1] + cmax)) * (1.0 + 1e-8):
-            pytest.fail(f"no verdict at z={z!r}, far past spread {spreads[u1]!r}")
-        for stop_weight in data.draw(st.lists(st.integers(0, W - 1), min_size=1, max_size=3)):
-            res = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
-            if holds:
-                assert len(res.centers) <= 1
-                assert table.runs[z].opened[0] == u1
-            else:
-                slow = lazy_heap_jv_facility_location(inst, z, objective, tau, stop_weight)
-                assert res.centers == slow.centers
-                assert res.alpha.tobytes() == slow.alpha.tobytes()
-
-
 _QUANTILES = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.98]
 
 
@@ -1116,40 +1069,138 @@ def _cost_quantile(inst, q):
     return float(np.quantile(inst.cost_matrix(Objective.MEDIAN), q))
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_zero_heavy_cases(), k=st.integers(2, 5), data=st.data())
-def test_many_center_certificate_holds(case, k, data):
-    """Whenever ``keeps_fewer_than(k, z)`` holds, a probe at ``z`` keeps
-    fewer than k centers, at every stop weight from 0 to W - 1. The costs
-    run from far below the certificate's threshold 2 W 1e-12 (1 + cmax),
-    where pruning's tolerance can pass the first opening level and clique
-    members survive together, to the facility-cost search's top halvings.
-    The verdict is cached: asked again, it is the same."""
-    inst, objective, tau = case
-    W = inst.total_weight
-    cmax = float(inst.cost_matrix(objective, tau).max())
-    threshold = 2e-12 * W * (1.0 + cmax)
-    zs = [threshold * 2.0 ** e for e in range(-12, 4)] + [threshold * (1.0 + 1e-9)]
-    zs += [(W * cmax + 1.0) * 2.0 ** -e for e in range(0, 40, 3)]
+def _ball_radius(theta1, cmax):
+    return theta1 - 1.01e-12 * (1.0 + theta1 + cmax)
+
+
+def _ball_edge(inst, objective, tau, c):
+    """The least facility cost at which the ball radius of the first opening
+    level passes ``c``, by bisection over floats: below it no ball holds a
+    candidate at cost ``c`` from its demand."""
     table = SortedCosts.build(inst, objective, tau)
-    for z in data.draw(st.lists(st.sampled_from(zs), min_size=1, max_size=4, unique=True)):
+    cmax = table.cmax
+    lo, hi = 0.0, table.total * cmax + 1.0
+    while np.nextafter(lo, np.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        mid = mid if lo < mid < hi else np.nextafter(lo, np.inf)
+        if _ball_radius(float(table.initial_opening_times(mid).min()), cmax) > c:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@st.composite
+def _twin_cases(draw):
+    """(instance, objective, 0.0) in matrix mode: up to 12 integer-grid
+    points, some of them twins (at distance 0, with equal distances to
+    every other point), and sometimes one point 1000 away. A twin of the
+    first opener costs it no reach, and far costs widen pruning's
+    tolerance: at tiny facility costs twins open together and all survive
+    pruning, as in :func:`test_many_center_certificate_on_a_crafted_table`."""
+    size = draw(st.integers(2, 12))
+    pts = np.array(draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                                 min_size=size, max_size=size)), dtype=float)
+    if draw(st.booleans()):
+        pts[-1] = (1000.0, 0.0)
+    D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                              min_size=1, max_size=4)):
+        if a != b:
+            D[b] = D[a]
+            D[:, b] = D[:, a]
+    inst = Instance.from_points(MetricSpace.from_matrix(D), merge_duplicates=False)
+    return inst, draw(st.sampled_from([Objective.MEDIAN, Objective.MEANS])), 0.0
+
+
+@st.composite
+def _certificate_cases(draw):
+    """(instance, objective, tau, k, facility costs) for the clique-cover
+    certificate: the shapes of :func:`_jv_cases` and
+    :func:`_zero_heavy_cases`, matrix-mode twins (:func:`_twin_cases`), k
+    from 2 to 6, and facility costs: up to two of the search's halvings
+    z_hi 2^-e (e < 64, down into the float-noise levels), up to two of
+    every nonzero reach(u) = sum_j w_j (c_{j,u1} - c_{j,u})+ times (1 +-
+    1e-9), over every pair u1, u, and often the cost at which the ball
+    radius passes one of the table's costs, one ulp either side."""
+    shape = draw(st.sampled_from(["jv", "zero", "twins"]))
+    if shape == "jv":
+        inst, _, objective, tau, _ = draw(_jv_cases())
+    elif shape == "zero":
+        inst, objective, tau = draw(_zero_heavy_cases())
+    else:
+        inst, objective, tau = draw(_twin_cases())
+    C = inst.cost_matrix(objective, tau)
+    z_hi = inst.total_weight * float(C.max()) + 1.0
+    zs = draw(st.lists(st.sampled_from([z_hi * 2.0 ** -e for e in range(64)]),
+                       max_size=2, unique=True))
+    gaps = np.maximum(C[:, :, None] - C[:, None, :], 0.0)
+    reaches = set(np.einsum("j,juv->uv", inst.weights, gaps).ravel().tolist()) - {0.0}
+    if reaches:
+        zs += draw(st.lists(st.sampled_from(sorted(r * f for r in reaches
+                                                   for f in (1.0 - 1e-9, 1.0 + 1e-9))),
+                            max_size=2, unique=True))
+    if draw(st.booleans()) or not zs:
+        edge = _ball_edge(inst, objective, tau, draw(st.sampled_from(sorted(set(C.ravel())))))
+        zs = zs + [z for z in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+                   if z > 0 and z not in zs]
+    return inst, objective, tau, draw(st.integers(2, 6)), zs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_certificate_cases(), data=st.data())
+def test_clique_cover_certificate_holds(case, data):
+    """Whenever ``keeps_fewer_than(k, z)`` holds, a probe at ``z`` opens the
+    argmin of the initial opening times first and keeps fewer than k
+    centers, at every stop weight from 0 to W - 1. The verdict is cached:
+    asked again, it is the same. A probe after a failed verdict, which
+    reads the opening times the verdict held, matches the heap reference."""
+    inst, objective, tau, k, zs = case
+    W = inst.total_weight
+    table = SortedCosts.build(inst, objective, tau)
+    for z in zs:
+        u1 = int(SortedCosts.build(inst, objective, tau).initial_opening_times(z).argmin())
         holds = table.keeps_fewer_than(k, z)
         assert table.keeps_fewer_than(k, z) == holds
         if holds:
             for stop_weight in range(W):
                 res = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
-                assert len(res.centers) < k
+                assert len(res.centers) < k, (z, stop_weight, res.centers)
+            assert table.runs[z].opened[0] == u1
+        else:
+            stop_weight = data.draw(st.integers(0, W - 1))
+            res = jv_facility_location(inst, z, objective, tau, stop_weight, table=table)
+            slow = lazy_heap_jv_facility_location(inst, z, objective, tau, stop_weight)
+            assert res.centers == slow.centers
+            assert res.alpha.tobytes() == slow.alpha.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_certificate_cases())
+def test_clique_cover_certificate_subsumes_both(case):
+    """The clique cover holds wherever the one-center certificate or the
+    zero-clique certificate it replaced held (their formulas live on in
+    :func:`one_center_verdict` and :func:`zero_clique_verdict`): it skips
+    every run they skipped."""
+    inst, objective, tau, k, zs = case
+    table = SortedCosts.build(inst, objective, tau)
+    for z in zs:
+        ref = SortedCosts.build(inst, objective, tau)
+        if one_center_verdict(ref, z) or zero_clique_verdict(ref, k, z):
+            assert table.keeps_fewer_than(k, z), z
 
 
 def test_many_center_certificate_on_a_crafted_table():
     """Matrix mode: candidates 0, 1, 2 at distance 0 from each other and
     from their demands (one clique), candidate 4 at distance 1 from its only
     demand 5 (a clique of its own: no demand costs 0 there), and demand 3 at
-    1000 from every candidate. The cover takes two cliques, so k = 2 gets
-    no verdict, and its runs keep two centers from z = 1 on. k = 3 gets one
-    above 2 W 1e-12 (1 + cmax), about 1e-8. Below it, at z = 3 * 2^-30,
-    the clique's demands freeze at 2^-30, within pruning's tolerance
-    1e-12 (1 + 1000) of their cost 0, and the run keeps all four."""
+    1000 from every candidate. Candidate 0 opens first, 1 and 2 share its
+    ball and 4 is left: one ball, so k = 2 gets no verdict, and its runs
+    keep two centers from z = 1 on. k = 3 gets one once the first opening
+    level clears pruning's tolerance, from z of about 1e-8. Below it, at
+    z = 3 * 2^-30, the clique's demands freeze at 2^-30, within pruning's
+    tolerance 1e-12 (1 + 1000) of their cost 0; the ball radius is below 0,
+    and the run keeps all four."""
     D = np.full((6, 6), 1000.0)
     D[:3, :3] = 0.0
     D[4, 5] = D[5, 4] = 1.0
@@ -1170,6 +1221,25 @@ def test_many_center_certificate_on_a_crafted_table():
                     res = jv_facility_location(inst, z, Objective.MEDIAN, 0.0, stop_weight,
                                                table=table)
                     assert len(res.centers) < k
+
+
+def test_clique_cover_drops_the_first_openers_ball():
+    """Matrix mode: candidates 0 and 1 at cost 0 to demand 2; demand 3 at
+    cost 0 from 0 and 5 from 1, demand 4 the other way round. Candidate 0
+    opens first (the lower index of a tie), and 1 stays payable up to z =
+    reach(1) = 5, but shares demand 2's ball with 0: the verdict for k = 2
+    holds without any ball of the cover, and every run keeps one center."""
+    D = np.zeros((5, 5))
+    D[1, 3] = D[3, 1] = D[0, 4] = D[4, 0] = 5.0
+    inst = Instance(MetricSpace.from_matrix(D), [Demand((j,), (1.0,)) for j in (2, 3, 4)],
+                    [0, 1])
+    table = SortedCosts.build(inst, Objective.MEDIAN)
+    for z in (0.5, 2.0, 4.0):
+        assert table.keeps_fewer_than(2, z)
+        for stop_weight in range(inst.total_weight):
+            res = jv_facility_location(inst, z, Objective.MEDIAN, 0.0, stop_weight, table=table)
+            assert res.centers == (0,)
+    assert table.reaches[0][1] == 5.0
 
 
 def _heap_paid_openings(key, est, theta, freezes):
@@ -1288,9 +1358,8 @@ def _search_cases(draw):
 
 
 def _without_certificate(monkeypatch):
-    """The search with every verdict of both certificates failed: it runs
+    """The search with every verdict of the certificate failed: it runs
     every probe."""
-    monkeypatch.setattr(SortedCosts, "keeps_one_center", lambda self, z: False)
     monkeypatch.setattr(SortedCosts, "keeps_fewer_than", lambda self, k, z: False)
 
 

@@ -57,8 +57,8 @@ def test_tracer_spans_match_reports(tmp_path, capsys):
     assert m["protocol.words.round1"] == report["words"]["round1"]
     assert m["protocol.words.round2"] == report["words"]["round2"]
     # Probe counts are deterministic: every call of jv_facility_location,
-    # the z = 0 probes included, is one probe; a facility cost the one-center
-    # or the many-center certificate settles is no call.
+    # the z = 0 probes included, is one probe; a facility cost the
+    # clique-cover certificate settles is no call.
     assert m["solvers.jv.probes"] == 36
 
     universe, nodes = gen_uncertain_planted(12, 2, 2, seed=2)
@@ -72,7 +72,7 @@ def test_tracer_spans_match_reports(tmp_path, capsys):
     assert "uncertain.run_center_g" in names
     assert m["protocol.words.round1"] == report["words"]["round1"]
     assert m["protocol.words.round2"] == report["words"]["round2"]
-    assert m["solvers.jv.probes"] == 320
+    assert m["solvers.jv.probes"] == 220
     assert m["solvers.kt_center_outliers.calls"] > 0
 
     # The center sites' per-row and per-column blocks are all counted.

@@ -27,6 +27,7 @@ from partialclust import (
 )
 from partialclust.cli import gen_uncertain_planted
 from partialclust.errors import (
+    InfeasibleError,
     InvalidParameterError,
     OracleSizeLimitError,
 )
@@ -213,6 +214,19 @@ def test_uncertain_center_pp_word_formula_exact(seed, sites, k, t):
     sent = sum(min(k + ti, len(site)) for ti, site in zip(rep.budgets, part.sites))
     assert rep.ledger.words(round_no=2) == sent * (B + 1)
     assert rep.rounds == 2
+
+
+@pytest.mark.parametrize("objective", ["median", "means"])
+def test_uncertain_refuses_a_relaxed_budget_of_every_node(objective):
+    """Six one-node sites, k = 6 and t = 5: the coordinator's relaxed budget
+    floor((1 + epsilon) t) = 10 reaches every node, so a run could ignore all
+    six at cost 0. It raises InfeasibleError (exit 3), as center-g does; an
+    epsilon whose relaxed budget is 5 serves at least one node."""
+    space, nodes, part = planted_node_partition(n=6, k=2, t=1, sites=6, seed=1)
+    with pytest.raises(InfeasibleError, match="relaxed outlier budget 10 >= 6 nodes"):
+        run_uncertain(part, 6, 5, objective=objective, seed=1)
+    rep = run_uncertain(part, 6, 5, objective=objective, epsilon=0.1, seed=1)
+    assert len(rep.solution.outliers) <= 5 and rep.solution.centers
 
 
 def test_uncertain_rejects_unknown_objective():
